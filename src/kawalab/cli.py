@@ -740,7 +740,8 @@ def main(argv=None):
         description="Kawahara pseudospectral lab: batch experiments and audits",
     )
     parser.add_argument("--config", default=None, help="key = value config file")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=None,
+                        help="overrides [common] seed; default 0")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--format", choices=("csv", "json", "both"), default="both")
     parser.add_argument("--workers", type=int, default=1)
@@ -761,11 +762,9 @@ def main(argv=None):
     try:
         resolved = parse_config(args.command, defaults, args.config, flag_values)
         seed = args.seed
-        if args.config:
-            sections = _read_config_file(args.config)
-            common = sections.get("common", {})
-            if "seed" in common and "--seed" not in (argv or sys.argv):
-                seed = int(common["seed"])
+        if seed is None:
+            common = _read_config_file(args.config).get("common", {}) if args.config else {}
+            seed = _convert("seed", common.get("seed", 0), 0)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

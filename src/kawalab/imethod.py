@@ -13,6 +13,10 @@ equal ``||Iu||_L2^2`` exactly and gives the derivative identities
 with no stray constants, exactly for the dealiased Galerkin dynamics of
 :func:`kawalab.solver.simulate` when the kernels carry the trajectory's
 band cutoff.
+
+``Lambda_4(sigma4)`` and the product-structure ``Lambda_5(M5)`` share one
+quartic pair-table engine; the removable singularities of sigma4 are
+resolved in one batch per quartic sum.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -31,7 +35,6 @@ __all__ = [
     "GwpConfig",
     "GwpResult",
     "lambda_k",
-    "lambda2_weighted",
     "lambda3_kernel",
     "lambda4_sigma4",
     "lambda5_m5",
@@ -80,11 +83,9 @@ def _support(u, tol):
 
 
 def _mode_lookup(u):
-    """Dense mode -> coefficient and mode -> support-position tables."""
+    """Dense mode -> coefficient table, indexed by mode + n/2."""
     n = u.grid.size
-    coeff_by_mode = np.zeros(n, dtype=np.complex128)
-    coeff_by_mode[:] = u.coeffs[u.grid.index_of_mode(np.arange(-(n // 2), n // 2))]
-    return coeff_by_mode
+    return u.coeffs[u.grid.index_of_mode(np.arange(-(n // 2), n // 2))]
 
 
 def _gather(coeff_by_mode, modes, n):
@@ -179,11 +180,6 @@ def lambda_k(mult, fields, support_tol=1e-14):
     return complex(ordered_sum(chunks) * w)
 
 
-def lambda2_weighted(u, weight):
-    """``Lambda_2(weight(x1, x2); u, u)`` for a real-flagged field."""
-    return lambda_k(weight, [u, u])
-
-
 def lambda3_kernel(u, kernel, support_tol=1e-14):
     """Fast ``Lambda_3(kernel; u, u, u)`` over one field's support."""
     grid = u.grid
@@ -204,27 +200,94 @@ class _SigmaTables:
     """Support-indexed tables for the quartic/quintic lattice sums."""
 
     def __init__(self, u, kernels, support_tol=1e-14):
-        self.grid = u.grid
         self.kernels = kernels
         self.ms, self.cs = _support(u, support_tol)
         self.n = u.grid.size
         self.dxi = u.grid.dxi
-        self.coeff_by_mode = _mode_lookup(u)
-        pos = np.full(self.n, -1, dtype=np.int64)
-        pos[self.ms + self.n // 2] = np.arange(self.ms.size)
-        self.pos_by_mode = pos
-        xs = self.ms * self.dxi
-        XA, XB = np.meshgrid(xs, xs, indexing="ij")
-        self.t_table = kernels._t_pair(XA, XB)
+        self.pos_by_mode = self.positions_of(self.ms)
+        self.t_table = self.pair_table(self.ms)
 
-    def position(self, modes):
-        valid = (modes >= -(self.n // 2)) & (modes < self.n // 2)
-        safe = np.where(valid, modes, 0)
-        pos = np.where(valid, self.pos_by_mode[safe + self.n // 2], -1)
+    def positions_of(self, modes):
+        """Dense mode -> position-in-``modes`` table, -1 off ``modes``."""
+        pos = np.full(self.n, -1, dtype=np.int64)
+        pos[modes + self.n // 2] = np.arange(modes.size)
         return pos
 
-    def coeffs_of(self, modes):
-        return _gather(self.coeff_by_mode, modes, self.n)
+    def pair_table(self, modes):
+        """``T[a, b] = sigma3(xa, xb, -(xa+xb)) (xa+xb)``, band-masked, for
+        support row a against column b of ``modes``."""
+        XA, XB = np.meshgrid(self.ms * self.dxi, modes * self.dxi, indexing="ij")
+        return self.kernels._t_pair(XA, XB)
+
+
+def _quartic_sum(tab, kernels, pos4, c4, t4, weigh):
+    """``sum weigh(sigma4(xi, xj, xk, xl), xl) * (ci cj ck c4_l)`` over the
+    support rows i, j, k of ``tab``, with ``l = -(i+j+k)``, as the ordered
+    sum of one partial per row i.
+
+    The fourth slot is given by tables over its own support: ``pos4`` maps
+    a mode (offset by n/2) to its column, -1 off the support; ``c4`` holds
+    the column coefficients and ``t4`` the pair terms ``T[a, col]`` against
+    the rows of ``tab``. Pair-sum zeros are removable singularities: a
+    first pass collects those of every row and resolves them in one
+    ``sigma4`` call, and the second pass computes each row and takes its
+    slice of the limits in row order. Only one row is held at a time.
+    """
+    ms, cs, dxi, n = tab.ms, tab.cs, tab.dxi, tab.n
+    mu = kernels.disp.mu
+    T = tab.t_table
+    MJ, MK = np.meshgrid(ms, ms, indexing="ij")
+    PJ, PK = np.meshgrid(np.arange(ms.size), np.arange(ms.size), indexing="ij")
+    CJK = cs[:, None] * cs[None, :]
+    XJ = MJ * dxi
+    XK = MK * dxi
+    p23 = XJ + XK
+    XJ2 = XJ * XJ
+    XK2 = XK * XK
+    jk_zero = MJ + MK == 0
+
+    def row(mi):
+        ml = -mi - MJ - MK
+        valid = (ml >= -(n // 2)) & (ml < n // 2)
+        pl = np.where(valid, pos4[np.where(valid, ml, 0) + n // 2], -1)
+        live = pl >= 0
+        singular = (mi + MJ == 0) | (mi + MK == 0) | jk_zero
+        return ml, pl, live, singular
+
+    limit_args = ([], [], [], [])
+    for mi in ms:
+        ml, _, live, singular = row(mi)
+        sing = singular & live
+        for dest, col in zip(limit_args, (np.full(MJ.shape, mi * dxi), XJ, XK, ml * dxi)):
+            dest.append(col[sing])
+    limits = np.concatenate(limit_args[0])
+    if limits.size:
+        limits = kernels.sigma4(*[np.concatenate(c) for c in limit_args])
+
+    partials = []
+    done = 0
+    for a, (mi, ci) in enumerate(zip(ms, cs)):
+        ml, pl, live, singular = row(mi)
+        plc = np.where(live, pl, 0)
+        cl = np.where(live, c4[plc], 0.0)
+        xi = mi * dxi
+        xl = ml * dxi
+        m4 = 0.25j * (
+            T[a][:, None] + T[a][None, :] + T + t4[a, plc] + t4[PJ, plc] + t4[PK, plc]
+        )
+        p12 = xi + XJ
+        p13 = xi + XK
+        squares = xi * xi + XJ2 + XK2 + xl * xl
+        hv4 = 1j * p12 * p13 * p23 * (2.5 * squares - 3.0 * mu)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s4 = np.where(singular | ~live, 0.0, -m4 / np.where(hv4 == 0, 1.0, hv4))
+        sing = singular & live
+        count = np.count_nonzero(sing)
+        s4[sing] = limits[done:done + count]
+        done += count
+        vals = weigh(s4, xl) * (ci * CJK * cl)
+        partials.append(vals.ravel().sum())
+    return ordered_sum(partials)
 
 
 def lambda4_sigma4(u, kernels, support_tol=1e-14, tables=None):
@@ -232,49 +295,15 @@ def lambda4_sigma4(u, kernels, support_tol=1e-14, tables=None):
 
     On the zero-sum hyperplane the six-pair form of M4 reduces to six
     lookups of ``T[a,b] = sigma3(xa, xb, -(xa+xb)) (xa+xb)``, which turns
-    the O(S^3) sum into gathers plus the factored denominator.
+    the O(S^3) sum into gathers plus the factored denominator; the
+    singular limit is resolved in one batch for the whole sum.
     """
     tab = tables if tables is not None else _SigmaTables(u, kernels, support_tol)
-    ms, cs = tab.ms, tab.cs
-    if ms.size == 0:
+    if tab.ms.size == 0:
         return 0.0 + 0.0j
-    dxi = tab.dxi
-    mu = kernels.disp.mu
-    MJ, MK = np.meshgrid(ms, ms, indexing="ij")
-    PJ, PK = np.meshgrid(np.arange(ms.size), np.arange(ms.size), indexing="ij")
-    CJK = cs[:, None] * cs[None, :]
-    XJ = MJ * dxi
-    XK = MK * dxi
-    T = tab.t_table
-    chunks = []
-    for a, (mi, ci) in enumerate(zip(ms, cs)):
-        ml = -mi - MJ - MK
-        pl = tab.position(ml)
-        in_support = pl >= 0
-        cl = np.where(in_support, tab.coeff_by_mode[np.where(in_support, ml, 0) + tab.n // 2], 0.0)
-        xi = mi * dxi
-        xl = ml * dxi
-        plc = np.where(in_support, pl, 0)
-        m4 = 0.25j * (
-            T[a, PJ] + T[a, PK] + T[PJ, PK] + T[a, plc] + T[PJ, plc] + T[PK, plc]
-        )
-        p12 = xi + XJ
-        p13 = xi + XK
-        p23 = XJ + XK
-        squares = xi * xi + XJ * XJ + XK * XK + xl * xl
-        hv4 = 1j * p12 * p13 * p23 * (2.5 * squares - 3.0 * mu)
-        singular = (mi + MJ == 0) | (mi + MK == 0) | (MJ + MK == 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s4 = np.where(singular | ~in_support, 0.0, -m4 / np.where(hv4 == 0, 1.0, hv4))
-        sing = singular & in_support
-        if np.any(sing):
-            s4 = s4.copy()
-            s4[sing] = kernels.sigma4(
-                np.full(np.count_nonzero(sing), xi), XJ[sing], XK[sing], xl[sing]
-            )
-        vals = s4 * (ci * CJK * cl)
-        chunks.append(vals.ravel())
-    return complex(ordered_sum(chunks) * _hyperplane_weight(4, dxi))
+    total = _quartic_sum(tab, kernels, tab.pos_by_mode, tab.cs, tab.t_table,
+                         lambda s4, xl: s4)
+    return complex(total * _hyperplane_weight(4, tab.dxi))
 
 
 def _squared_field_coeffs(u, cutoff_index=None):
@@ -298,62 +327,28 @@ def lambda5_m5(u, kernels, support_tol=1e-14, tables=None):
 
     Grouping the two slots inside M5's pair argument against the
     convolution ``F[u^2]`` reduces the quintic functional to a quartic
-    sum over (a, b, c, eta), at the same cost as ``Lambda_4``.
+    sum over (a, b, c, eta), at the same cost as ``Lambda_4``: the fourth
+    slot eta runs over the nonzero modes of ``F[u^2]`` with weight
+    ``xi_eta * band(xi_eta)``.
     """
     tab = tables if tables is not None else _SigmaTables(u, kernels, support_tol)
-    ms, cs = tab.ms, tab.cs
-    if ms.size == 0:
+    if tab.ms.size == 0:
         return 0.0 + 0.0j
     grid = u.grid
-    dxi = tab.dxi
-    mu = kernels.disp.mu
+    n = grid.size
     cutoff_index = None
     if kernels.band_cutoff is not None:
-        cutoff_index = int(round(kernels.band_cutoff / dxi))
+        cutoff_index = int(round(kernels.band_cutoff / tab.dxi))
     qhat = _squared_field_coeffs(u, cutoff_index)
-    q_by_mode = np.zeros(grid.size, dtype=np.complex128)
-    q_by_mode[:] = qhat[grid.index_of_mode(np.arange(-(grid.size // 2), grid.size // 2))]
-
-    MJ, MK = np.meshgrid(ms, ms, indexing="ij")
-    PJ, PK = np.meshgrid(np.arange(ms.size), np.arange(ms.size), indexing="ij")
-    CJK = cs[:, None] * cs[None, :]
-    XJ = MJ * dxi
-    XK = MK * dxi
-    T = tab.t_table
+    modes = np.arange(-(n // 2), n // 2)
+    q_by_mode = qhat[grid.index_of_mode(modes)]
+    eta = modes[q_by_mode != 0.0]
     band = kernels._band
-    chunks = []
-    for a, (mi, ci) in enumerate(zip(ms, cs)):
-        meta = -mi - MJ - MK
-        valid = (meta >= -(grid.size // 2)) & (meta < grid.size // 2)
-        qe = np.where(valid, q_by_mode[np.where(valid, meta, 0) + grid.size // 2], 0.0)
-        xi = mi * dxi
-        xe = meta * dxi
-        m4 = 0.25j * (
-            T[a, PJ]
-            + T[a, PK]
-            + T[PJ, PK]
-            + kernels._t_pair(np.full(MJ.shape, xi), xe)
-            + kernels._t_pair(XJ, xe)
-            + kernels._t_pair(XK, xe)
-        )
-        p12 = xi + XJ
-        p13 = xi + XK
-        p23 = XJ + XK
-        squares = xi * xi + XJ * XJ + XK * XK + xe * xe
-        hv4 = 1j * p12 * p13 * p23 * (2.5 * squares - 3.0 * mu)
-        singular = (mi + MJ == 0) | (mi + MK == 0) | (MJ + MK == 0)
-        nonzero = qe != 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s4 = np.where(singular | ~nonzero, 0.0, -m4 / np.where(hv4 == 0, 1.0, hv4))
-        sing = singular & nonzero
-        if np.any(sing):
-            s4 = s4.copy()
-            s4[sing] = kernels.sigma4(
-                np.full(np.count_nonzero(sing), xi), XJ[sing], XK[sing], xe[sing]
-            )
-        vals = s4 * xe * band(xe) * (ci * CJK * qe)
-        chunks.append(vals.ravel())
-    total = ordered_sum(chunks) * dxi ** 3 / (2.0 * np.pi)
+    total = _quartic_sum(
+        tab, kernels, tab.positions_of(eta), q_by_mode[eta + n // 2], tab.pair_table(eta),
+        lambda s4, xe: s4 * xe * band(xe),
+    )
+    total = total * tab.dxi ** 3 / (2.0 * np.pi)
     return complex(-2j * total)
 
 

@@ -15,7 +15,10 @@ rounding blowup of raw power sums when a pair sum is small.
 
 Exactly-zero denominators are removable; they are resolved by a
 one-dimensional in-hyperplane limit with Richardson extrapolation, along
-a direction that moves only the vanishing factor(s).
+a direction that moves only the vanishing factor(s). The limit works on
+whole arrays, grouped by direction, so the quartic lattice sums of
+:mod:`kawalab.imethod` collect their singular tuples and resolve them in
+one ``sigma4`` call per sum.
 
 An optional band cutoff makes the kernels match a dealiased Galerkin
 evolution exactly: pair sums beyond the cutoff then carry weight zero in

@@ -1,52 +1,17 @@
-"""Deterministic, compensated accumulation for lattice sums.
+"""Deterministic accumulation for lattice sums.
 
-Every multilinear sum in the package reduces its partial results in a
-fixed order with a Neumaier compensated accumulator, so results are
-bit-identical across runs and across worker counts.
+``ordered_sum`` reduces each chunk of a lattice sum with ``np.sum``
+(pairwise, deterministic for a fixed shape) and combines the chunk
+partials in their given order with ``math.fsum``, which rounds their
+exact total once, so results are bit-identical across runs and across
+worker counts.
 """
 
 import math
 
 import numpy as np
 
-__all__ = ["CompensatedSum", "ordered_sum", "fsum_complex"]
-
-
-class CompensatedSum:
-    """Running Neumaier (improved Kahan) sum for real or complex values."""
-
-    def __init__(self):
-        self._s_re = 0.0
-        self._c_re = 0.0
-        self._s_im = 0.0
-        self._c_im = 0.0
-
-    def _add_re(self, x):
-        s = self._s_re + x
-        if abs(self._s_re) >= abs(x):
-            self._c_re += (self._s_re - s) + x
-        else:
-            self._c_re += (x - s) + self._s_re
-        self._s_re = s
-
-    def _add_im(self, x):
-        s = self._s_im + x
-        if abs(self._s_im) >= abs(x):
-            self._c_im += (self._s_im - s) + x
-        else:
-            self._c_im += (x - s) + self._s_im
-        self._s_im = s
-
-    def add(self, value):
-        value = complex(value)
-        self._add_re(value.real)
-        self._add_im(value.imag)
-
-    @property
-    def value(self):
-        re = self._s_re + self._c_re
-        im = self._s_im + self._c_im
-        return re if im == 0.0 else complex(re, im)
+__all__ = ["ordered_sum", "fsum_complex"]
 
 
 def fsum_complex(values):

@@ -56,6 +56,13 @@ class TestParseConfig:
         main(["--config", str(path), "--out", str(out2),
               "identities", "--tuples", "500"])
         assert "seed = 7" in (out2 / "manifest.txt").read_text()
+        out3 = tmp_path / "run3"
+        main(["--config", str(path), "--seed=9", "--out", str(out3),
+              "identities", "--tuples", "500"])
+        assert "seed = 9" in (out3 / "manifest.txt").read_text()
+        path.write_text("[common]\nseed = seven\n")
+        assert main(["--config", str(path), "--out", str(tmp_path / "run4"),
+                     "identities", "--tuples", "500"]) == 2
 
 
 class TestRuns:

@@ -107,6 +107,43 @@ class TestFastPaths:
         assert abs(fast - direct) <= 1e-12 * max(abs(direct), 1e-300)
 
 
+class TestSingularLimitBatch:
+    """Each quartic sum resolves its whole singular set in one sigma4 call."""
+
+    def _counting(self, monkeypatch):
+        calls = []
+        inner = EnergyMultipliers.sigma4
+
+        def counted(self, x1, x2, x3, x4):
+            keys = {(a + b == 0, a + c == 0, b + c == 0)
+                    for a, b, c in zip(x1, x2, x3)}
+            calls.append(keys)
+            return inner(self, x1, x2, x3, x4)
+
+        monkeypatch.setattr(EnergyMultipliers, "sigma4", counted)
+        return calls
+
+    def _case(self):
+        g = Grid(2 * np.pi, 64)
+        kern = EnergyMultipliers(IMultiplier(3.0), DispersionParams(0.6))
+        u = random_field(g, 9, support=9, envelope=lambda a: (1 + a) ** -0.5)
+        return u, kern
+
+    def test_lambda4_one_sigma4_call(self, monkeypatch):
+        u, kern = self._case()
+        calls = self._counting(monkeypatch)
+        lambda4_sigma4(u, kern)
+        assert len(calls) == 1
+        assert len(calls[0]) > 1  # more than one limit direction
+
+    def test_lambda5_one_sigma4_call(self, monkeypatch):
+        u, kern = self._case()
+        calls = self._counting(monkeypatch)
+        lambda5_m5(u, kern)
+        assert len(calls) == 1
+        assert len(calls[0]) > 1
+
+
 class TestModifiedEnergies:
     def test_zero_field(self):
         g = Grid(2 * np.pi, 64)

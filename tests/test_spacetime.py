@@ -130,6 +130,15 @@ class TestDuhamel:
             mask[g.index_of_mode(m)] = False
         assert np.max(np.abs(res["fields"][idx].coeffs[mask])) <= 1e-14
 
+    def test_quadrature_change_of_nearly_equal_fields(self):
+        # full and stride-2 outputs agree so closely here that their
+        # difference is not Hermitian to the relative 1e-10 of a real field
+        g = Grid(8 * np.pi, 128)
+        times = uniform_times(-2.0, 2.0, 1024)
+        _, fu = free_trajectory(self._mode_pair(g, 4, 0.1), D, times)
+        res = duhamel_bilinear(times, fu, fu, D)
+        assert 0.0 < res["quadrature_change"] < 0.005
+
     def test_coarse_grid_rejected(self):
         g = Grid(16 * np.pi, 128)
         times = uniform_times(-2.0, 2.0, 4)
