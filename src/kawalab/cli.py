@@ -17,7 +17,7 @@ import numpy as np
 
 from . import io as kio
 from .dispersion import DispersionParams, resonance
-from .grid import Grid, SpectralField, save_field
+from .grid import Grid, SpectralField, load_field, save_field
 from .imultiplier import IMultiplier
 from .multipliers import EnergyMultipliers, power_sum_identity_check
 from .solver import SolverConfig, simulate, trajectory_to_rows
@@ -59,6 +59,8 @@ def _read_config_file(path):
                 continue
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1].strip()
+                if current != "common" and current not in COMMANDS:
+                    raise ConfigError(f"{path}:{lineno}: unknown section [{current}]")
                 sections.setdefault(current, {})
                 continue
             if "=" not in line:
@@ -90,7 +92,9 @@ def _convert(key, value, default):
 
 
 def parse_config(command, defaults, file_path=None, flag_values=None):
-    """Resolve defaults < config-file section < flags; strict keys."""
+    """Resolve defaults < config-file section < flags; strict keys. A
+    ``datum`` file fixes the grid: its ``L`` and ``n`` replace the configured
+    ones, so the manifest echoes the grid that is run."""
     resolved = dict(defaults)
     if file_path:
         sections = _read_config_file(file_path)
@@ -104,6 +108,14 @@ def parse_config(command, defaults, file_path=None, flag_values=None):
         if key not in defaults:
             raise ConfigError(f"unknown key '{key}'")
         resolved[key] = _convert(key, value, defaults[key])
+    if resolved.get("datum"):
+        try:
+            datum = load_field(resolved["datum"])
+        except (OSError, LookupError, ValueError) as err:
+            raise ConfigError(f"datum {resolved['datum']!r}: {err}") from err
+        if not datum.real:
+            raise ConfigError(f"datum {resolved['datum']!r}: not a real-flagged field")
+        resolved["L"], resolved["n"] = datum.grid.length, datum.grid.size
     if "n" in resolved:
         n = resolved["n"]
         if n < 8 or (n & (n - 1)) != 0:
@@ -157,8 +169,6 @@ def _cmd_simulate(cfg, out, seed, workers, fmt='both'):
     grid = Grid(cfg["L"], cfg["n"])
     disp = DispersionParams(cfg["mu"])
     if cfg["datum"]:
-        from .grid import load_field
-
         u0 = load_field(cfg["datum"])
     else:
         u0 = _random_datum(grid, seed, cfg["amplitude"], cfg["decay"])

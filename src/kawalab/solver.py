@@ -3,10 +3,9 @@
 The linear phase is applied exactly (integrating factor), so the quintic
 symbol never limits the step; classical RK4 handles the dealiased
 nonlinearity. The zero mode is untouched by every stage, so the spatial
-mean is conserved to the bit. The phase factors are built conjugate on
-mirrored modes, so every linear operation of a step preserves the Hermitian
-symmetry of a real field exactly; only the rounding of the nonlinear term's
-transforms leaves a defect, which does not accumulate systematically.
+mean is conserved to the bit. A real field is stepped as its half spectrum
+(modes 0..n/2, real-FFT transforms), so its Hermitian symmetry holds by
+construction; full-spectrum fields are built only at monitor samples.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -106,11 +105,6 @@ def dealias_mask(grid, fraction=2.0 / 3.0):
     return (np.abs(grid.modes) <= dealias_cutoff_index(grid, fraction)).astype(np.float64)
 
 
-def _project(u, mask):
-    c = u.coeffs * mask
-    return u.with_coeffs(c)
-
-
 def nonlinear_rhs(u, dealias_fraction=2.0 / 3.0):
     """Dealiased ``-(1/2) d/dx (u^2)`` by transform-square-transform.
 
@@ -118,53 +112,66 @@ def nonlinear_rhs(u, dealias_fraction=2.0 / 3.0):
     alias-free for the quadratic product; the output is an exact spatial
     derivative, so its mean vanishes identically.
     """
-    grid = u.grid
-    mask = dealias_mask(grid, dealias_fraction)
-    return u.with_coeffs(_rhs_coeffs(u.coeffs * mask, grid, mask))
+    band, mult = _rhs_multiplier(u.grid, dealias_fraction)
+    return u.with_coeffs(_full_spectrum(mult * _square(u.coeffs[:band], u.grid.size)))
 
 
-def _rhs_coeffs(c, grid, mask):
-    v = np.fft.ifft(c).real * (_SQRT2PI / grid.dx)
-    sq = np.fft.fft(v * v) * (grid.dx / _SQRT2PI)
-    out = (-0.5j) * grid.xi * sq * mask
-    out[grid.nyquist_index] = 0.0
-    return out
+def _square(c, n):
+    """``rfft(v*v)`` for ``v = irfft(c, n)``, unscaled (modes missing from a
+    short ``c`` count as zero); for unitary coefficients the half spectrum
+    of ``F[u^2]`` is this times ``sqrt(2 pi)/dx``."""
+    v = np.fft.irfft(c, n)
+    return np.fft.rfft(v * v)
+
+
+def _full_spectrum(half):
+    """FFT-order coefficients of the real field with half spectrum ``half``
+    (modes 0..n/2), conjugate on mirrored modes; the Nyquist slot is zero."""
+    return np.concatenate((half[:-1], [0.0], np.conj(half[-2:0:-1])))
+
+
+def _rhs_multiplier(grid, dealias_fraction):
+    """``(band, mult)``: the retained modes ``0..band-1`` and the multiplier
+    folding the dealias mask, ``-(1/2) d/dx`` and both transform scales, so
+    ``mult * _square(c[:band], n)`` is the half-spectrum nonlinear term."""
+    band = dealias_cutoff_index(grid, dealias_fraction) + 1
+    mult = np.zeros(grid.size // 2 + 1, dtype=np.complex128)
+    mult[:band] = (-0.5j * _SQRT2PI / grid.dx) * (np.arange(band) * grid.dxi)
+    return band, mult
+
+
+def _half_spectrum(u, grid):
+    """Modes 0..n/2 of a real datum that lives on ``grid``."""
+    if not u.real:
+        raise ValueError("the solver steps real-flagged fields only")
+    if u.grid != grid:
+        raise ValueError(f"datum grid {u.grid} does not match the configured grid {grid}")
+    return u.coeffs[:grid.size // 2 + 1]
 
 
 def _unit_phasor(w, t):
-    """``exp(i w t)`` for an odd symbol ``w`` in FFT order, conjugate on
-    mirrored modes bit for bit.
-
-    The argument is reduced mod 2 pi in extended precision (plain double
-    products drift by ~|w t| ulps per step, which dominates long
-    integrations). Reducing +w and -w separately rounds the two results
-    differently, and the stepper applies the phasor tens of thousands of
-    times per unit time, so the Hermitian defect of a real field would grow
-    linearly. The phasor is therefore evaluated on modes m >= 0 only and
-    its conjugate written onto modes -m; the Nyquist mode has no partner
-    (real fields keep it zero)."""
-    half = w.size // 2
-    arg = np.mod(w[:half + 1].astype(np.longdouble) * np.longdouble(t),
+    """``exp(i w t)`` for the symbol ``w`` on modes m >= 0, the argument reduced
+    mod 2 pi in extended precision: plain double products drift by ~|w t|
+    ulps per step, which dominates long integrations."""
+    arg = np.mod(w.astype(np.longdouble) * np.longdouble(t),
                  2 * np.longdouble(np.pi)).astype(np.float64)
-    e = np.empty(w.size, dtype=np.complex128)
-    e[:half + 1] = np.exp(1j * arg)
-    e[half + 1:] = np.conj(e[half - 1:0:-1])
-    return e
+    return np.exp(1j * arg)
 
 
 class _Stepper:
-    """Precomputed phases and masks for repeated integrating-factor steps."""
+    """Integrating-factor RK4 on the half spectrum (modes 0..n/2) of a real field.
+    Modes outside the dealias band evolve by the linear phase alone."""
 
     def __init__(self, grid, disp, dt, dealias_fraction):
-        self.grid = grid
+        self.n = grid.size
         self.dt = dt
-        self.mask = dealias_mask(grid, dealias_fraction)
-        w = omega(grid.xi, disp)
+        self.band, self.mult = _rhs_multiplier(grid, dealias_fraction)
+        w = omega(np.arange(grid.size // 2 + 1) * grid.dxi, disp)
         self.e_half = _unit_phasor(w, 0.5 * dt)
         self.e_full = self.e_half * self.e_half
 
     def rhs(self, c):
-        return _rhs_coeffs(c * self.mask, self.grid, self.mask)
+        return self.mult * _square(c[:self.band], self.n)
 
     def step(self, c):
         dt, eh, ef = self.dt, self.e_half, self.e_full
@@ -180,34 +187,33 @@ class _Stepper:
 
 
 def step(u, dt, config):
-    """One integrating-factor RK4 step of size ``dt``."""
+    """One integrating-factor RK4 step of size ``dt`` for a real field."""
     stepper = _Stepper(config.grid, config.disp, dt, config.dealias_fraction)
-    c = stepper.step(u.coeffs.copy())
+    c = stepper.step(_half_spectrum(u, config.grid))
     if c is None:
         raise SolverDivergenceError(dt)
-    return u.with_coeffs(c)
+    return u.with_coeffs(_full_spectrum(c))
 
 
 def simulate(u0, config, t0=0.0):
     """Integrate from ``t0`` to ``t0 + t_end``, sampling every
     ``monitor_stride`` steps. The datum is projected into the dealias band
     first, so the computed dynamics are an exact Galerkin system."""
-    if not u0.real:
-        raise ValueError("simulate expects a real-flagged datum")
     grid = config.grid
+    half = _half_spectrum(u0, grid)
     n_steps = max(1, int(round(config.t_end / config.dt)))
     dt = config.t_end / n_steps
     stepper = _Stepper(grid, config.disp, dt, config.dealias_fraction)
 
     traj = Trajectory(dealias_cutoff=dealias_cutoff_index(grid, config.dealias_fraction) * grid.dxi)
-    c = u0.coeffs * stepper.mask
-    traj.append(t0, u0.with_coeffs(c.copy()))
+    c = np.pad(half[:stepper.band], (0, half.size - stepper.band))
+    traj.append(t0, u0.with_coeffs(_full_spectrum(c)))
     for i in range(1, n_steps + 1):
         c = stepper.step(c)
         if c is None:
             raise SolverDivergenceError(t0 + i * dt)
         if i % config.monitor_stride == 0 or i == n_steps:
-            traj.append(t0 + i * dt, u0.with_coeffs(c.copy()))
+            traj.append(t0 + i * dt, u0.with_coeffs(_full_spectrum(c)))
     return traj
 
 
@@ -234,29 +240,20 @@ def petviashvili_wave(c, disp, grid, width=4.0, center=None, tol=1e-12, max_iter
             "c*u + mu*u_xx + u_xxxx (speed-reversed symbol xi^4 - mu*xi^2 - c) "
             "must be positive-definite on the lattice"
         )
-    x = grid.x
     if center is None:
         center = grid.length / 2.0
-    guess = -np.exp(-((x - center) / width) ** 2)
-    phi = SpectralField.from_physical(grid, guess)
-    c_hat = phi.coeffs.copy()
-
-    def quad_coeffs(ch):
-        v = np.fft.ifft(ch).real * (_SQRT2PI / grid.dx)
-        out = np.fft.fft(v * v) * (grid.dx / _SQRT2PI) * (-0.5)
-        out[grid.nyquist_index] = 0.0
-        return out
+    guess = -np.exp(-((grid.x - center) / width) ** 2)
+    c_hat = SpectralField.from_physical(grid, guess).coeffs
 
     dxi = grid.dxi
     for it in range(1, max_iter + 1):
-        rhs = quad_coeffs(c_hat)
+        rhs = _quadratic(c_hat, grid)
         num = np.sum(Q * np.abs(c_hat) ** 2) * dxi
         den = np.sum(np.conj(c_hat) * rhs).real * dxi
         if den == 0.0:
             raise PetviashviliError(np.inf, it)
         gamma = (num / den) ** 2
         new = gamma * rhs / Q
-        new[grid.nyquist_index] = 0.0
         update = float(np.sqrt(np.sum(np.abs(new - c_hat) ** 2) * dxi))
         c_hat = new
         if update < tol:
@@ -265,10 +262,13 @@ def petviashvili_wave(c, disp, grid, width=4.0, center=None, tol=1e-12, max_iter
     raise PetviashviliError(update, max_iter)
 
 
+def _quadratic(c, grid):
+    """Full spectrum of ``-phi^2/2`` for the real field with coefficients ``c``."""
+    half = _square(c[:grid.size // 2 + 1], grid.size)
+    return _full_spectrum(half * (-0.5 * _SQRT2PI / grid.dx))
+
+
 def _profile_residual(c_hat, Q, grid):
     """L^2 norm of ``-Q*phi_hat - F[phi^2]/2`` (the profile equation)."""
-    v = np.fft.ifft(c_hat).real * (_SQRT2PI / grid.dx)
-    sq = np.fft.fft(v * v) * (grid.dx / _SQRT2PI)
-    res = -Q * c_hat - 0.5 * sq
-    res[grid.nyquist_index] = 0.0
+    res = _quadratic(c_hat, grid) - Q * c_hat
     return float(np.sqrt(np.sum(np.abs(res) ** 2) * grid.dxi))

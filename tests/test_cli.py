@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from kawalab import Grid, SpectralField
 from kawalab.cli import COMMANDS, ConfigError, main, parse_config
+from kawalab.grid import save_field
 
 
 class TestParseConfig:
@@ -43,6 +45,15 @@ class TestParseConfig:
         assert resolved["n"] == 512
         assert resolved["dt"] == pytest.approx(0.002)
 
+    def test_unknown_section_named(self, tmp_path, capsys):
+        path = tmp_path / "typo.cfg"
+        path.write_text("[simulte]\nn = 5\n")
+        with pytest.raises(ConfigError, match="simulte"):
+            parse_config("simulate", COMMANDS["simulate"][0], str(path))
+        assert main(["--config", str(path), "--out", str(tmp_path / "run"),
+                     "identities", "--tuples", "500"]) == 2
+        assert "unknown section [simulte]" in capsys.readouterr().err
+
     def test_seed_precedence(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg.cfg"
         path.write_text("[common]\nseed = 7\n")
@@ -76,6 +87,34 @@ class TestRuns:
         body = (out / "trajectory.csv").read_text().strip().splitlines()
         assert body[0] == "t,mean,l2_mass,h_s_norm"
         assert all(float(line.split(",")[2]) == 0.0 for line in body[1:])
+
+    @pytest.mark.parametrize("grid_flags", [[], ["--n", "64"]])
+    def test_simulate_datum_fixes_grid(self, tmp_path, grid_flags):
+        grid = Grid(4 * np.pi, 64)
+        u0 = SpectralField.random_real(grid, np.random.default_rng(2),
+                                       envelope=lambda a: (1.0 + a ** 2) ** -4.0)
+        path = tmp_path / "datum.txt"
+        save_field(u0 * (0.1 / u0.l2_norm()), path)
+        out = tmp_path / "sim"
+        # the configured grid (defaults L = 256*pi, n = 1024) gives way to
+        # the datum's, also where only L differs
+        code = main(["--out", str(out), "simulate", "--datum", str(path),
+                     "--dt", "0.0005", "--t_end", "0.01"] + grid_flags)
+        assert code == 0
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert f"L = {grid.length}" in manifest
+        assert "n = 64" in manifest
+
+    def test_simulate_unusable_datum_named(self, tmp_path, capsys):
+        complex_field = tmp_path / "complex.txt"
+        save_field(SpectralField.from_mode_dict(Grid(4 * np.pi, 64), {1: 0.1}, real=False),
+                   complex_field)
+        for path, reason in ((tmp_path / "missing.txt", "No such file"),
+                             (complex_field, "not a real-flagged field")):
+            assert main(["--out", str(tmp_path / "sim"), "simulate",
+                         "--datum", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert path.name in err and reason in err
 
     def test_identities_report(self, tmp_path):
         out = tmp_path / "ids"

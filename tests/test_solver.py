@@ -20,6 +20,7 @@ from kawalab.solver import (
     PHASE_GUARD,
     _Stepper,
     dealias_cutoff_index,
+    dealias_mask,
     trajectory_to_rows,
 )
 
@@ -110,38 +111,74 @@ class TestStep:
 
 
 class TestHermitianByConstruction:
-    """Real fields stay Hermitian because the integrating factor is built
-    conjugate on mirrored modes, not because anything re-symmetrises them.
+    """Real fields are stepped as half spectra (modes 0..n/2), so Hermitian
+    symmetry holds by construction rather than by a re-symmetrising step.
 
     The grid is the rescaled box of the global-iteration criterion (n=512,
     dt*max|omega| just under the phase guard), where a per-step asymmetry of
     one ulp in the phasor compounds over ~64 000 steps per unit time."""
 
     @staticmethod
-    def _stepper():
+    def _full_phasor(g, t):
+        """``exp(i omega t)`` on every mode in FFT order, with the solver's
+        extended-precision reduction of the argument."""
+        arg = np.mod(omega(g.xi, D1).astype(np.longdouble) * np.longdouble(t),
+                     2 * np.longdouble(np.pi)).astype(np.float64)
+        return np.exp(1j * arg)
+
+    @staticmethod
+    def _box():
         n, N = 512, 64.0
         g = Grid(2 * np.pi / (1.5 * N / dealias_cutoff_index(Grid(2 * np.pi, n))), n)
         wmax = float(np.max(np.abs(omega(g.xi, D1))))
-        dt = 0.98 * PHASE_GUARD / wmax
-        return g, _Stepper(g, D1, dt, 2.0 / 3.0)
+        return g, 0.98 * PHASE_GUARD / wmax
 
-    def test_phasor_conjugate_on_mirrored_modes(self):
-        g, st = self._stepper()
-        half = g.size // 2
-        for e in (st.e_half, st.e_full):
-            # modes 1..n/2-1 against modes -1..-(n/2-1), bit for bit
-            assert np.array_equal(e[1:half], np.conj(e[:half:-1]))
+    def test_half_phasors_match_full_spectrum_phasor(self):
+        g, dt = self._box()
+        st = _Stepper(g, D1, dt, 2.0 / 3.0)
+        full = self._full_phasor(g, 0.5 * dt)
+        half = g.size // 2  # FFT-order indices 0..n/2-1 hold modes m >= 0
+        assert st.e_half.shape == st.e_full.shape == (half + 1,)
+        assert np.array_equal(st.e_half[:half], full[:half])
+        assert np.array_equal(st.e_full[:half], (full * full)[:half])
 
     def test_steps_keep_real_field_hermitian(self):
-        g, st = self._stepper()
+        g, dt = self._box()
         rng = np.random.default_rng(108)
         u0 = SpectralField.random_real(
             g, rng, envelope=lambda a: (1.0 + a ** 2) ** 0.625,
             support=dealias_cutoff_index(g) - 2)
-        c = (u0 * (0.1 / u0.l2_norm())).coeffs * st.mask
-        for _ in range(3000):
-            c = st.step(c)
-        assert SpectralField(g, c, real=False).hermitian_defect() <= 1e-13
+        cfg = SolverConfig(g, D1, dt=dt, t_end=3000 * dt, monitor_stride=1000)
+        traj = simulate(u0 * (0.1 / u0.l2_norm()), cfg)
+        assert len(traj) == 4
+        assert all(u.hermitian_defect() == 0.0 for u in traj.fields)
+
+    def test_half_spectrum_matches_complex_fft_reference(self):
+        g = Grid(8 * np.pi, 256)
+        dt, steps = 2.0 ** -12, 100
+        u0 = smooth_datum(g, seed=4, amplitude=2.0, decay=6.0)
+        cfg = SolverConfig(g, D1, dt=dt, t_end=steps * dt, monitor_stride=10 ** 9)
+        got = simulate(u0, cfg).fields[-1].coeffs
+
+        # integrating-factor RK4 on the full spectrum with complex FFTs
+        mask = dealias_mask(g)
+        eh = self._full_phasor(g, 0.5 * dt)
+        ef = eh * eh
+
+        def rhs(c):
+            v = np.fft.ifft(c * mask).real * (np.sqrt(2 * np.pi) / g.dx)
+            sq = np.fft.fft(v * v) * (g.dx / np.sqrt(2 * np.pi))
+            return -0.5j * g.xi * sq * mask
+
+        c = u0.coeffs * mask
+        for _ in range(steps):
+            k1 = rhs(c)
+            k2 = rhs(eh * (c + 0.5 * dt * k1))
+            k3 = rhs(eh * c + 0.5 * dt * k2)
+            k4 = rhs(ef * c + dt * eh * k3)
+            c = ef * c + (dt / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
+        c[g.nyquist_index] = 0.0
+        assert np.max(np.abs(got - c)) <= 1e-12 * np.max(np.abs(c))
 
 
 class TestSimulate:
@@ -201,6 +238,14 @@ class TestSimulate:
         errs = [np.max(np.abs(finals[a] - finals[b])) for a, b in pairs]
         order = np.polyfit(np.log([1e-3, 5e-4, 2.5e-4]), np.log(errs), 1)[0]
         assert order >= 3.8
+
+    def test_grid_mismatch_rejected(self):
+        g = Grid(2 * np.pi, 64)
+        cfg = SolverConfig(g, D1, dt=1e-3, t_end=0.01)
+        for other in (Grid(4 * np.pi, 64), Grid(2 * np.pi, 128)):
+            u0 = smooth_datum(other, seed=1, amplitude=0.1)
+            with pytest.raises(ValueError, match="does not match the configured grid"):
+                simulate(u0, cfg)
 
     def test_rows_export(self):
         g = Grid(2 * np.pi, 64)
