@@ -4,46 +4,42 @@ Commands map one-to-one onto the library operations; every run writes a
 manifest echoing the fully resolved configuration, and a fixed seed gives
 byte-identical artifacts for any worker count. Configuration is read from
 a line-oriented ``key = value`` file with one ``[section]`` per command;
-command-line flags override file values.
+command-line flags override file values. Each command's runner returns
+``(artifacts, gates)`` and ``_write`` alone puts the artifacts on disk.
 """
 
 import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from . import io as kio
-from .dispersion import DispersionParams, resonance
-from .grid import Grid, SpectralField, load_field, save_field
-from .imultiplier import IMultiplier
+from .audits import (KnappConfig, knapp_sharpness, linear_estimate_audit,
+                     m5_bound_audit, resonance_size_audit, sigma3_bound_audit,
+                     sigma4_bound_audit)
+from .dispersion import DispersionParams, omega, resonance
+from .dyadic import eta0, eta_k
+from .grid import Grid, SpectralField, load_field, rescale_datum, save_field
+from .illposed import IllposedConfig, growth_fit, illposed_sweep, theta_identity_gap
+from .imethod import (GwpConfig, energy_derivative_audit, gwp_experiment,
+                      suggest_audit_stride)
+from .imultiplier import IMultiplier, apply_I
 from .multipliers import EnergyMultipliers, power_sum_identity_check
-from .solver import SolverConfig, simulate, trajectory_to_rows
+from .solver import SolverConfig, dealias_cutoff_index, simulate, trajectory_to_rows
+from .spacetime import (SpaceTimeField, duhamel_bilinear, fbar_norm, free_trajectory,
+                        uniform_times, xk_norm, xsb_norm)
 
 __all__ = ["main", "parse_config", "run", "ConfigError"]
 
 OUT_ENV = "KAWALAB_OUT"
 
+COMMON_DEFAULTS = {"seed": 0}
+
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run: command, parameter block, seed, output, format."""
-
-    command: str
-    params: dict = dc_field(default_factory=dict)
-    seed: int = 0
-    out_dir: str = ""
-    fmt: str = "both"
-    workers: int = 1
-
-    def wants(self, kind):
-        return self.fmt == "both" or self.fmt == kind
 
 
 # -- config file -------------------------------------------------------
@@ -84,30 +80,35 @@ def _convert(key, value, default):
             return int(value)
         if isinstance(default, float):
             return float(value)
-        if isinstance(default, tuple):
-            return tuple(type(default[0])(v) for v in str(value).split(","))
         return str(value)
     except (TypeError, ValueError):
         raise ConfigError(f"key '{key}': cannot parse {value!r} as {type(default).__name__}")
 
 
-def parse_config(command, defaults, file_path=None, flag_values=None):
-    """Resolve defaults < config-file section < flags; strict keys. A
-    ``datum`` file fixes the grid: its ``L`` and ``n`` replace the configured
-    ones, so the manifest echoes the grid that is run."""
+def _resolve(section, defaults, sections, flag_values):
+    """defaults < the file's ``[section]`` < flags, rejecting unknown keys."""
     resolved = dict(defaults)
-    if file_path:
-        sections = _read_config_file(file_path)
-        for key, value in sections.get(command, {}).items():
-            if key not in defaults:
-                raise ConfigError(f"unknown key '{key}' in section [{command}]")
-            resolved[key] = _convert(key, value, defaults[key])
+    for key, value in sections.get(section, {}).items():
+        if key not in defaults:
+            raise ConfigError(f"unknown key '{key}' in section [{section}]")
+        resolved[key] = _convert(key, value, defaults[key])
     for key, value in (flag_values or {}).items():
         if value is None:
             continue
         if key not in defaults:
             raise ConfigError(f"unknown key '{key}'")
         resolved[key] = _convert(key, value, defaults[key])
+    return resolved
+
+
+def parse_config(command, defaults, file_path=None, flag_values=None, sections=None):
+    """Resolve defaults < config-file section < flags; strict keys. The file
+    is read here unless its ``sections`` are passed in. A ``datum`` file
+    fixes the grid: its ``L`` and ``n`` replace the configured ones, so the
+    manifest echoes the grid that is run."""
+    if sections is None:
+        sections = _read_config_file(file_path) if file_path else {}
+    resolved = _resolve(command, defaults, sections, flag_values)
     if resolved.get("datum"):
         try:
             datum = load_field(resolved["datum"])
@@ -145,27 +146,14 @@ def _random_datum(grid, seed, amplitude, decay, support=None):
     return u * (amplitude / norm)
 
 
-
-def _wants(fmt, kind):
-    return fmt == "both" or fmt == kind
-
 SIMULATE_DEFAULTS = {
-    "L": 256.0 * np.pi,
-    "n": 1024,
-    "mu": 1.0,
-    "dt": 1e-3,
-    "t_end": 1.0,
-    "dealias_fraction": 2.0 / 3.0,
-    "monitor_stride": 50,
-    "amplitude": 0.5,
-    "decay": 8.0,
-    "s_norm": 0.0,
-    "datum": "",
-    "save_fields": False,
+    "L": 256.0 * np.pi, "n": 1024, "mu": 1.0,
+    "dt": 1e-3, "t_end": 1.0, "dealias_fraction": 2.0 / 3.0, "monitor_stride": 50,
+    "amplitude": 0.5, "decay": 8.0, "s_norm": 0.0, "datum": "", "save_fields": False,
 }
 
 
-def _cmd_simulate(cfg, out, seed, workers, fmt='both'):
+def _cmd_simulate(cfg, seed, workers):
     grid = Grid(cfg["L"], cfg["n"])
     disp = DispersionParams(cfg["mu"])
     if cfg["datum"]:
@@ -177,12 +165,10 @@ def _cmd_simulate(cfg, out, seed, workers, fmt='both'):
                       monitor_stride=cfg["monitor_stride"])
     traj = simulate(u0, sc)
     rows = trajectory_to_rows(traj, s=cfg["s_norm"])
-    if _wants(fmt, "csv"):
-        kio.write_csv(os.path.join(out, "trajectory.csv"),
-                      ["t", "mean", "l2_mass", "h_s_norm"], rows)
+    artifacts = {"trajectory.csv": (["t", "mean", "l2_mass", "h_s_norm"], rows)}
     if cfg["save_fields"]:
-        for i, (t, u) in enumerate(zip(traj.times, traj.fields)):
-            save_field(u, os.path.join(out, f"field_{i:05d}.txt"))
+        for i, u in enumerate(traj.fields):
+            artifacts[f"field_{i:05d}.txt"] = u
     mean_drift = max(abs(m - traj.means[0]) for m in traj.means)
     base = traj.l2_masses[0]
     l2_drift = 0.0 if base == 0 else max(abs(m / base - 1.0) for m in traj.l2_masses)
@@ -190,32 +176,21 @@ def _cmd_simulate(cfg, out, seed, workers, fmt='both'):
         "mean_conserved": mean_drift <= 1e-14,
         "l2_mass_conserved": l2_drift <= 1e-8,
     }
-    if _wants(fmt, "json"):
-        kio.write_json(os.path.join(out, "summary.json"), {
-            "mean_drift": mean_drift, "l2_relative_drift": l2_drift,
-            "samples": len(traj), "gates": gates,
-        })
-    return gates
+    artifacts["summary.json"] = {
+        "mean_drift": mean_drift, "l2_relative_drift": l2_drift,
+        "samples": len(traj),
+    }
+    return artifacts, gates
 
 
 ENERGY_DEFAULTS = {
-    "L": 4.0 * np.pi,
-    "n": 256,
-    "mu": 1.0,
-    "N": 16.0,
-    "s": -1.75,
-    "amplitude": 2.5,
-    "decay": 1.0,
-    "support": 80,
-    "pre_time": 0.01,
-    "audit_steps": 4,
-    "audit_safety": 0.05,
+    "L": 4.0 * np.pi, "n": 256, "mu": 1.0, "N": 16.0, "s": -1.75,
+    "amplitude": 2.5, "decay": 1.0, "support": 80,
+    "pre_time": 0.01, "audit_steps": 4, "audit_safety": 0.05,
 }
 
 
-def _cmd_energy_track(cfg, out, seed, workers, fmt='both'):
-    from .imethod import energy_derivative_audit, suggest_audit_stride
-
+def _cmd_energy_track(cfg, seed, workers):
     grid = Grid(cfg["L"], cfg["n"])
     disp = DispersionParams(cfg["mu"])
     mult = IMultiplier(cfg["N"], cfg["s"])
@@ -235,36 +210,22 @@ def _cmd_energy_track(cfg, out, seed, workers, fmt='both'):
         (r["t"], r["e2"], r["corr3"], r["corr4"], r["e4"], r["resid3"], r["resid5"])
         for r in audit["rows"]
     ]
-    if _wants(fmt, "csv"):
-        kio.write_csv(os.path.join(out, "energy.csv"),
-                      ["t", "E2", "corr3", "corr4", "E4", "resid3", "resid5"],
-                      rows)
     worst = max(r["resid3"] for r in audit["rows"])
     gates = {"cubic_derivative_identity": worst <= 1e-3}
-    if _wants(fmt, "json"):
-        kio.write_json(os.path.join(out, "summary.json"), {
-            "stride": stride, "worst_resid3": worst,
-            "dealias_warning": audit["dealias_warning"], "gates": gates,
-        })
-    return gates
+    return {
+        "energy.csv": (["t", "E2", "corr3", "corr4", "E4", "resid3", "resid5"], rows),
+        "summary.json": {"stride": stride, "worst_resid3": worst,
+                         "dealias_warning": audit["dealias_warning"]},
+    }, gates
 
 
 GWP_DEFAULTS = {
-    "eps0": 0.1,
-    "N": 64.0,
-    "steps": 20,
-    "s": -1.75,
-    "n": 512,
-    "mu": 1.0,
-    "spectral_slope": 1.25,
-    "track_e4": False,
+    "eps0": 0.1, "N": 64.0, "steps": 20, "s": -1.75, "n": 512, "mu": 1.0,
+    "spectral_slope": 1.25, "track_e4": False,
 }
 
 
-def _cmd_gwp(cfg, out, seed, workers, fmt='both'):
-    from .imethod import GwpConfig, gwp_experiment
-    from .solver import dealias_cutoff_index
-
+def _cmd_gwp(cfg, seed, workers):
     # lam lands near 1/N when the datum norm matches eps0, so size the
     # original box to put the stretched dealias band at ~1.5 N
     n = cfg["n"]
@@ -282,9 +243,6 @@ def _cmd_gwp(cfg, out, seed, workers, fmt='both'):
     )
     # normalize so the rescaling solver lands exactly at lam = 1/N and the
     # stretched band sits where the box was sized for it
-    from .grid import rescale_datum
-    from .imultiplier import apply_I
-
     mult = IMultiplier(cfg["N"], cfg["s"])
     probe = apply_I(rescale_datum(datum, lam_target), mult).l2_norm()
     datum = datum * (cfg["eps0"] / probe)
@@ -292,31 +250,23 @@ def _cmd_gwp(cfg, out, seed, workers, fmt='both'):
                    sobolev_s=cfg["s"], track_e4=cfg["track_e4"])
     result = gwp_experiment(gc, datum, disp)
     gates = {"bootstrap_bound": result.all_passed}
-    kio.write_json(os.path.join(out, "gwp.json"), {
+    return {"gwp.json": {
         "lam": result.lam, "eps0": result.eps0, "threshold": result.threshold,
         "times": result.times, "e2": result.e2, "e4": result.e4,
         "growth_norm": result.growth_norm, "passed": result.passed,
         "first_failure": result.first_failure,
         "growth_exponent": result.growth_exponent,
-        "growth_reference": result.growth_reference, "gates": gates,
-    })
-    return gates
+        "growth_reference": result.growth_reference,
+    }}, gates
 
 
 BOUNDS_DEFAULTS = {
-    "N": 16.0,
-    "mu": 1.0,
-    "s": -1.75,
-    "cap_lo": 6,
-    "cap_hi": 7,
-    "samples": 100000,
+    "N": 16.0, "mu": 1.0, "s": -1.75, "cap_lo": 6, "cap_hi": 7, "samples": 100000,
 }
 
 
 def _bounds_unit(args):
     name, mult_args, mu, cap, samples, seed = args
-    from .audits import m5_bound_audit, sigma3_bound_audit, sigma4_bound_audit
-
     mult = IMultiplier(*mult_args)
     disp = DispersionParams(mu)
     fn = {"sigma3": sigma3_bound_audit, "sigma4": sigma4_bound_audit,
@@ -324,12 +274,10 @@ def _bounds_unit(args):
     return fn(mult, disp, cap, samples, seed).as_dict()
 
 
-def _cmd_verify_bounds(cfg, out, seed, workers, fmt='both'):
-    units = []
-    for name in ("sigma3", "sigma4", "m5"):
-        for cap in (cfg["cap_lo"], cfg["cap_hi"]):
-            units.append((name, (cfg["N"], cfg["s"]), cfg["mu"], cap,
-                          cfg["samples"], seed))
+def _cmd_verify_bounds(cfg, seed, workers):
+    units = [(name, (cfg["N"], cfg["s"]), cfg["mu"], cap, cfg["samples"], seed)
+             for name in ("sigma3", "sigma4", "m5")
+             for cap in (cfg["cap_lo"], cfg["cap_hi"])]
     reports = _parallel_map(_bounds_unit, units, workers)
     by_key = {(u[0], u[3]): r for u, r in zip(units, reports)}
     gates = {}
@@ -340,34 +288,27 @@ def _cmd_verify_bounds(cfg, out, seed, workers, fmt='both'):
         drift = hi / lo if lo > 0 else float("inf")
         drifts[name] = drift
         gates[f"{name}_cap_stability"] = (drift < 2.0) and (drift > 0.5)
-    if _wants(fmt, "json"):
-        kio.write_json(os.path.join(out, "bounds.json"), {
+    lines = [
+        f"{r['bound_name']:34s} cap=2^{u[3]} "
+        f"samples={r['samples_evaluated']:8d} "
+        f"max_ratio={r['max_ratio']:.6g} seed={r['seed']}"
+        for u, r in zip(units, reports)
+    ]
+    return {
+        "bounds.json": {
             "reports": {f"{u[0]}_cap{u[3]}": r for u, r in zip(units, reports)},
-            "drifts": drifts, "gates": gates,
-        })
-    if _wants(fmt, "csv"):
-        lines = []
-        for u, r in zip(units, reports):
-            lines.append(
-                f"{r['bound_name']:34s} cap=2^{u[3]} "
-                f"samples={r['samples_evaluated']:8d} "
-                f"max_ratio={r['max_ratio']:.6g} seed={r['seed']}"
-            )
-        kio.atomic_write_text(os.path.join(out, "bounds.txt"),
-                              "\n".join(lines) + "\n")
-    return gates
+            "drifts": drifts,
+        },
+        "bounds.txt": lines,
+    }, gates
 
 
 RESONANCE_DEFAULTS = {
-    "samples": 1000000,
-    "budget_factor": 10,
-    "mu_fixed": float("nan"),
+    "samples": 1000000, "budget_factor": 10, "mu_fixed": float("nan"),
 }
 
 
-def _cmd_resonance(cfg, out, seed, workers, fmt='both'):
-    from .audits import resonance_size_audit
-
+def _cmd_resonance(cfg, seed, workers):
     mu = None if np.isnan(cfg["mu_fixed"]) else cfg["mu_fixed"]
     small = resonance_size_audit(cfg["samples"], seed, mu=mu)
     big = resonance_size_audit(cfg["samples"] * cfg["budget_factor"], seed, mu=mu)
@@ -380,17 +321,15 @@ def _cmd_resonance(cfg, out, seed, workers, fmt='both'):
             zero.min_ratio <= 1.875 <= zero.max_ratio,
         "no_false_zero": small.min_ratio > 0.0,
     }
-    if _wants(fmt, "json"):
-        kio.write_json(os.path.join(out, "resonance.json"), {
+    return {
+        "resonance.json": {
             "bracket": [small.min_ratio, small.max_ratio],
             "bracket_large_budget": [big.min_ratio, big.max_ratio],
             "bracket_mu0": [zero.min_ratio, zero.max_ratio],
             "moves": [move_lo, move_hi],
             "samples": [small.samples_evaluated, big.samples_evaluated],
-            "gates": gates,
-        })
-    if _wants(fmt, "csv"):
-        lines = [
+        },
+        "resonance.txt": [
             f"seed={seed}",
             f"bracket          [{small.min_ratio:.6f}, {small.max_ratio:.6f}] "
             f"samples={small.samples_evaluated}",
@@ -398,25 +337,17 @@ def _cmd_resonance(cfg, out, seed, workers, fmt='both'):
             f"samples={big.samples_evaluated}",
             f"bracket (mu=0)   [{zero.min_ratio:.6f}, {zero.max_ratio:.6f}]",
             f"argmax tuple     {small.argmax}",
-        ]
-        kio.atomic_write_text(os.path.join(out, "resonance.txt"),
-                              "\n".join(lines) + "\n")
-    return gates
+        ],
+    }, gates
 
 
 KNAPP_DEFAULTS = {
-    "n1_lo_exp": 8,
-    "n1_hi_exp": 10,
-    "L1": 1.0,
-    "L2": 16.0,
-    "mu": 1.0,
+    "n1_lo_exp": 8, "n1_hi_exp": 10, "L1": 1.0, "L2": 16.0, "mu": 1.0,
     "samples": 1 << 20,
 }
 
 
-def _cmd_knapp(cfg, out, seed, workers, fmt='both'):
-    from .audits import KnappConfig, knapp_sharpness
-
+def _cmd_knapp(cfg, seed, workers):
     results = []
     for exp in (cfg["n1_lo_exp"], cfg["n1_hi_exp"]):
         kc = KnappConfig(2.0 ** exp, cfg["L1"], cfg["L2"], mu=cfg["mu"])
@@ -425,33 +356,21 @@ def _cmd_knapp(cfg, out, seed, workers, fmt='both'):
     ratio_drift = r_hi["sharpness_ratio"] / r_lo["sharpness_ratio"]
     gates = {
         "sharpness_ratio_stable": 0.5 < ratio_drift < 2.0,
-        "j_scaling_stable":
-            0.5 < r_hi["j_scaling"] / r_lo["j_scaling"] < 2.0,
+        "j_scaling_stable": 0.5 < r_hi["j_scaling"] / r_lo["j_scaling"] < 2.0,
         "norm_scaling_stable":
             0.5 < r_hi["norm_product_scaling"] / r_lo["norm_product_scaling"] < 2.0,
     }
-    kio.write_json(os.path.join(out, "knapp.json"), {
-        "results": results, "ratio_drift": ratio_drift, "gates": gates,
-    })
-    return gates
+    return {"knapp.json": {"results": results, "ratio_drift": ratio_drift}}, gates
 
 
 STRICHARTZ_DEFAULTS = {
-    "k_lo": 4,
-    "k_hi": 9,
-    "trials": 8,
-    "n": 8192,
-    "L": 4.0 * np.pi,
-    "n_times": 1024,
-    "mu": 1.0,
-    "slope_tol": 0.15,
+    "k_lo": 4, "k_hi": 9, "trials": 8, "n": 8192, "L": 4.0 * np.pi,
+    "n_times": 1024, "mu": 1.0, "slope_tol": 0.15,
 }
 
 
 def _strichartz_unit(args):
     (mu, k, trials, n, L, n_times, seed) = args
-    from .audits import linear_estimate_audit
-
     disp = DispersionParams(mu)
     grid = Grid(L, n)
     return linear_estimate_audit(
@@ -460,7 +379,7 @@ def _strichartz_unit(args):
     )
 
 
-def _cmd_strichartz(cfg, out, seed, workers, fmt='both'):
+def _cmd_strichartz(cfg, seed, workers):
     ks = list(range(cfg["k_lo"], cfg["k_hi"] + 1))
     units = [(cfg["mu"], k, cfg["trials"], cfg["n"], cfg["L"], cfg["n_times"],
               seed + i) for i, k in enumerate(ks)]
@@ -474,48 +393,35 @@ def _cmd_strichartz(cfg, out, seed, workers, fmt='both'):
     for key, table in ratios.items():
         vals = np.array([table[k] for k in ks])
         slopes[key] = float(np.polyfit(karr, np.log2(vals), 1)[0])
-    unit_key = next(key for key in ratios if key.startswith("Ltinf"))
-    unit_ratio = ratios[unit_key]
+    unit_ratio = next(t for key, t in ratios.items() if key.startswith("Ltinf"))
     gates = {
         "Lt6Lx6_flat": abs(slopes["Lt6.0Lx6.0"]) <= cfg["slope_tol"],
         "Lt8Lx4_flat": abs(slopes["Lt8.0Lx4.0"]) <= cfg["slope_tol"],
         "maximal_flat": abs(slopes["maximal_Lx4"]) <= cfg["slope_tol"],
         "smoothing_flat": abs(slopes["smoothing"]) <= cfg["slope_tol"],
-        "unitarity_exact": all(
-            abs(v - 1.0) <= 1e-12 for v in unit_ratio.values()
-        ),
+        "unitarity_exact": all(abs(v - 1.0) <= 1e-12 for v in unit_ratio.values()),
     }
-    kio.write_json(os.path.join(out, "strichartz.json"), {
-        "ratios": {key: {str(k): v for k, v in t.items()} for key, t in ratios.items()},
-        "slopes": slopes, "gates": gates,
-    })
-    if _wants(fmt, "csv"):
-        lines = [f"seed={seed}  shells k={ks[0]}..{ks[-1]}  trials={cfg['trials']}"]
-        for key in sorted(ratios):
-            row = "  ".join(f"{ratios[key][k]:10.4f}" for k in ks)
-            lines.append(f"{key:14s} {row}   slope {slopes[key]:+.4f}")
-        kio.atomic_write_text(os.path.join(out, "strichartz.txt"),
-                              "\n".join(lines) + "\n")
-    return gates
+    lines = [f"seed={seed}  shells k={ks[0]}..{ks[-1]}  trials={cfg['trials']}"]
+    for key in sorted(ratios):
+        row = "  ".join(f"{ratios[key][k]:10.4f}" for k in ks)
+        lines.append(f"{key:14s} {row}   slope {slopes[key]:+.4f}")
+    return {
+        "strichartz.json": {
+            "ratios": {key: {str(k): v for k, v in t.items()}
+                       for key, t in ratios.items()},
+            "slopes": slopes,
+        },
+        "strichartz.txt": lines,
+    }, gates
 
 
 XNORMS_DEFAULTS = {
-    "L": 16.0 * np.pi,
-    "n": 256,
-    "mu": 1.0,
-    "t_box": 8.0,
-    "n_times": 4096,
-    "shell": 1,
-    "s": -1.75,
-    "b": 0.5,
+    "L": 16.0 * np.pi, "n": 256, "mu": 1.0, "t_box": 8.0, "n_times": 4096,
+    "shell": 1, "s": -1.75, "b": 0.5,
 }
 
 
-def _cmd_xnorms(cfg, out, seed, workers, fmt='both'):
-    from .spacetime import (SpaceTimeField, free_trajectory, uniform_times,
-                            xsb_norm, xk_norm, fbar_norm)
-    from .dyadic import eta_k, eta0 as _eta0
-
+def _cmd_xnorms(cfg, seed, workers):
     grid = Grid(cfg["L"], cfg["n"])
     disp = DispersionParams(cfg["mu"])
     rng = np.random.default_rng(seed)
@@ -530,42 +436,33 @@ def _cmd_xnorms(cfg, out, seed, workers, fmt='both'):
     st_l2 = xsb_norm(F, 0.0, 0.0, disp)
     # direct windowed space-time quadrature for the b=0, s=0 cross-check
     direct = np.sqrt(sum(
-        (_eta0(t) * f.l2_norm()) ** 2 * (times[1] - times[0])
+        (eta0(t) * f.l2_norm()) ** 2 * (times[1] - times[0])
         for t, f in zip(times, fields)
     ))
     xsb = xsb_norm(F, cfg["s"], cfg["b"], disp)
     xk = xk_norm(F, k, disp)
     fb = fbar_norm(times, fields, cfg["s"], disp)
     # modulation concentration: shells j <= 2 of the windowed free flow
-    from .dispersion import omega as _omega
-
-    mod = F.tau[:, None] - _omega(grid.xi, disp)[None, :]
+    mod = F.tau[:, None] - omega(grid.xi, disp)[None, :]
     mag2 = np.abs(F.coeffs2d) ** 2
-    low = float(np.sum(mag2 * (_eta0(mod / 4.0))) / np.sum(mag2))
+    low = float(np.sum(mag2 * (eta0(mod / 4.0))) / np.sum(mag2))
     gates = {
         "plancherel_spacetime": abs(st_l2 / direct - 1.0) <= 1e-10,
         "modulation_concentrated": low >= 0.9,
     }
-    kio.write_json(os.path.join(out, "xnorms.json"), {
+    return {"xnorms.json": {
         "spacetime_l2": st_l2, "direct_l2": direct, "xsb": xsb,
-        "xk": xk, "fbar": fb, "low_modulation_share": low, "gates": gates,
-    })
-    return gates
+        "xk": xk, "fbar": fb, "low_modulation_share": low,
+    }}, gates
 
 
 DUHAMEL_DEFAULTS = {
-    "L": 16.0 * np.pi,
-    "n": 256,
-    "mu": 1.0,
-    "n_times": 1024,
-    "mode": 8,
-    "amplitude": 0.1,
+    "L": 16.0 * np.pi, "n": 256, "mu": 1.0,
+    "n_times": 1024, "mode": 8, "amplitude": 0.1,
 }
 
 
-def _cmd_duhamel(cfg, out, seed, workers, fmt='both'):
-    from .spacetime import duhamel_bilinear, free_trajectory, uniform_times
-
+def _cmd_duhamel(cfg, seed, workers):
     grid = Grid(cfg["L"], cfg["n"])
     disp = DispersionParams(cfg["mu"])
     m0 = cfg["mode"]
@@ -592,108 +489,81 @@ def _cmd_duhamel(cfg, out, seed, workers, fmt='both'):
         "quadrature_converged": res["quadrature_change"] < 0.005,
         "single_mode_closed_form": rel < 0.01,
     }
-    kio.write_json(os.path.join(out, "duhamel.json"), {
+    return {"duhamel.json": {
         "quadrature_change": res["quadrature_change"],
         "closed_form_relative_error": float(rel), "t_checked": t_chk,
-        "gates": gates,
-    })
-    return gates
+    }}, gates
 
 
 ILLPOSED_DEFAULTS = {
-    "s": -2.5,
-    "n_exp_lo": 7,
-    "n_exp_hi": 11,
-    "t_eval": 0.5,
-    "mu": 1.0,
-    "quad_points": 48,
-    "out_points": 64,
-    "slope_tol": 0.3,
+    "s": -2.5, "n_exp_lo": 7, "n_exp_hi": 11, "t_eval": 0.5, "mu": 1.0,
+    "quad_points": 48, "out_points": 64, "slope_tol": 0.3,
 }
 
 
 def _illposed_unit(args):
-    from .illposed import IllposedConfig, illposed_sweep
-
     cfg_kw, N = args
     config = IllposedConfig(n_list=(N,), **cfg_kw)
     return illposed_sweep(config)[0]
 
 
-def _cmd_illposed(cfg, out, seed, workers, fmt='both'):
-    from .illposed import IllposedConfig, growth_fit
-
+def _cmd_illposed(cfg, seed, workers):
     n_list = tuple(2 ** e for e in range(cfg["n_exp_lo"], cfg["n_exp_hi"] + 1))
     kw = {"sobolev_s": cfg["s"], "t_eval": cfg["t_eval"], "mu": cfg["mu"],
           "quad_points": cfg["quad_points"], "out_points": cfg["out_points"]}
     rows = _parallel_map(_illposed_unit, [(kw, N) for N in n_list], workers)
     config = IllposedConfig(n_list=n_list, **kw)
     fit = growth_fit(config, rows=rows)
-    if _wants(fmt, "csv"):
-        kio.write_csv(os.path.join(out, "illposed.csv"),
-                      ["N", "a1_norm", "a2_norm", "a3_norm",
-                       "g1_share", "g2_share"],
-                      [(r["N"], r["a1_norm"], r["a2_norm"], r["a3_norm"],
-                        r["g1_norm"] / r["a3_norm"],
-                        r["g2_norm"] / r["a3_norm"]) for r in rows])
     gates = {"growth_exponent": fit["gap"] <= cfg["slope_tol"]}
-    kio.write_json(os.path.join(out, "illposed_fit.json"), {
-        "slope": fit["slope"], "expected": fit["expected"], "gap": fit["gap"],
-        "rows": rows, "gates": gates,
-    })
-    return gates
+    return {
+        "illposed.csv": (
+            ["N", "a1_norm", "a2_norm", "a3_norm", "g1_share", "g2_share"],
+            [(r["N"], r["a1_norm"], r["a2_norm"], r["a3_norm"],
+              r["g1_norm"] / r["a3_norm"],
+              r["g2_norm"] / r["a3_norm"]) for r in rows],
+        ),
+        "illposed_fit.json": {"slope": fit["slope"], "expected": fit["expected"],
+                              "gap": fit["gap"], "rows": rows},
+    }, gates
 
 
 IDENTITIES_DEFAULTS = {
-    "tuples": 10000,
-    "N": 16.0,
-    "mu": 1.0,
-    "s": -1.75,
-    "mode_range": 1000,
+    "tuples": 10000, "N": 16.0, "mu": 1.0, "s": -1.75, "mode_range": 1000,
 }
 
 
-def _cmd_identities(cfg, out, seed, workers, fmt='both'):
+def _zero_sum(x):
+    """Append the column that makes each row of ``x`` sum to zero."""
+    return np.column_stack([x, -x.sum(axis=1)])
+
+
+def _cancellation(kern, x):
+    """Worst relative residual of m_k + sigma_k * hv_k = 0 over the zero-sum
+    k-tuples ``x`` (k = 3, 4), leaving out the singular set where a pair sum
+    of the first three entries vanishes."""
+    k = x.shape[1]
+    off = (x[:, 0] + x[:, 1] != 0) & (x[:, 0] + x[:, 2] != 0) & (x[:, 1] + x[:, 2] != 0)
+    x = x[off]
+    m = getattr(kern, f"m{k}")(*x.T)
+    res = np.abs(m + getattr(kern, f"sigma{k}")(*x.T) * getattr(kern, f"hv{k}")(*x.T))
+    nz = np.abs(m) > 0
+    return float(np.max(res[nz] / np.abs(m[nz]))) if nz.any() else 0.0
+
+
+def _cmd_identities(cfg, seed, workers):
     rng = np.random.default_rng(seed)
     disp = DispersionParams(cfg["mu"])
-    mult = IMultiplier(cfg["N"], cfg["s"])
-    kern = EnergyMultipliers(mult, disp)
+    kern = EnergyMultipliers(IMultiplier(cfg["N"], cfg["s"]), disp)
     count = cfg["tuples"]
+    span = cfg["mode_range"]
 
-    x3 = rng.uniform(-cfg["mode_range"], cfg["mode_range"], (count, 2))
-    x3 = np.column_stack([x3, -x3.sum(axis=1)])
-    gap3 = power_sum_identity_check(x3)
-    x4 = rng.uniform(-cfg["mode_range"], cfg["mode_range"], (count, 3))
-    x4 = np.column_stack([x4, -x4.sum(axis=1)])
-    gap4 = power_sum_identity_check(x4)
-
-    from kawalab.illposed import theta_identity_gap
-
-    xt = rng.uniform(-cfg["mode_range"], cfg["mode_range"], (count, 3))
-    gap_theta = theta_identity_gap(xt, disp)
-
-    m3i = rng.integers(-cfg["mode_range"], cfg["mode_range"] + 1, (count, 2))
-    m3 = np.column_stack([m3i, -m3i.sum(axis=1)]).astype(np.float64)
-    ok3 = (m3 != 0).all(axis=1)
-    m3 = m3[ok3]
-    m3v = kern.m3(m3[:, 0], m3[:, 1], m3[:, 2])
-    s3v = kern.sigma3(m3[:, 0], m3[:, 1], m3[:, 2])
-    hv3 = kern.hv3(m3[:, 0], m3[:, 1], m3[:, 2])
-    res3 = np.abs(m3v + s3v * hv3)
-    nz3 = np.abs(m3v) > 0
-    canc3 = float(np.max(res3[nz3] / np.abs(m3v[nz3]))) if nz3.any() else 0.0
-
-    m4i = rng.integers(-cfg["mode_range"], cfg["mode_range"] + 1, (count, 3))
-    m4 = np.column_stack([m4i, -m4i.sum(axis=1)]).astype(np.float64)
-    p = np.stack([m4[:, 0] + m4[:, 1], m4[:, 0] + m4[:, 2], m4[:, 1] + m4[:, 2]])
-    ok4 = (np.abs(p) > 0).all(axis=0)
-    m4 = m4[ok4]
-    m4v = kern.m4(m4[:, 0], m4[:, 1], m4[:, 2], m4[:, 3])
-    s4v = kern.sigma4(m4[:, 0], m4[:, 1], m4[:, 2], m4[:, 3])
-    hv4 = kern.hv4(m4[:, 0], m4[:, 1], m4[:, 2], m4[:, 3])
-    res4 = np.abs(m4v + s4v * hv4)
-    nz4 = np.abs(m4v) > 0
-    canc4 = float(np.max(res4[nz4] / np.abs(m4v[nz4]))) if nz4.any() else 0.0
+    gap3 = power_sum_identity_check(_zero_sum(rng.uniform(-span, span, (count, 2))))
+    gap4 = power_sum_identity_check(_zero_sum(rng.uniform(-span, span, (count, 3))))
+    gap_theta = theta_identity_gap(rng.uniform(-span, span, (count, 3)), disp)
+    canc3 = _cancellation(
+        kern, _zero_sum(rng.integers(-span, span + 1, (count, 2))).astype(np.float64))
+    canc4 = _cancellation(
+        kern, _zero_sum(rng.integers(-span, span + 1, (count, 3))).astype(np.float64))
 
     gates = {
         "power_sums_k3": gap3 <= 1e-11,
@@ -702,13 +572,11 @@ def _cmd_identities(cfg, out, seed, workers, fmt='both'):
         "cubic_cancellation": canc3 <= 1e-12,
         "quartic_cancellation": canc4 <= 1e-12,
     }
-    kio.write_json(os.path.join(out, "identities.json"), {
+    return {"identities.json": {
         "power_sum_gap_k3": gap3, "power_sum_gap_k4": gap4,
         "theta_gap": gap_theta, "cubic_cancellation": canc3,
-        "quartic_cancellation": canc4,
-        "tuples": count, "gates": gates,
-    })
-    return gates
+        "quartic_cancellation": canc4, "tuples": count,
+    }}, gates
 
 
 COMMANDS = {
@@ -726,22 +594,46 @@ COMMANDS = {
 }
 
 
+# -- output ----------------------------------------------------------------
+
+
+def _write(out, artifacts, gates, fmt):
+    """Write ``artifacts`` (file name -> payload) into ``out``. A payload is
+    a dict (JSON record, given the command's ``gates``), a ``(header, rows)``
+    pair (CSV table), a list of lines (text table) or a SpectralField
+    (``save_field`` dump). ``--format json`` keeps the JSON records, ``csv``
+    the CSV and text tables, ``both`` all of them; the manifest, the failure
+    record and field dumps are always written."""
+    os.makedirs(out, exist_ok=True)
+    for name, payload in artifacts.items():
+        path = os.path.join(out, name)
+        if isinstance(payload, SpectralField):
+            save_field(payload, path)
+        elif name == "manifest.txt":
+            kio.write_manifest(path, *payload)
+        elif name == "failures.json":
+            kio.write_json(path, payload)
+        elif isinstance(payload, dict):
+            if fmt != "csv":
+                kio.write_json(path, {**payload, "gates": gates})
+        elif fmt != "json":
+            if isinstance(payload, tuple):
+                kio.write_csv(path, *payload)
+            else:
+                kio.atomic_write_text(path, "\n".join(payload) + "\n")
+
+
 def run(command, resolved, out_dir, seed, workers, enforce_gates=True,
         fmt="both"):
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = dict(resolved)
-    manifest["seed"] = seed
-    manifest["format"] = fmt
-    kio.write_manifest(os.path.join(out_dir, "manifest.txt"), command, manifest)
+    manifest = {**resolved, "seed": seed, "format": fmt}
+    _write(out_dir, {"manifest.txt": (command, manifest)}, {}, fmt)
     _, runner = COMMANDS[command]
-    gates = runner(resolved, out_dir, seed, workers, fmt)
+    artifacts, gates = runner(resolved, seed, workers)
     failed = sorted(name for name, ok in gates.items() if not ok)
     if failed:
-        kio.write_json(os.path.join(out_dir, "failures.json"),
-                       {"command": command, "failed_gates": failed})
-    if enforce_gates and failed:
-        return 1
-    return 0
+        artifacts["failures.json"] = {"command": command, "failed_gates": failed}
+    _write(out_dir, artifacts, gates, fmt)
+    return 1 if enforce_gates and failed else 0
 
 
 def main(argv=None):
@@ -760,31 +652,28 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (defaults, _) in COMMANDS.items():
         p = sub.add_parser(name)
-        for key, value in defaults.items():
-            if isinstance(value, bool):
-                p.add_argument(f"--{key}", default=None)
-            else:
-                p.add_argument(f"--{key}", default=None)
+        for key in defaults:
+            p.add_argument(f"--{key}", default=None)
     args = parser.parse_args(argv)
 
     defaults, _ = COMMANDS[args.command]
-    flag_values = {key: getattr(args, key.replace("-", "_"), None) for key in defaults}
+    flag_values = {key: getattr(args, key) for key in defaults}
     try:
-        resolved = parse_config(args.command, defaults, args.config, flag_values)
-        seed = args.seed
-        if seed is None:
-            common = _read_config_file(args.config).get("common", {}) if args.config else {}
-            seed = _convert("seed", common.get("seed", 0), 0)
+        sections = _read_config_file(args.config) if args.config else {}
+        common = _resolve("common", COMMON_DEFAULTS, sections, {"seed": args.seed})
+        seed = common["seed"]
+        if seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {seed}")
+        resolved = parse_config(args.command, defaults, flag_values=flag_values,
+                                sections=sections)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     out_dir = args.out or os.environ.get(OUT_ENV) or os.path.join(
         "runs", f"{args.command}-seed{seed}"
     )
-    rc = RunConfig(command=args.command, params=resolved, seed=seed,
-                   out_dir=out_dir, fmt=args.format, workers=args.workers)
-    return run(rc.command, rc.params, rc.out_dir, rc.seed, rc.workers,
-               enforce_gates=not args.no_gate, fmt=rc.fmt)
+    return run(args.command, resolved, out_dir, seed, args.workers,
+               enforce_gates=not args.no_gate, fmt=args.format)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ import pytest
 from kawalab import Grid, SpectralField
 from kawalab.cli import COMMANDS, ConfigError, main, parse_config
 from kawalab.grid import save_field
+from test_acceptance import DETERMINISM_PRESETS
 
 
 class TestParseConfig:
@@ -74,6 +75,26 @@ class TestParseConfig:
         path.write_text("[common]\nseed = seven\n")
         assert main(["--config", str(path), "--out", str(tmp_path / "run4"),
                      "identities", "--tuples", "500"]) == 2
+
+    def test_unknown_common_key_named(self, tmp_path, capsys):
+        path = tmp_path / "typo.cfg"
+        path.write_text("[common]\nsed = 7\n")
+        out = tmp_path / "run"
+        assert main(["--config", str(path), "--out", str(out),
+                     "identities", "--tuples", "500"]) == 2
+        assert "unknown key 'sed' in section [common]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.cfg"
+        path.write_text("[common]\nseed = -3\n")
+        for argv in (["--seed", "-1"], ["--config", str(path)],
+                     ["--config", str(path), "--seed", "-1"]):
+            out = tmp_path / "run"
+            assert main(argv + ["--out", str(out), "identities",
+                                "--tuples", "500"]) == 2
+            assert "seed must be non-negative" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestRuns:
@@ -168,9 +189,27 @@ class TestDeterminism:
             assert main(["--seed", "5", "--workers", workers,
                          "--out", str(out)] + args) == 0
             outs.append(out)
-        # manifests record the worker count; all artifacts must agree
         names = _compare_dirs(*outs)
-        assert "bounds.json" in names or True
-        a = json.loads((outs[0] / "bounds.json").read_text())
-        b = json.loads((outs[1] / "bounds.json").read_text())
-        assert a == b
+        assert {"bounds.json", "bounds.txt"} <= set(names)
+
+
+def _records(names):
+    return {name for name in names if name.endswith(".json") and name != "failures.json"}
+
+
+def _tables(names):
+    return {name for name in names
+            if name.endswith((".csv", ".txt")) and name != "manifest.txt"}
+
+
+@pytest.mark.parametrize("command", list(DETERMINISM_PRESETS))
+def test_format_selects_artifacts(tmp_path, command):
+    written = {}
+    for fmt in ("json", "csv", "both"):
+        out = tmp_path / fmt
+        main(["--seed", "77", "--no-gate", "--format", fmt, "--out", str(out),
+              command] + DETERMINISM_PRESETS[command])
+        written[fmt] = {path.name for path in out.iterdir()}
+    assert _records(written["json"]) and not _tables(written["json"])
+    assert not _records(written["csv"])
+    assert written["both"] == written["json"] | written["csv"]
