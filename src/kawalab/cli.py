@@ -127,7 +127,8 @@ def parse_config(command, defaults, file_path=None, flag_values=None, sections=N
 def _parallel_map(fn, units, workers):
     if workers <= 1 or len(units) <= 1:
         return [fn(u) for u in units]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the pool starts all its workers at once; never more than there is work
+    with ProcessPoolExecutor(max_workers=min(workers, len(units))) as pool:
         return list(pool.map(fn, units))
 
 

@@ -18,9 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .io import atomic_write_text
+
 __all__ = [
     "Grid",
     "SpectralField",
+    "require_hermitian",
     "sobolev_norm",
     "homogeneous_seminorm",
     "rescale_datum",
@@ -100,13 +103,7 @@ class SpectralField:
         c = c.copy()
         if self.real:
             c[self.grid.nyquist_index] = 0.0
-            scale = np.max(np.abs(c))
-            if scale > 0.0:
-                defect = np.max(np.abs(c - np.conj(np.roll(c[::-1], 1))))
-                if defect > 1e-10 * scale:
-                    raise ValueError(
-                        "real-flagged field is not Hermitian-symmetric"
-                    )
+            require_hermitian(c)
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
@@ -165,7 +162,7 @@ class SpectralField:
     def hermitian_defect(self):
         """Relative departure from Hermitian symmetry."""
         c = self.coeffs
-        flipped = np.conj(np.roll(c[::-1], 1))
+        flipped = np.conj(_mirror(c))
         scale = np.max(np.abs(c))
         if scale == 0.0:
             return 0.0
@@ -200,6 +197,21 @@ class SpectralField:
     def _check_mate(self, other):
         if other.grid != self.grid:
             raise ValueError("grid mismatch")
+
+
+def _mirror(c):
+    """Coefficients at the negated modes, along the last axis: entry ``m``
+    of the result is ``c[-m]``."""
+    return np.concatenate((c[..., :1], c[..., :0:-1]), axis=-1)
+
+
+def require_hermitian(c):
+    """Raise unless every row of ``c`` (modes on the last axis) is
+    Hermitian-symmetric to 1e-10 of its own largest coefficient."""
+    scale = np.abs(c).max(axis=-1)
+    defect = np.abs(c - np.conj(_mirror(c))).max(axis=-1)
+    if (defect > 1e-10 * scale).any():
+        raise ValueError("real-flagged field is not Hermitian-symmetric")
 
 
 def apply_multiplier(u, values, real=None):
@@ -256,8 +268,7 @@ def save_field(u, path):
     for idx in order:
         c = u.coeffs[idx]
         lines.append(f"{modes[idx]},{float(c.real)!r},{float(c.imag)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def load_field(path):

@@ -153,35 +153,6 @@ def _phase_quotient(theta, t):
     return t * np.exp(1j * half) * ratio
 
 
-def _second_quotient(a, b, t):
-    """``[E(a + b, t) - E(b, t)] / (i a)``, stable in the three regimes
-    (generic, small ``a t``, all phases small)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    tiny_a = np.abs(a) * t < 1e-6
-    tiny_theta = np.abs(a + b) * t < 1e-6
-    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
-    generic = ~tiny_a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[generic] = (
-            _phase_quotient((a + b)[generic], t) - _phase_quotient(b[generic], t)
-        ) / (1j * a[generic])
-    sym = tiny_a & ~tiny_theta
-    if np.any(sym):
-        bb = b[sym]
-        aa = a[sym]
-        out[sym] = (
-            _phase_quotient(bb, t)
-            - np.exp(1j * bb * t) * _phase_quotient(aa, t)
-        ) / (aa + bb)
-    both = tiny_a & tiny_theta
-    if np.any(both):
-        aa = a[both]
-        bb = b[both]
-        out[both] = 0.5 * t * t + 1j * t ** 3 * (aa + 2.0 * bb) / 6.0
-    return out
-
-
 def _a2_band_values(datum, disp, xi, t, quad_points, split=False):
     """Second-iterate coefficients at output frequencies ``xi``.
 

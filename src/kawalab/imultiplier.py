@@ -47,9 +47,6 @@ class IMultiplier:
         v = self.m(xi)
         return v * v
 
-    def m_on_grid(self, grid):
-        return self.m(grid.xi)
-
 
 def apply_I(u, mult):
     """Multiply coefficients by ``m(xi)``; the identity below threshold."""

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .dispersion import omega
-from .dyadic import eta0, eta_k
-from .grid import SpectralField
+from .dyadic import eta0, eta_k, shell_count
+from .grid import SpectralField, apply_multiplier, require_hermitian
 from .solver import dealias_mask
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
+_BLOCK = 64  # time samples per batched FFT
 
 
 def uniform_times(t_lo, t_hi, count):
@@ -39,12 +40,7 @@ def uniform_times(t_lo, t_hi, count):
 def free_trajectory(phi, disp, times):
     """Exact linear evolution sampled on ``times`` (any signs)."""
     w = omega(phi.grid.xi, disp)
-    out = []
-    for t in times:
-        c = phi.coeffs * np.exp(1j * w * t)
-        c[phi.grid.nyquist_index] = 0.0
-        out.append(phi.with_coeffs(c))
-    return list(times), out
+    return list(times), [apply_multiplier(phi, np.exp(1j * w * t)) for t in times]
 
 
 @dataclass(frozen=True)
@@ -92,14 +88,24 @@ class SpaceTimeField:
         if window:
             mat = mat * eta0(times)[:, None]
         # continuum-convention transform in t, with the absolute phase of t0
-        co = np.fft.fft(mat, axis=0) * (dt / _SQRT2PI)
-        tau = 2.0 * np.pi * np.fft.fftfreq(times.size) * times.size / t_box
-        co *= np.exp(-1j * tau[:, None] * times[0])
-        return cls(grid=grid, t_box=t_box, coeffs2d=co)
+        F = cls(grid=grid, t_box=t_box, coeffs2d=np.fft.fft(mat, axis=0) * (dt / _SQRT2PI))
+        F.coeffs2d[...] *= np.exp(-1j * F.tau[:, None] * times[0])
+        return F
 
 
 def _modulation(F, disp):
     return F.tau[:, None] - omega(F.grid.xi, disp)[None, :]
+
+
+def _physical_rows(fields, multiplier=None):
+    """Physical values of a block of samples, one row each (axis-1 ifft);
+    ``multiplier`` (FFT order) is applied first with the Nyquist mode zeroed."""
+    c = np.stack([f.coeffs for f in fields])
+    if multiplier is not None:
+        c *= multiplier
+        c[:, fields[0].grid.nyquist_index] = 0.0
+    v = np.fft.ifft(c, axis=1) * (_SQRT2PI / fields[0].grid.dx)
+    return v.real if all(f.real for f in fields) else v
 
 
 def xsb_norm(F, s, b, disp):
@@ -109,38 +115,41 @@ def xsb_norm(F, s, b, disp):
     return float(np.sqrt(np.sum(wt * np.abs(F.coeffs2d) ** 2) * F.cell))
 
 
-def xk_norm(F, k, disp):
-    """Dyadic-shell norm: ``sum_j 2^(j/2) ||eta_j(tau - omega) eta_k(xi) F||``."""
+def _modulation_profiles(F, disp):
+    """``A[j, xi] = sum_tau eta_j(tau - omega(xi))^2 |F|^2`` for the
+    modulation shells j = 0..j_max that cover the lattice."""
     mod = _modulation(F, disp)
-    fk = eta_k(F.grid.xi, k)[None, :] * F.coeffs2d
-    mag2 = np.abs(fk) ** 2
+    mag2 = np.abs(F.coeffs2d) ** 2
     top = np.max(np.abs(mod))
     j_max = 0
     while 1.25 * 2.0 ** j_max < top:
         j_max += 1
-    total = 0.0
+    # eta_j = eta0(./2^j) - eta0(./2^(j-1)) telescopes: one eta0 per shell
+    prev, profiles = 0.0, []
     for j in range(j_max + 1):
-        wj = eta_k(mod, j) if j > 0 else eta0(mod)
-        piece = np.sum(wj ** 2 * mag2) * F.cell
-        total += 2.0 ** (j / 2.0) * np.sqrt(piece)
-    return float(total)
+        cur = eta0(mod / 2.0 ** j)
+        profiles.append(np.sum((cur - prev) ** 2 * mag2, axis=0))
+        prev = cur
+    return np.array(profiles)
+
+
+def _shell_norm(F, profiles, k):
+    pieces = profiles @ (eta_k(F.grid.xi, k) ** 2) * F.cell
+    return float(np.sum(2.0 ** (np.arange(pieces.size) / 2.0) * np.sqrt(pieces)))
+
+
+def xk_norm(F, k, disp):
+    """Dyadic-shell norm: ``sum_j 2^(j/2) ||eta_j(tau - omega) eta_k(xi) F||``."""
+    return _shell_norm(F, _modulation_profiles(F, disp), k)
 
 
 def low_frequency_norm(times, fields, window=True):
     """``L_x^2 L_t^inf`` of the (windowed) low-frequency piece P_{<=0}."""
-    from .dyadic import project_low
-
-    times = np.asarray(times, dtype=np.float64)
-    profiles = []
-    for t, f in zip(times, fields):
-        low = project_low(f, 0)
-        v = np.abs(low.to_physical())
-        if window:
-            v = v * eta0(t)
-        profiles.append(v)
-    sup = np.max(np.stack(profiles), axis=0)
     grid = fields[0].grid
-    return float(np.sqrt(np.sum(sup ** 2) * grid.dx))
+    v = np.abs(_physical_rows(fields, eta0(grid.xi)))
+    if window:
+        v *= eta0(times)[:, None]
+    return float(np.sqrt(np.sum(np.max(v, axis=0) ** 2) * grid.dx))
 
 
 def fbar_norm(times, fields, s, disp, window=True):
@@ -148,11 +157,10 @@ def fbar_norm(times, fields, s, disp, window=True):
     low-frequency ``L_x^2 L_t^inf`` piece."""
     grid = fields[0].grid
     F = SpaceTimeField.from_samples(grid, times, fields, window=window)
-    from .dyadic import shell_count
-
+    profiles = _modulation_profiles(F, disp)
     total = low_frequency_norm(times, fields, window=window) ** 2
     for k in range(1, shell_count(grid) + 1):
-        total += 2.0 ** (2.0 * s * k) * xk_norm(F, k, disp) ** 2
+        total += 2.0 ** (2.0 * s * k) * _shell_norm(F, profiles, k) ** 2
     return float(np.sqrt(total))
 
 
@@ -170,53 +178,43 @@ def duhamel_bilinear(times, fields_u, fields_v, disp, dealias_fraction=2.0 / 3.0
     dts = np.diff(times)
     if not np.allclose(dts, dts[0], rtol=1e-10, atol=0.0):
         raise ValueError("time samples must be uniform")
-    if times[0] > 0.0 or times[-1] < 0.0:
+    i0 = int(np.argmin(np.abs(times)))
+    if times[0] > 0.0 or times[-1] < 0.0 or abs(times[i0]) > 0.1 * dts[0]:
         raise ValueError("time grid must contain t = 0")
     grid = fields_u[0].grid
     w = omega(grid.xi, disp)
-    mask = dealias_mask(grid, dealias_fraction)
+    ixi_mask = 1j * grid.xi * dealias_mask(grid, dealias_fraction)
+    # integrand W(-s) d/dx (psi^2 u v)(s) on every sample, in blocks
+    integrand = np.empty((times.size, grid.size), dtype=np.complex128)
+    for lo in range(0, times.size, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        ts = times[rows]
+        prod = (eta0(ts) ** 2)[:, None] * _physical_rows(fields_u[rows])
+        prod *= _physical_rows(fields_v[rows])
+        q = np.fft.fft(prod, axis=1) * (grid.dx / _SQRT2PI) * ixi_mask
+        q[:, grid.nyquist_index] = 0.0
+        integrand[rows] = q * np.exp(-1j * w * ts[:, None])
 
-    def forcing(t, fu, fv):
-        vu = fu.to_physical()
-        vv = fv.to_physical()
-        prod = (eta0(t) ** 2) * vu * vv
-        q = np.fft.fft(prod) * (grid.dx / _SQRT2PI)
-        q = 1j * grid.xi * q * mask
-        q[grid.nyquist_index] = 0.0
-        return q
+    def integrate(a, ts, j0, out):
+        # trapezoid sums from t = 0, forward above it and backward below it;
+        # ``out`` may be ``a`` itself: row j0 is read by both halves, then zeroed
+        h = 0.5 * (ts[1] - ts[0])
+        np.multiply(a[j0:-1] + a[j0 + 1:], h, out=out[j0 + 1:])
+        np.multiply(a[:j0] + a[1:j0 + 1], -h, out=out[:j0])
+        out[j0] = 0.0
+        np.cumsum(out[j0 + 1:], axis=0, out=out[j0 + 1:])
+        np.cumsum(out[:j0][::-1], axis=0, out=out[:j0][::-1])
+        for lo in range(0, ts.size, _BLOCK):
+            tb = ts[lo:lo + _BLOCK, None]
+            out[lo:lo + _BLOCK] *= eta0(tb / 4.0) * np.exp(1j * w * tb)
+        return out
 
-    def integrate(sub):
-        ts = times[sub]
-        dt = ts[1] - ts[0]
-        integrand = np.stack(
-            [
-                forcing(times[i], fields_u[i], fields_v[i]) * np.exp(-1j * w * times[i])
-                for i in sub
-            ]
-        )
-        i0 = int(np.argmin(np.abs(ts)))
-        if abs(ts[i0]) > 0.1 * dt:
-            raise ValueError("time grid must contain t = 0")
-        cum = np.zeros_like(integrand)
-        for i in range(i0 + 1, ts.size):
-            cum[i] = cum[i - 1] + 0.5 * dt * (integrand[i - 1] + integrand[i])
-        for i in range(i0 - 1, -1, -1):
-            cum[i] = cum[i + 1] - 0.5 * dt * (integrand[i] + integrand[i + 1])
-        outs = []
-        for i, t in enumerate(ts):
-            c = eta0(t / 4.0) * np.exp(1j * w * t) * cum[i]
-            c[grid.nyquist_index] = 0.0
-            outs.append(SpectralField(grid, c, real=True))
-        return outs
-
-    i0_full = int(np.argmin(np.abs(times)))
-    sub = np.arange(i0_full % 2, times.size, 2)
-    full = integrate(np.arange(times.size))
-    coarse = integrate(sub)
-    # difference the coefficients: a real-flagged difference of two nearly
-    # equal fields can fail the field's relative Hermitian check
-    num = sum(np.sum(np.abs(full[i].coeffs - g.coeffs) ** 2) * grid.dxi
-              for i, g in zip(sub, coarse))
-    den = sum(full[i].l2_norm() ** 2 for i in sub)
-    rel_change = np.sqrt(num / den) if den > 0 else 0.0
-    return {"times": times, "fields": full, "quadrature_change": float(rel_change)}
+    # the stride-2 subgrid first, so the full grid can integrate in place
+    sub = slice(i0 % 2, None, 2)
+    coarse = integrate(integrand[sub], times[sub], i0 // 2, np.empty_like(integrand[sub]))
+    full = integrate(integrand, times, i0, integrand)
+    require_hermitian(coarse)
+    den = np.linalg.norm(full[sub])
+    rel_change = np.linalg.norm(full[sub] - coarse) / den if den > 0 else 0.0
+    return {"times": times, "fields": [SpectralField(grid, c) for c in full],
+            "quadrature_change": float(rel_change)}

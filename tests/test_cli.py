@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kawalab import Grid, SpectralField
+from kawalab import cli
 from kawalab.cli import COMMANDS, ConfigError, main, parse_config
 from kawalab.grid import save_field
 from test_acceptance import DETERMINISM_PRESETS
@@ -159,6 +160,34 @@ class TestRuns:
         code = main(["--seed", "1", "--no-gate", "--out", str(out), "duhamel",
                      "--n_times", "32"])
         assert code == 0
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, units):
+        return map(fn, units)
+
+
+class TestParallelMap:
+    def test_pool_capped_at_unit_count(self, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        assert cli._parallel_map(abs, [-1, -2, -3], 5000) == [1, 2, 3]
+        assert cli._parallel_map(abs, [-1, -2, -3], 2) == [1, 2, 3]
+        assert cli._parallel_map(abs, [-1], 5000) == [1]
+        assert _RecordingPool.sizes == [3, 2]
 
 
 def _compare_dirs(a, b):

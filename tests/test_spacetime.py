@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from kawalab import DispersionParams, Grid, SpectralField, resonance
-from kawalab.dyadic import eta0, eta_k
+from kawalab.dyadic import eta0, eta_k, project_low, shell_count
+from kawalab.solver import dealias_mask
 from kawalab.spacetime import (
     SpaceTimeField,
     duhamel_bilinear,
     fbar_norm,
     free_trajectory,
+    low_frequency_norm,
     uniform_times,
     xk_norm,
     xsb_norm,
@@ -29,6 +31,59 @@ def windowed_free(grid, phi, t_box=8.0, n_t=2048):
     times = uniform_times(-t_box / 2, t_box / 2, n_t)
     _, fields = free_trajectory(phi, D, times)
     return times, fields, SpaceTimeField.from_samples(grid, times, fields)
+
+
+def reference_xk_norm(F, k, disp):
+    """Per-shell loop: every modulation shell over the full 2-D array."""
+    mod = F.tau[:, None] - (disp.mu * F.grid.xi ** 3 - F.grid.xi ** 5)[None, :]
+    mag2 = np.abs(eta_k(F.grid.xi, k)[None, :] * F.coeffs2d) ** 2
+    top = np.max(np.abs(mod))
+    j_max = 0
+    while 1.25 * 2.0 ** j_max < top:
+        j_max += 1
+    total = 0.0
+    for j in range(j_max + 1):
+        wj = eta_k(mod, j) if j > 0 else eta0(mod)
+        total += 2.0 ** (j / 2.0) * np.sqrt(np.sum(wj ** 2 * mag2) * F.cell)
+    return total
+
+
+def reference_duhamel(times, fields_u, fields_v, disp):
+    """Per-sample forcing and a Python-loop trapezoid on both grids."""
+    grid = fields_u[0].grid
+    w = disp.mu * grid.xi ** 3 - grid.xi ** 5
+    mask = dealias_mask(grid)
+
+    def forcing(t, fu, fv):
+        prod = eta0(t) ** 2 * fu.to_physical() * fv.to_physical()
+        q = np.fft.fft(prod) * (grid.dx / np.sqrt(2 * np.pi))
+        q = 1j * grid.xi * q * mask
+        q[grid.nyquist_index] = 0.0
+        return q
+
+    def integrate(sub):
+        ts = times[sub]
+        dt = ts[1] - ts[0]
+        integrand = np.stack([
+            forcing(times[i], fields_u[i], fields_v[i]) * np.exp(-1j * w * times[i])
+            for i in sub])
+        i0 = int(np.argmin(np.abs(ts)))
+        cum = np.zeros_like(integrand)
+        for i in range(i0 + 1, ts.size):
+            cum[i] = cum[i - 1] + 0.5 * dt * (integrand[i - 1] + integrand[i])
+        for i in range(i0 - 1, -1, -1):
+            cum[i] = cum[i + 1] - 0.5 * dt * (integrand[i] + integrand[i + 1])
+        out = np.stack([eta0(t / 4.0) * np.exp(1j * w * t) * cum[i]
+                        for i, t in enumerate(ts)])
+        out[:, grid.nyquist_index] = 0.0
+        return out
+
+    i0 = int(np.argmin(np.abs(times)))
+    sub = np.arange(i0 % 2, times.size, 2)
+    full = integrate(np.arange(times.size))
+    coarse = integrate(sub)
+    change = np.sqrt(np.sum(np.abs(full[sub] - coarse) ** 2) / np.sum(np.abs(full[sub]) ** 2))
+    return full, change
 
 
 class TestSpaceTimeNorms:
@@ -80,6 +135,36 @@ class TestSpaceTimeNorms:
         doubled = fbar_norm(times, [f * 2.0 for f in fields], -1.75, D)
         assert base > 0
         assert doubled == pytest.approx(2.0 * base, rel=1e-10)
+
+    @pytest.mark.parametrize("n, length, n_t", [(128, 16 * np.pi, 512), (64, 4 * np.pi, 1024)])
+    def test_shell_norms_match_per_shell_loop(self, n, length, n_t):
+        g = Grid(length, n)
+        phi = SpectralField.random_real(g, np.random.default_rng(11),
+                                        envelope=lambda a: np.exp(-a * a / 8.0))
+        times = uniform_times(-4.0, 4.0, n_t)
+        _, fields = free_trajectory(phi, D, times)
+        F = SpaceTimeField.from_samples(g, times, fields)
+        K = shell_count(g)
+        xks = [reference_xk_norm(F, k, D) for k in range(1, K + 1)]
+        for k, ref in zip(range(1, K + 1), xks):
+            assert xk_norm(F, k, D) == pytest.approx(ref, rel=1e-13)
+        for s in (-1.75, 0.0):
+            ref = np.sqrt(low_frequency_norm(times, fields) ** 2 + sum(
+                2.0 ** (2.0 * s * k) * xk ** 2 for k, xk in zip(range(1, K + 1), xks)))
+            assert fbar_norm(times, fields, s, D) == pytest.approx(ref, rel=1e-13)
+
+    def test_low_frequency_norm_matches_per_sample_loop(self):
+        g = Grid(16 * np.pi, 128)
+        phi = shell_packet(g, 1, seed=5)
+        times = uniform_times(-2.0, 2.0, 256)
+        _, fields = free_trajectory(phi, D, times)
+        for window in (True, False):
+            sup = np.max([np.abs(project_low(f, 0).to_physical())
+                          * (eta0(t) if window else 1.0)
+                          for t, f in zip(times, fields)], axis=0)
+            ref = np.sqrt(np.sum(sup ** 2) * g.dx)
+            assert low_frequency_norm(times, fields, window=window) == pytest.approx(
+                ref, rel=1e-13)
 
 
 class TestDuhamel:
@@ -138,6 +223,24 @@ class TestDuhamel:
         _, fu = free_trajectory(self._mode_pair(g, 4, 0.1), D, times)
         res = duhamel_bilinear(times, fu, fu, D)
         assert 0.0 < res["quadrature_change"] < 0.005
+
+    @pytest.mark.parametrize("lead", [16, 15])
+    def test_batched_matches_per_sample_loop(self, lead):
+        # t = 0 sits `lead` samples from the left end, so both trapezoid
+        # branches run, and the stride-2 subgrid starts at index 0 or 1
+        g = Grid(16 * np.pi, 128)
+        dt = 1.0 / 32.0
+        times = uniform_times(-lead * dt, (256 - lead) * dt, 256)
+        assert times[lead] == 0.0
+        rng = np.random.default_rng(8)
+        _, fu = free_trajectory(SpectralField.random_real(g, rng, support=6), D, times)
+        _, fv = free_trajectory(SpectralField.random_real(g, rng, support=9), D, times)
+        res = duhamel_bilinear(times, fu, fv, D)
+        full, change = reference_duhamel(times, fu, fv, D)
+        got = np.stack([f.coeffs for f in res["fields"]])
+        assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full))
+        assert res["quadrature_change"] == pytest.approx(change, rel=1e-13)
+        assert all(f.real and f.hermitian_defect() <= 1e-10 for f in res["fields"])
 
     def test_coarse_grid_rejected(self):
         g = Grid(16 * np.pi, 128)

@@ -57,6 +57,21 @@ class TestGrid:
         assert u.hermitian_defect() <= 1e-13
         assert u.coeffs[g.nyquist_index] == 0
 
+    def test_real_flag_requires_hermitian_symmetry(self):
+        g = Grid(2 * np.pi, 64)
+        with pytest.raises(ValueError):
+            SpectralField.from_mode_dict(g, {3: 1.0})
+        with pytest.raises(ValueError):
+            SpectralField.from_mode_dict(g, {3: 1.0, -3: 1.0 + 1e-8})
+        with pytest.raises(ValueError):
+            SpectralField.from_mode_dict(g, {3: 1.0j, -3: 1.0j})
+        # mirrored partners, the zero mode and the top mode below Nyquist
+        u = SpectralField.from_mode_dict(g, {0: 2.0, 3: 1.0 + 2.0j, -3: 1.0 - 2.0j,
+                                             31: 0.5j, -31: -0.5j})
+        assert u.hermitian_defect() == 0.0
+        assert SpectralField.from_mode_dict(g, {3: 1.0, -3: 0.5},
+                                            real=False).hermitian_defect() == 0.5
+
 
 class TestSobolevNorms:
     def test_zero_field(self):
@@ -277,6 +292,17 @@ class TestSerialization:
         assert v.grid == u.grid
         assert v.real == u.real
         assert np.array_equal(v.coeffs, u.coeffs)
+
+    def test_overwrite_is_atomic_and_leaves_no_temp_file(self, tmp_path):
+        g = Grid(8 * np.pi, 64)
+        path = tmp_path / "field.txt"
+        save_field(random_field(g, 1), path)
+        u = random_field(g, 2)
+        save_field(u, path)
+        v = load_field(path)
+        assert v.grid == u.grid and v.real == u.real
+        assert np.array_equal(v.coeffs, u.coeffs)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["field.txt"]
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.txt"
