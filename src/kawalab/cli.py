@@ -29,7 +29,7 @@ from .imultiplier import IMultiplier, apply_I
 from .multipliers import EnergyMultipliers, power_sum_identity_check
 from .solver import SolverConfig, dealias_cutoff_index, simulate, trajectory_to_rows
 from .spacetime import (SpaceTimeField, duhamel_bilinear, fbar_norm, free_trajectory,
-                        uniform_times, xk_norm, xsb_norm)
+                        modulation_profiles, uniform_times, xk_norm, xsb_norm)
 
 __all__ = ["main", "parse_config", "run", "ConfigError"]
 
@@ -434,15 +434,17 @@ def _cmd_xnorms(cfg, seed, workers):
     times = uniform_times(-cfg["t_box"] / 2, cfg["t_box"] / 2, cfg["n_times"])
     _, fields = free_trajectory(phi, disp, times)
     F = SpaceTimeField.from_samples(grid, times, fields)
+    profiles = modulation_profiles(F, disp)
     st_l2 = xsb_norm(F, 0.0, 0.0, disp)
-    # direct windowed space-time quadrature for the b=0, s=0 cross-check
-    direct = np.sqrt(sum(
-        (eta0(t) * f.l2_norm()) ** 2 * (times[1] - times[0])
-        for t, f in zip(times, fields)
-    ))
+    # direct windowed space-time quadrature for the b=0, s=0 cross-check,
+    # summed sample by sample in time order
+    l2 = np.sqrt(np.sum(np.abs(np.stack([f.coeffs for f in fields])) ** 2, axis=1)
+                 * grid.dxi)
+    terms = (eta0(np.array(times)) * l2) ** 2 * (times[1] - times[0])
+    direct = np.sqrt(np.cumsum(terms)[-1])
     xsb = xsb_norm(F, cfg["s"], cfg["b"], disp)
-    xk = xk_norm(F, k, disp)
-    fb = fbar_norm(times, fields, cfg["s"], disp)
+    xk = xk_norm(F, k, disp, profiles)
+    fb = fbar_norm(times, fields, cfg["s"], disp, F=F, profiles=profiles)
     # modulation concentration: shells j <= 2 of the windowed free flow
     mod = F.tau[:, None] - omega(grid.xi, disp)[None, :]
     mag2 = np.abs(F.coeffs2d) ** 2

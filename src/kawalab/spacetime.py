@@ -22,6 +22,7 @@ __all__ = [
     "uniform_times",
     "xsb_norm",
     "xk_norm",
+    "modulation_profiles",
     "low_frequency_norm",
     "fbar_norm",
     "duhamel_bilinear",
@@ -115,7 +116,7 @@ def xsb_norm(F, s, b, disp):
     return float(np.sqrt(np.sum(wt * np.abs(F.coeffs2d) ** 2) * F.cell))
 
 
-def _modulation_profiles(F, disp):
+def modulation_profiles(F, disp):
     """``A[j, xi] = sum_tau eta_j(tau - omega(xi))^2 |F|^2`` for the
     modulation shells j = 0..j_max that cover the lattice."""
     mod = _modulation(F, disp)
@@ -138,9 +139,12 @@ def _shell_norm(F, profiles, k):
     return float(np.sum(2.0 ** (np.arange(pieces.size) / 2.0) * np.sqrt(pieces)))
 
 
-def xk_norm(F, k, disp):
-    """Dyadic-shell norm: ``sum_j 2^(j/2) ||eta_j(tau - omega) eta_k(xi) F||``."""
-    return _shell_norm(F, _modulation_profiles(F, disp), k)
+def xk_norm(F, k, disp, profiles=None):
+    """Dyadic-shell norm: ``sum_j 2^(j/2) ||eta_j(tau - omega) eta_k(xi) F||``.
+    ``profiles``, if given, is ``modulation_profiles(F, disp)``."""
+    if profiles is None:
+        profiles = modulation_profiles(F, disp)
+    return _shell_norm(F, profiles, k)
 
 
 def low_frequency_norm(times, fields, window=True):
@@ -152,12 +156,17 @@ def low_frequency_norm(times, fields, window=True):
     return float(np.sqrt(np.sum(np.max(v, axis=0) ** 2) * grid.dx))
 
 
-def fbar_norm(times, fields, s, disp, window=True):
+def fbar_norm(times, fields, s, disp, window=True, F=None, profiles=None):
     """Resolution-space norm: dyadic X_k pieces for k >= 1 plus the
-    low-frequency ``L_x^2 L_t^inf`` piece."""
+    low-frequency ``L_x^2 L_t^inf`` piece. ``F`` and ``profiles``, if given,
+    are the samples' transform (with the same ``window``) and
+    ``modulation_profiles(F, disp)``, so a caller holding them does not
+    rebuild them."""
     grid = fields[0].grid
-    F = SpaceTimeField.from_samples(grid, times, fields, window=window)
-    profiles = _modulation_profiles(F, disp)
+    if F is None:
+        F = SpaceTimeField.from_samples(grid, times, fields, window=window)
+    if profiles is None:
+        profiles = modulation_profiles(F, disp)
     total = low_frequency_norm(times, fields, window=window) ** 2
     for k in range(1, shell_count(grid) + 1):
         total += 2.0 ** (2.0 * s * k) * _shell_norm(F, profiles, k) ** 2

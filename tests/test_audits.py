@@ -1,21 +1,210 @@
 """Sampling audits: resonance, box functional, extremal boxes, bounds."""
 
+import json
+
 import numpy as np
 import pytest
 
-from kawalab import DispersionParams, IMultiplier, resonance
+import kawalab.audits as audits
+from kawalab import DispersionParams, Grid, IMultiplier, resonance
 from kawalab.audits import (
+    _BETA_ORDERS,
+    _SQRT2PI,
+    BoundCheckReport,
     Box,
     KnappConfig,
+    _check_admissible,
+    _dyadic_cells,
+    _packet,
+    _stretched_times,
     j_functional,
     knapp_sharpness,
     linear_estimate_audit,
     m5_bound_audit,
     resonance_size_audit,
     sigma3_bound_audit,
+    sigma3_extension,
     sigma4_bound_audit,
 )
+from kawalab.dispersion import omega
 from kawalab.multipliers import EnergyMultipliers
+
+
+def reference_linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid,
+                                    n_times=1024, window_factor=4.0, time_block=128):
+    """The per-trial loop over the full spectrum: one packet, then every
+    block of ``exp(i omega t)`` on all modes."""
+    for q, r in qr_pairs:
+        _check_admissible(q, r)
+    rng = np.random.default_rng(seed)
+    w_all = omega(grid.xi, disp)
+    dx = grid.dx
+    results = {f"Lt{q}Lx{r}": {} for q, r in qr_pairs}
+    results["maximal_Lx4"] = {}
+    results["maximal_Lx2"] = {}
+    results["smoothing"] = {}
+    stability = {}
+    for k in ks:
+        t_max = min(1.0, window_factor * 2.0 ** (-4.0 * k))
+        times, weights = _stretched_times(t_max, n_times)
+        per_trial = {key: [] for key in results}
+        per_trial_half = {key: [] for key in results}
+        for _ in range(trials):
+            c = _packet(grid, k, rng)
+            norms_r = {r: np.zeros(times.size) for _, r in qr_pairs if r != 2}
+            l2_t = np.zeros(times.size)
+            sup_x = np.zeros(grid.size)
+            l2t_x = np.zeros(grid.size)
+            l2t_x_half = np.zeros(grid.size)
+            for lo in range(0, times.size, time_block):
+                hi = min(lo + time_block, times.size)
+                block = np.exp(1j * w_all[None, :] * times[lo:hi, None]) * c[None, :]
+                v = np.abs(np.fft.ifft(block, axis=1) * (_SQRT2PI / dx))
+                for r in norms_r:
+                    norms_r[r][lo:hi] = (np.sum(v ** r, axis=1) * dx) ** (1.0 / r)
+                l2_t[lo:hi] = np.sqrt(np.sum(v ** 2, axis=1) * dx)
+                np.maximum(sup_x, v.max(axis=0), out=sup_x)
+                l2t_x += weights[lo:hi] @ (v ** 2)
+                half = np.arange(lo, hi) % 2 == 0
+                l2t_x_half += (2.0 * weights[lo:hi][half]) @ (v[half] ** 2)
+            for q, r in qr_pairs:
+                key = f"Lt{q}Lx{r}"
+                if q == np.inf:
+                    val = float(np.max(l2_t))
+                    half_val = float(np.max(l2_t[::2]))
+                else:
+                    g = norms_r[r] if r != 2 else l2_t
+                    val = float(np.sum(weights * g ** q) ** (1.0 / q))
+                    half_val = float(
+                        np.sum(2.0 * weights[::2] * g[::2] ** q) ** (1.0 / q)
+                    )
+                scale = 2.0 ** (-3.0 * k / q) if q != np.inf else 1.0
+                per_trial[key].append(val / scale)
+                per_trial_half[key].append(half_val / scale)
+            per_trial["maximal_Lx4"].append(
+                float((np.sum(sup_x ** 4) * dx) ** 0.25) / 2.0 ** (k / 4.0)
+            )
+            per_trial["maximal_Lx2"].append(
+                float(np.sqrt(np.sum(sup_x ** 2) * dx)) / 2.0 ** (1.25 * k)
+            )
+            per_trial["smoothing"].append(
+                float(np.sqrt(np.max(l2t_x))) / 2.0 ** (-2.0 * k)
+            )
+            per_trial_half["smoothing"].append(
+                float(np.sqrt(np.max(l2t_x_half))) / 2.0 ** (-2.0 * k)
+            )
+        for key in results:
+            results[key][k] = float(np.mean(per_trial[key]))
+        fine = np.array(per_trial[f"Lt{qr_pairs[0][0]}Lx{qr_pairs[0][1]}"])
+        halfv = np.array(per_trial_half[f"Lt{qr_pairs[0][0]}Lx{qr_pairs[0][1]}"])
+        stability[k] = float(np.max(np.abs(fine - halfv) / fine))
+    slopes = {}
+    karr = np.asarray(list(ks), dtype=np.float64)
+    if karr.size >= 2:
+        for key, table in results.items():
+            vals = np.array([table[k] for k in ks])
+            slopes[key] = float(np.polyfit(karr, np.log2(vals), 1)[0])
+    return {"ratios": results, "slopes": slopes, "halving_change": stability,
+            "seed": seed}
+
+
+def reference_fd_derivative(f, cols, beta, h):
+    """Central finite difference of ``f`` in the multi-index ``beta``,
+    evaluating ``f`` afresh for every multi-index."""
+    total = sum(beta)
+    if total == 0:
+        return f(*cols)
+    if total == 1:
+        axis = beta.index(1)
+        plus = list(cols)
+        minus = list(cols)
+        plus[axis] = cols[axis] + h
+        minus[axis] = cols[axis] - h
+        return (f(*plus) - f(*minus)) / (2.0 * h)
+    if 2 in beta:
+        axis = beta.index(2)
+        plus = list(cols)
+        minus = list(cols)
+        plus[axis] = cols[axis] + h
+        minus[axis] = cols[axis] - h
+        return (f(*plus) - 2.0 * f(*cols) + f(*minus)) / (h * h)
+    ax1, ax2 = [i for i, b in enumerate(beta) if b == 1]
+    vals = 0.0
+    for s1 in (1.0, -1.0):
+        for s2 in (1.0, -1.0):
+            pt = list(cols)
+            pt[ax1] = cols[ax1] + s1 * h
+            pt[ax2] = cols[ax2] + s2 * h
+            vals = vals + s1 * s2 * f(*pt)
+    return vals / (4.0 * h * h)
+
+
+def reference_sigma3_bound_audit(mult, disp, cap_exp, n_samples, seed, fd_step=None):
+    """The per-multi-index loop: up to 28 ``sigma3_extension`` calls a cell."""
+    kernels = EnergyMultipliers(mult, disp)
+    cells = _dyadic_cells(cap_exp)
+    per_cell = max(256, n_samples // 36)
+    h = fd_step if fd_step is not None else 2.0 * np.pi / (256.0 * np.pi)
+    f = lambda a, b, c: sigma3_extension(kernels, a, b, c)
+    best = -np.inf
+    arg = (0.0, 0.0, 0.0)
+    table = []
+    total = 0
+    N = mult.threshold
+    junction_offsets = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]) * h
+    for lam, eta in cells:
+        rng = np.random.default_rng([seed, int(np.log2(lam)), int(np.log2(eta))])
+        x1 = rng.uniform(lam, 2 * lam, per_cell) * rng.choice([-1.0, 1.0], per_cell)
+        x2 = rng.uniform(eta, 2 * eta, per_cell) * rng.choice([-1.0, 1.0], per_cell)
+        probe = 0
+        for junction in (N, 2.0 * N):
+            for col, lo in ((x1, lam), (x2, eta)):
+                if lo <= junction < 2 * lo:
+                    take = junction_offsets + junction
+                    take = take[(take >= lo) & (take < 2 * lo)]
+                    span = min(per_cell // 4, take.size * 16)
+                    if span == 0:
+                        continue
+                    reps = np.resize(take, span)
+                    col[probe:probe + span] = reps * np.sign(col[probe:probe + span])
+                    probe += span
+        x3 = -x1 - x2
+        keep = (np.abs(x3) >= eta) & (np.abs(x3) < 2 * eta)
+        squares = x1 ** 2 + x2 ** 2 + x3 ** 2
+        keep &= np.abs(squares - 1.2 * disp.mu) > 0.1 * eta ** 2
+        keep &= np.abs(x1) >= max(lam, 8.0 * h)
+        if not np.any(keep):
+            table.append({"lam": lam, "eta": eta, "samples": 0,
+                          "max_ratio": float("nan")})
+            continue
+        x1, x2, x3 = x1[keep], x2[keep], x3[keep]
+        total += x1.size
+        cell_best = -np.inf
+        m2lam = mult.m2(lam)
+        for beta in _BETA_ORDERS:
+            dv = np.abs(reference_fd_derivative(f, [x1, x2, x3], list(beta), h))
+            rhs = (
+                m2lam * eta ** -4.0 * lam ** -float(beta[0])
+                * eta ** -float(beta[1] + beta[2])
+            )
+            ratio = dv / rhs
+            i = int(np.argmax(ratio))
+            if ratio[i] > cell_best:
+                cell_best = float(ratio[i])
+            if ratio[i] > best:
+                best = float(ratio[i])
+                arg = (float(x1[i]), float(x2[i]), float(x3[i]))
+        table.append({"lam": lam, "eta": eta, "samples": int(x1.size),
+                      "max_ratio": cell_best})
+    return BoundCheckReport(
+        bound_name="sigma3_extension_derivatives",
+        seed=seed,
+        samples_evaluated=total,
+        max_ratio=best,
+        argmax=arg,
+        cell_table=table,
+        extras={"cap_exp": cap_exp, "fd_step": h, "threshold": mult.threshold},
+    )
 
 
 class TestResonance:
@@ -122,6 +311,15 @@ class TestLinearEstimates:
         r66 = res["ratios"]["Lt6.0Lx6.0"]
         assert 0.5 < r66[4] / r66[6] < 2.0
 
+    def test_matches_reference_loop(self):
+        # 101 samples in blocks of 32: the last block is partial
+        d = DispersionParams(1.0)
+        args = (d, [4, 5], [(6.0, 6.0), (8.0, 4.0), (np.inf, 2.0)], 3, 21)
+        kwargs = dict(grid=Grid(4 * np.pi, 1024), n_times=100, time_block=32)
+        new = linear_estimate_audit(*args, **kwargs)
+        ref = reference_linear_estimate_audit(*args, **kwargs)
+        assert json.dumps(new) == json.dumps(ref)
+
     def test_inadmissible_pair_rejected(self):
         d = DispersionParams(1.0)
         with pytest.raises(ValueError):
@@ -133,8 +331,6 @@ class TestBoundAudits:
     M = IMultiplier(16.0)
 
     def test_sigma3_extension_matches_on_hyperplane(self):
-        from kawalab.audits import sigma3_extension
-
         kern = EnergyMultipliers(self.M, self.D)
         rng = np.random.default_rng(1)
         x1 = rng.uniform(1.0, 2.0, 200) * rng.choice([-1, 1], 200)
@@ -144,6 +340,41 @@ class TestBoundAudits:
         direct = kern.sigma3(x1, x2, x3)
         rel = np.abs(ext - direct) / np.maximum(np.abs(direct), 1e-300)
         assert np.max(rel[np.abs(direct) > 0]) <= 1e-10
+
+    @pytest.mark.parametrize("cap, fd_step", [(3, None), (6, None), (6, 0.05)])
+    def test_sigma3_audit_matches_reference_loop(self, cap, fd_step):
+        new = sigma3_bound_audit(self.M, self.D, cap, 4000, 17, fd_step=fd_step)
+        ref = reference_sigma3_bound_audit(self.M, self.D, cap, 4000, 17,
+                                           fd_step=fd_step)
+        # equal-scale cells keep no samples and give the NaN row
+        assert any(row["samples"] == 0 for row in new.cell_table)
+        assert json.dumps(new.as_dict()) == json.dumps(ref.as_dict())
+
+    def test_stencil_differences_match_reference(self):
+        # every multi-index, not only those that set a cell's maximum
+        kern = EnergyMultipliers(self.M, self.D)
+        rng = np.random.default_rng(8)
+        x1 = rng.uniform(8.0, 40.0, 300) * rng.choice([-1, 1], 300)
+        x2 = rng.uniform(20.0, 40.0, 300) * rng.choice([-1, 1], 300)
+        cols = [x1, x2, -x1 - x2]
+        f = lambda a, b, c: sigma3_extension(kern, a, b, c)
+        for h in (1.0 / 128.0, 0.05):
+            new = audits._fd_derivatives(kern, *cols, h)
+            for beta, d in zip(_BETA_ORDERS, new):
+                assert np.array_equal(d, reference_fd_derivative(f, cols, list(beta), h))
+
+    def test_sigma3_audit_one_extension_call_per_cell(self, monkeypatch):
+        calls = []
+        inner = audits.sigma3_extension
+
+        def counted(kernels, x1, x2, x3):
+            calls.append(x1.size)
+            return inner(kernels, x1, x2, x3)
+
+        monkeypatch.setattr(audits, "sigma3_extension", counted)
+        rep = sigma3_bound_audit(self.M, self.D, 4, 4000, 3)
+        kept = [row["samples"] for row in rep.cell_table if row["samples"] > 0]
+        assert calls == [19 * n for n in kept]
 
     def test_low_shells_give_zero_ratio(self):
         # every frequency and pair sum below threshold: lhs identically 0

@@ -146,6 +146,28 @@ class TestRuns:
         assert data["gates"]["power_sums_k3"]
         assert data["power_sum_gap_k3"] <= 1e-11
 
+    def test_xnorms_transforms_once(self, tmp_path, monkeypatch):
+        # one windowed transform and one set of modulation profiles serve
+        # xsb, xk and fbar
+        transforms, profiles = [], []
+        build = cli.SpaceTimeField.from_samples.__func__
+        inner = cli.modulation_profiles
+
+        def counted_build(klass, *args, **kwargs):
+            transforms.append(1)
+            return build(klass, *args, **kwargs)
+
+        def counted_profiles(F, disp):
+            profiles.append(1)
+            return inner(F, disp)
+
+        monkeypatch.setattr(cli.SpaceTimeField, "from_samples", classmethod(counted_build))
+        monkeypatch.setattr(cli, "modulation_profiles", counted_profiles)
+        monkeypatch.setattr("kawalab.spacetime.modulation_profiles", counted_profiles)
+        assert main(["--seed", "5", "--out", str(tmp_path / "xn"), "xnorms",
+                     "--n", "64", "--L", repr(4 * np.pi), "--n_times", "256"]) == 0
+        assert len(transforms) == 1 and len(profiles) == 1
+
     def test_failure_record_written(self, tmp_path):
         # an impossible gate: duhamel on a very coarse quadrature
         out = tmp_path / "duh"
