@@ -28,8 +28,8 @@ phi = SpectralField.random_real(grid, rng,
                                 envelope=lambda a: np.sqrt(eta_k(a, 1)))
 phi = phi * (1.0 / phi.l2_norm())
 times = uniform_times(-4.0, 4.0, 4096)
-_, fields = free_trajectory(phi, disp, times)
-F = SpaceTimeField.from_samples(grid, times, fields)
+_, coeffs = free_trajectory(phi, disp, times)
+F = SpaceTimeField.from_samples(grid, times, coeffs)
 
 mod = F.tau[:, None] - (disp.mu * grid.xi ** 3 - grid.xi ** 5)[None, :]
 mag2 = np.abs(F.coeffs2d) ** 2
@@ -40,13 +40,13 @@ print(f"  weighted norms: s,b = (0,0): {xsb_norm(F, 0, 0, disp):.4f}   "
       f"(-7/4, 1/2): {xsb_norm(F, -1.75, 0.5, disp):.4f}")
 print(f"  shell-1 dyadic norm: {xk_norm(F, 1, disp):.4f}")
 print(f"  resolution-space norm at s = -7/4: "
-      f"{fbar_norm(times, fields, -1.75, disp):.4f}")
+      f"{fbar_norm(grid, times, coeffs, -1.75, disp):.4f}")
 
 m0, amp = 8, 0.1
 pair = SpectralField.from_mode_dict(grid, {m0: amp, -m0: amp})
 times = uniform_times(-2.0, 2.0, 1024)
-_, fu = free_trajectory(pair, disp, times)
-res = duhamel_bilinear(times, fu, fu, disp)
+_, cu = free_trajectory(pair, disp, times)
+res = duhamel_bilinear(grid, times, cu, cu, disp)
 xi0 = m0 * grid.dxi
 idx = int(np.argmin(np.abs(res["times"] - 1.0)))
 theta = float(resonance(xi0, xi0, disp))
@@ -54,7 +54,7 @@ omega2 = disp.mu * (2 * xi0) ** 3 - (2 * xi0) ** 5
 expected = (1j * 2 * xi0 * amp * amp * grid.dxi / np.sqrt(2 * np.pi)
             * np.exp(1j * omega2 * 1.0)
             * (np.exp(1j * theta * 1.0) - 1.0) / (1j * theta))
-got = res["fields"][idx].coeffs[grid.index_of_mode(2 * m0)]
+got = res["coeffs"][idx, grid.index_of_mode(2 * m0)]
 print(f"\nbilinear operator on a single mode pair:")
 print(f"  quadrature self-change {res['quadrature_change']:.2e}")
 print(f"  doubled-mode coefficient vs closed form: "

@@ -432,19 +432,18 @@ def _cmd_xnorms(cfg, seed, workers):
     nrm = phi.l2_norm()
     phi = phi * (1.0 / nrm if nrm else 1.0)
     times = uniform_times(-cfg["t_box"] / 2, cfg["t_box"] / 2, cfg["n_times"])
-    _, fields = free_trajectory(phi, disp, times)
-    F = SpaceTimeField.from_samples(grid, times, fields)
+    _, coeffs = free_trajectory(phi, disp, times)
+    F = SpaceTimeField.from_samples(grid, times, coeffs)
     profiles = modulation_profiles(F, disp)
     st_l2 = xsb_norm(F, 0.0, 0.0, disp)
     # direct windowed space-time quadrature for the b=0, s=0 cross-check,
     # summed sample by sample in time order
-    l2 = np.sqrt(np.sum(np.abs(np.stack([f.coeffs for f in fields])) ** 2, axis=1)
-                 * grid.dxi)
-    terms = (eta0(np.array(times)) * l2) ** 2 * (times[1] - times[0])
+    l2 = np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=1) * grid.dxi)
+    terms = (eta0(times) * l2) ** 2 * (times[1] - times[0])
     direct = np.sqrt(np.cumsum(terms)[-1])
     xsb = xsb_norm(F, cfg["s"], cfg["b"], disp)
     xk = xk_norm(F, k, disp, profiles)
-    fb = fbar_norm(times, fields, cfg["s"], disp, F=F, profiles=profiles)
+    fb = fbar_norm(grid, times, coeffs, cfg["s"], disp, F=F, profiles=profiles)
     # modulation concentration: shells j <= 2 of the windowed free flow
     mod = F.tau[:, None] - omega(grid.xi, disp)[None, :]
     mag2 = np.abs(F.coeffs2d) ** 2
@@ -472,8 +471,8 @@ def _cmd_duhamel(cfg, seed, workers):
     amp = cfg["amplitude"]
     phi = SpectralField.from_mode_dict(grid, {m0: amp, -m0: amp})
     times = uniform_times(-2.0, 2.0, cfg["n_times"])
-    _, fu = free_trajectory(phi, disp, times)
-    res = duhamel_bilinear(times, fu, fu, disp)
+    _, cu = free_trajectory(phi, disp, times)
+    res = duhamel_bilinear(grid, times, cu, cu, disp)
     # closed-form check at t inside the window plateau: the doubled mode
     # grows like the integrated phase-difference quotient
     xi0 = m0 * grid.dxi
@@ -486,7 +485,7 @@ def _cmd_duhamel(cfg, seed, workers):
         * np.exp(1j * (disp.mu * (2 * xi0) ** 3 - (2 * xi0) ** 5) * t_chk)
         * phase_integral
     )
-    got = res["fields"][t_idx].coeffs[grid.index_of_mode(2 * m0)]
+    got = res["coeffs"][t_idx, grid.index_of_mode(2 * m0)]
     rel = abs(got - expected) / abs(expected)
     gates = {
         "quadrature_converged": res["quadrature_change"] < 0.005,

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
+_ROW_BLOCK = 64  # rows per Hermitian check, so its temporaries stay small
 
 
 @dataclass(frozen=True)
@@ -206,12 +207,19 @@ def _mirror(c):
 
 
 def require_hermitian(c):
-    """Raise unless every row of ``c`` (modes on the last axis) is
-    Hermitian-symmetric to 1e-10 of its own largest coefficient."""
-    scale = np.abs(c).max(axis=-1)
-    defect = np.abs(c - np.conj(_mirror(c))).max(axis=-1)
-    if (defect > 1e-10 * scale).any():
-        raise ValueError("real-flagged field is not Hermitian-symmetric")
+    """Raise unless every row of ``c`` (modes on the last axis) is finite and
+    Hermitian-symmetric to 1e-10 of its own largest coefficient; the rows are
+    checked ``_ROW_BLOCK`` at a time."""
+    blocks = [c] if c.ndim == 1 else [c[lo:lo + _ROW_BLOCK]
+                                      for lo in range(0, len(c), _ROW_BLOCK)]
+    for block in blocks:
+        scale = np.abs(block).max(axis=-1)
+        defect = np.abs(block - np.conj(_mirror(block))).max(axis=-1)
+        # fails on NaN, which compares False, and on Inf: an infinite
+        # coefficient makes the defect Inf or NaN, and Inf - Inf is NaN
+        ok = defect - 1e-10 * scale <= 0.0
+        if np.count_nonzero(ok) < ok.size:
+            raise ValueError("real-flagged field is not finite and Hermitian-symmetric")
 
 
 def apply_multiplier(u, values, real=None):

@@ -12,6 +12,7 @@ map below index -9/4.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,8 +108,18 @@ class FrequencyBoxDatum:
         return np.where(inside, self.amplitude, 0.0)
 
 
-def _gauss(lo, hi, n):
+@lru_cache(maxsize=32)
+def _legendre(n):
+    """Gauss-Legendre nodes and weights of order ``n`` on [-1, 1]; cached,
+    so they are read-only."""
     nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _gauss(lo, hi, n):
+    nodes, weights = _legendre(n)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     return mid + half * nodes, half * weights
@@ -175,7 +186,7 @@ def _a2_band_values(datum, disp, xi, t, quad_points, split=False):
             has = width > 0
             if not np.any(has):
                 continue
-            nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+            nodes, weights = _legendre(quad_points)
             x1 = 0.5 * (lo[has] + hi[has])[:, None] \
                 + 0.5 * width[has][:, None] * nodes[None, :]
             w = 0.5 * width[has][:, None] * weights[None, :]
@@ -211,7 +222,7 @@ def _a3_band_values(datum, disp, xi, t, quad_points, theta_cut):
     theta_crit_max = 0.0
     crit_mass = 0.0
     crit_small = 0.0
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+    nodes, weights = _legendre(quad_points)
     for sa in (1.0, -1.0):
         a_lo, a_hi = sa * N - r, sa * N + r
         xa = 0.5 * (a_lo + a_hi) + 0.5 * (a_hi - a_lo) * nodes

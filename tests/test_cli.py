@@ -168,6 +168,31 @@ class TestRuns:
                      "--n", "64", "--L", repr(4 * np.pi), "--n_times", "256"]) == 0
         assert len(transforms) == 1 and len(profiles) == 1
 
+    @pytest.mark.parametrize("command, extra", [
+        ("xnorms", ["--n", "64", "--L", repr(4 * np.pi)]),
+        ("duhamel", []),
+    ])
+    def test_spacetime_commands_build_few_fields(self, tmp_path, monkeypatch,
+                                                 command, extra):
+        # the samples travel as one (n_t, n) array, so the number of
+        # SpectralField constructions does not grow with the sample count
+        init = SpectralField.__post_init__
+        made = []
+
+        def counted(field):
+            made.append(1)
+            init(field)
+
+        monkeypatch.setattr(SpectralField, "__post_init__", counted)
+        counts = []
+        for n_times in ("256", "1024"):
+            made.clear()
+            assert main(["--seed", "5", "--no-gate", "--out",
+                         str(tmp_path / f"{command}-{n_times}"), command,
+                         "--n_times", n_times] + extra) == 0
+            counts.append(len(made))
+        assert counts[0] == counts[1] <= 4
+
     def test_failure_record_written(self, tmp_path):
         # an impossible gate: duhamel on a very coarse quadrature
         out = tmp_path / "duh"

@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from kawalab import DispersionParams, Grid, SpectralField, resonance
-from kawalab.dyadic import eta0, eta_k, project_low, shell_count
+from kawalab import spacetime
+from kawalab.dispersion import omega
+from kawalab.dyadic import SUPPORT, eta0, eta_k, project_low, shell_count
+from kawalab.grid import apply_multiplier
 from kawalab.solver import dealias_mask
 from kawalab.spacetime import (
     SpaceTimeField,
+    _first_shell,
     duhamel_bilinear,
     fbar_norm,
     free_trajectory,
     low_frequency_norm,
+    modulation_profiles,
     uniform_times,
     xk_norm,
     xsb_norm,
@@ -29,8 +34,24 @@ def shell_packet(grid, k, seed=0):
 
 def windowed_free(grid, phi, t_box=8.0, n_t=2048):
     times = uniform_times(-t_box / 2, t_box / 2, n_t)
-    _, fields = free_trajectory(phi, D, times)
-    return times, fields, SpaceTimeField.from_samples(grid, times, fields)
+    _, coeffs = free_trajectory(phi, D, times)
+    return times, coeffs, SpaceTimeField.from_samples(grid, times, coeffs)
+
+
+def reference_modulation_profiles(F, disp):
+    """Per-shell telescoping loop: one eta0 over the whole array per shell."""
+    mod = F.tau[:, None] - omega(F.grid.xi, disp)[None, :]
+    mag2 = np.abs(F.coeffs2d) ** 2
+    top = np.max(np.abs(mod))
+    j_max = 0
+    while 1.25 * 2.0 ** j_max < top:
+        j_max += 1
+    prev, profiles = 0.0, []
+    for j in range(j_max + 1):
+        cur = eta0(mod / 2.0 ** j)
+        profiles.append(np.sum((cur - prev) ** 2 * mag2, axis=0))
+        prev = cur
+    return np.array(profiles)
 
 
 def reference_xk_norm(F, k, disp):
@@ -48,9 +69,10 @@ def reference_xk_norm(F, k, disp):
     return total
 
 
-def reference_duhamel(times, fields_u, fields_v, disp):
+def reference_duhamel(grid, times, coeffs_u, coeffs_v, disp):
     """Per-sample forcing and a Python-loop trapezoid on both grids."""
-    grid = fields_u[0].grid
+    fields_u = [SpectralField(grid, c) for c in coeffs_u]
+    fields_v = [SpectralField(grid, c) for c in coeffs_v]
     w = disp.mu * grid.xi ** 3 - grid.xi ** 5
     mask = dealias_mask(grid)
 
@@ -86,20 +108,83 @@ def reference_duhamel(times, fields_u, fields_v, disp):
     return full, change
 
 
+class TestTrajectoryArrays:
+    @pytest.mark.parametrize("n_t", [4, 150])
+    def test_free_trajectory_matches_per_sample_fields(self, n_t):
+        # times of both signs; 150 samples fill two blocks and part of a third
+        g = Grid(16 * np.pi, 128)
+        phi = shell_packet(g, 2, seed=4)
+        times = uniform_times(-3.0, 2.0, n_t)
+        w = omega(g.xi, D)
+        ref = np.stack([apply_multiplier(phi, np.exp(1j * w * t)).coeffs for t in times])
+        out_times, coeffs = free_trajectory(phi, D, times)
+        assert np.array_equal(out_times, times)
+        assert coeffs.shape == ref.shape and coeffs.tobytes() == ref.tobytes()
+
+    def test_free_trajectory_refuses_complex_field(self):
+        g = Grid(16 * np.pi, 128)
+        # Hermitian-symmetric coefficients, flagged complex
+        phi = SpectralField.from_mode_dict(g, {3: 1.0, -3: 1.0}, real=False)
+        with pytest.raises(ValueError, match="for real-flagged fields only"):
+            free_trajectory(phi, D, uniform_times(-1.0, 1.0, 8))
+
+    def test_outputs_checked_whole(self, monkeypatch):
+        # one Hermitian check of the whole trajectory, and one each of the
+        # Duhamel output on the full and on the stride-2 grid
+        shapes = []
+        check = spacetime.require_hermitian
+
+        def recorded(c):
+            shapes.append(c.shape)
+            return check(c)
+
+        monkeypatch.setattr(spacetime, "require_hermitian", recorded)
+        g = Grid(16 * np.pi, 128)
+        times = uniform_times(-2.0, 2.0, 96)
+        _, cu = free_trajectory(SpectralField.from_mode_dict(g, {5: 0.1, -5: 0.1}), D, times)
+        assert shapes == [(96, 128)]
+        duhamel_bilinear(g, times, cu, cu, D)
+        assert sorted(shapes[1:]) == [(48, 128), (96, 128)]
+
+    def test_first_shell_at_shell_edges(self):
+        j = np.arange(60, dtype=float)
+        edge = SUPPORT * 2.0 ** j
+        a = np.concatenate([[0.0, 1e-300], edge, np.nextafter(edge, 0.0),
+                            np.nextafter(edge, np.inf),
+                            np.random.default_rng(1).uniform(0.0, 1e6, 2000)])
+        ref = np.array([next(k for k in range(80) if x / 2.0 ** k < SUPPORT) for x in a])
+        got = _first_shell(a)
+        assert np.array_equal(got, ref)
+        # eta0(./2^j) is 0 below the first shell and exactly 1 above it
+        assert np.all(eta0(np.ldexp(a, 1 - got))[got > 0] == 0.0)
+        assert np.all(eta0(np.ldexp(a, -1 - got)) == 1.0)
+
+    @pytest.mark.parametrize("n, length, n_t, t_box", [
+        (64, 4 * np.pi, 1024, 8.0), (128, 16 * np.pi, 512, 8.0), (64, 8 * np.pi, 300, 5.0)])
+    def test_modulation_profiles_match_per_shell_loop(self, n, length, n_t, t_box):
+        g = Grid(length, n)
+        phi = SpectralField.random_real(g, np.random.default_rng(n_t),
+                                        envelope=lambda a: np.exp(-a * a / 8.0))
+        _, _, F = windowed_free(g, phi, t_box=t_box, n_t=n_t)
+        ref = reference_modulation_profiles(F, D)
+        got = modulation_profiles(F, D)
+        assert got.shape == ref.shape and np.array_equal(got, ref)
+
+
 class TestSpaceTimeNorms:
     def test_unit_weight_is_spacetime_l2(self):
         g = Grid(16 * np.pi, 128)
         phi = shell_packet(g, 1)
-        times, fields, F = windowed_free(g, phi)
+        times, coeffs, F = windowed_free(g, phi)
         direct = np.sqrt(sum(
-            (eta0(t) * f.l2_norm()) ** 2 * (times[1] - times[0])
-            for t, f in zip(times, fields)))
+            (eta0(t) * SpectralField(g, c).l2_norm()) ** 2 * (times[1] - times[0])
+            for t, c in zip(times, coeffs)))
         assert xsb_norm(F, 0.0, 0.0, D) == pytest.approx(direct, rel=1e-12)
 
     def test_homogeneity(self):
         g = Grid(16 * np.pi, 128)
         phi = shell_packet(g, 1, seed=3)
-        times, fields, F = windowed_free(g, phi)
+        times, coeffs, F = windowed_free(g, phi)
         tripled = SpaceTimeField(g, F.t_box, 3.0 * F.coeffs2d)
         for (s, b) in ((0.0, 0.5), (-1.75, 0.5)):
             assert xsb_norm(tripled, s, b, D) == pytest.approx(
@@ -130,9 +215,9 @@ class TestSpaceTimeNorms:
         g = Grid(16 * np.pi, 128)
         phi = shell_packet(g, 1, seed=9)
         times = uniform_times(-4.0, 4.0, 1024)
-        _, fields = free_trajectory(phi, D, times)
-        base = fbar_norm(times, fields, -1.75, D)
-        doubled = fbar_norm(times, [f * 2.0 for f in fields], -1.75, D)
+        _, coeffs = free_trajectory(phi, D, times)
+        base = fbar_norm(g, times, coeffs, -1.75, D)
+        doubled = fbar_norm(g, times, coeffs * 2.0, -1.75, D)
         assert base > 0
         assert doubled == pytest.approx(2.0 * base, rel=1e-10)
 
@@ -142,28 +227,28 @@ class TestSpaceTimeNorms:
         phi = SpectralField.random_real(g, np.random.default_rng(11),
                                         envelope=lambda a: np.exp(-a * a / 8.0))
         times = uniform_times(-4.0, 4.0, n_t)
-        _, fields = free_trajectory(phi, D, times)
-        F = SpaceTimeField.from_samples(g, times, fields)
+        _, coeffs = free_trajectory(phi, D, times)
+        F = SpaceTimeField.from_samples(g, times, coeffs)
         K = shell_count(g)
         xks = [reference_xk_norm(F, k, D) for k in range(1, K + 1)]
         for k, ref in zip(range(1, K + 1), xks):
             assert xk_norm(F, k, D) == pytest.approx(ref, rel=1e-13)
         for s in (-1.75, 0.0):
-            ref = np.sqrt(low_frequency_norm(times, fields) ** 2 + sum(
+            ref = np.sqrt(low_frequency_norm(g, times, coeffs) ** 2 + sum(
                 2.0 ** (2.0 * s * k) * xk ** 2 for k, xk in zip(range(1, K + 1), xks)))
-            assert fbar_norm(times, fields, s, D) == pytest.approx(ref, rel=1e-13)
+            assert fbar_norm(g, times, coeffs, s, D) == pytest.approx(ref, rel=1e-13)
 
     def test_low_frequency_norm_matches_per_sample_loop(self):
         g = Grid(16 * np.pi, 128)
         phi = shell_packet(g, 1, seed=5)
         times = uniform_times(-2.0, 2.0, 256)
-        _, fields = free_trajectory(phi, D, times)
+        _, coeffs = free_trajectory(phi, D, times)
         for window in (True, False):
-            sup = np.max([np.abs(project_low(f, 0).to_physical())
+            sup = np.max([np.abs(project_low(SpectralField(g, c), 0).to_physical())
                           * (eta0(t) if window else 1.0)
-                          for t, f in zip(times, fields)], axis=0)
+                          for t, c in zip(times, coeffs)], axis=0)
             ref = np.sqrt(np.sum(sup ** 2) * g.dx)
-            assert low_frequency_norm(times, fields, window=window) == pytest.approx(
+            assert low_frequency_norm(g, times, coeffs, window=window) == pytest.approx(
                 ref, rel=1e-13)
 
 
@@ -174,10 +259,10 @@ class TestDuhamel:
     def test_zero_input(self):
         g = Grid(16 * np.pi, 128)
         times = uniform_times(-2.0, 2.0, 64)
-        _, fu = free_trajectory(self._mode_pair(g, 5, 0.1), D, times)
-        _, fz = free_trajectory(SpectralField.zero(g), D, times)
-        out = duhamel_bilinear(times, fz, fu, D)
-        assert all(np.max(np.abs(f.coeffs)) == 0.0 for f in out["fields"])
+        _, cu = free_trajectory(self._mode_pair(g, 5, 0.1), D, times)
+        _, cz = free_trajectory(SpectralField.zero(g), D, times)
+        out = duhamel_bilinear(g, times, cz, cu, D)
+        assert np.max(np.abs(out["coeffs"])) == 0.0
 
     def test_symmetry(self):
         g = Grid(16 * np.pi, 128)
@@ -185,19 +270,19 @@ class TestDuhamel:
         rng = np.random.default_rng(4)
         u0 = SpectralField.random_real(g, rng, support=6)
         v0 = SpectralField.random_real(g, rng, support=6)
-        _, fu = free_trajectory(u0, D, times)
-        _, fv = free_trajectory(v0, D, times)
-        a = duhamel_bilinear(times, fu, fv, D)
-        b = duhamel_bilinear(times, fv, fu, D)
-        for fa, fb in zip(a["fields"], b["fields"]):
-            assert np.max(np.abs(fa.coeffs - fb.coeffs)) <= 1e-14
+        _, cu = free_trajectory(u0, D, times)
+        _, cv = free_trajectory(v0, D, times)
+        a = duhamel_bilinear(g, times, cu, cv, D)
+        b = duhamel_bilinear(g, times, cv, cu, D)
+        for ra, rb in zip(a["coeffs"], b["coeffs"]):
+            assert np.max(np.abs(ra - rb)) <= 1e-14
 
     def test_single_mode_closed_form(self):
         g = Grid(16 * np.pi, 256)
         m0, amp = 8, 0.1
         times = uniform_times(-2.0, 2.0, 1024)
-        _, fu = free_trajectory(self._mode_pair(g, m0, amp), D, times)
-        res = duhamel_bilinear(times, fu, fu, D)
+        _, cu = free_trajectory(self._mode_pair(g, m0, amp), D, times)
+        res = duhamel_bilinear(g, times, cu, cu, D)
         assert res["quadrature_change"] < 0.005
         xi0 = m0 * g.dxi
         idx = int(np.argmin(np.abs(res["times"] - 1.0)))
@@ -207,21 +292,21 @@ class TestDuhamel:
         expected = (1j * 2 * xi0 * amp * amp * g.dxi / np.sqrt(2 * np.pi)
                     * np.exp(1j * omega2 * t)
                     * (np.exp(1j * theta * t) - 1.0) / (1j * theta))
-        got = res["fields"][idx].coeffs[g.index_of_mode(2 * m0)]
+        got = res["coeffs"][idx, g.index_of_mode(2 * m0)]
         assert abs(got - expected) <= 0.01 * abs(expected)
         # spectrum confined to 0 and +-2 xi0
         mask = np.ones(g.size, dtype=bool)
         for m in (0, 2 * m0, -2 * m0):
             mask[g.index_of_mode(m)] = False
-        assert np.max(np.abs(res["fields"][idx].coeffs[mask])) <= 1e-14
+        assert np.max(np.abs(res["coeffs"][idx, mask])) <= 1e-14
 
     def test_quadrature_change_of_nearly_equal_fields(self):
         # full and stride-2 outputs agree so closely here that their
         # difference is not Hermitian to the relative 1e-10 of a real field
         g = Grid(8 * np.pi, 128)
         times = uniform_times(-2.0, 2.0, 1024)
-        _, fu = free_trajectory(self._mode_pair(g, 4, 0.1), D, times)
-        res = duhamel_bilinear(times, fu, fu, D)
+        _, cu = free_trajectory(self._mode_pair(g, 4, 0.1), D, times)
+        res = duhamel_bilinear(g, times, cu, cu, D)
         assert 0.0 < res["quadrature_change"] < 0.005
 
     @pytest.mark.parametrize("lead", [16, 15])
@@ -233,17 +318,18 @@ class TestDuhamel:
         times = uniform_times(-lead * dt, (256 - lead) * dt, 256)
         assert times[lead] == 0.0
         rng = np.random.default_rng(8)
-        _, fu = free_trajectory(SpectralField.random_real(g, rng, support=6), D, times)
-        _, fv = free_trajectory(SpectralField.random_real(g, rng, support=9), D, times)
-        res = duhamel_bilinear(times, fu, fv, D)
-        full, change = reference_duhamel(times, fu, fv, D)
-        got = np.stack([f.coeffs for f in res["fields"]])
+        _, cu = free_trajectory(SpectralField.random_real(g, rng, support=6), D, times)
+        _, cv = free_trajectory(SpectralField.random_real(g, rng, support=9), D, times)
+        res = duhamel_bilinear(g, times, cu, cv, D)
+        full, change = reference_duhamel(g, times, cu, cv, D)
+        got = res["coeffs"]
         assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full))
         assert res["quadrature_change"] == pytest.approx(change, rel=1e-13)
-        assert all(f.real and f.hermitian_defect() <= 1e-10 for f in res["fields"])
+        assert all(SpectralField(g, c).hermitian_defect() <= 1e-10 for c in got)
 
     def test_coarse_grid_rejected(self):
         g = Grid(16 * np.pi, 128)
         times = uniform_times(-2.0, 2.0, 4)
+        c = np.zeros((times.size, g.size), dtype=np.complex128)
         with pytest.raises(ValueError):
-            duhamel_bilinear(times, [], [], D)
+            duhamel_bilinear(g, times, c, c, D)

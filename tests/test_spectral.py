@@ -22,6 +22,7 @@ from kawalab import (
     shell_count,
     sobolev_norm,
 )
+from kawalab.grid import require_hermitian
 
 
 def random_field(grid, seed=0, envelope=None, support=None):
@@ -71,6 +72,38 @@ class TestGrid:
         assert u.hermitian_defect() == 0.0
         assert SpectralField.from_mode_dict(g, {3: 1.0, -3: 0.5},
                                             real=False).hermitian_defect() == 0.5
+
+    # a coefficient at a mirrored pair, at both partners, and at the zero mode
+    NON_FINITE = [({3: np.nan, -3: 1.0}, "nan pair"),
+                  ({3: np.inf, -3: 1.0}, "inf pair"),
+                  ({3: np.inf, -3: np.inf}, "inf both"),
+                  ({3: 1j * np.inf, -3: -1j * np.inf}, "imaginary inf both"),
+                  ({0: np.nan}, "nan zero mode"),
+                  ({0: np.inf}, "inf zero mode")]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("amplitudes", [a for a, _ in NON_FINITE],
+                             ids=[name for _, name in NON_FINITE])
+    def test_non_finite_coefficients_rejected(self, amplitudes):
+        g = Grid(2 * np.pi, 64)
+        c = SpectralField.from_mode_dict(g, amplitudes, real=False).coeffs
+        with pytest.raises(ValueError, match="not finite"):
+            require_hermitian(c)
+        with pytest.raises(ValueError, match="not finite"):
+            SpectralField(g, c)
+        rows = np.tile(random_field(g, 2).coeffs, (3, 1))
+        rows[1] = c
+        with pytest.raises(ValueError, match="not finite"):
+            require_hermitian(rows)
+
+    @pytest.mark.parametrize("bad", [0, 63, 64, 100, 129])
+    def test_hermitian_check_covers_every_row_block(self, bad):
+        g = Grid(2 * np.pi, 64)
+        rows = np.stack([random_field(g, seed).coeffs for seed in range(130)])
+        require_hermitian(rows)
+        rows[bad, 3] += 1e-6
+        with pytest.raises(ValueError):
+            require_hermitian(rows)
 
 
 class TestSobolevNorms:
