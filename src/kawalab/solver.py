@@ -3,9 +3,10 @@
 The linear phase is applied exactly (integrating factor), so the quintic
 symbol never limits the step; classical RK4 handles the dealiased
 nonlinearity. The zero mode is untouched by every stage, so the spatial
-mean is conserved to the bit. A real field is stepped as its half spectrum
-(modes 0..n/2, real-FFT transforms), so its Hermitian symmetry holds by
-construction; full-spectrum fields are built only at monitor samples.
+mean is conserved to the bit. A real field is stepped as the dealias band
+of its half spectrum (modes 0..K, real-FFT transforms), so its Hermitian
+symmetry holds by construction; full-spectrum fields are built only at
+monitor samples.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -76,13 +77,20 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Ordered (t, field) samples plus per-sample conserved quantities."""
+    """Ordered (t, field) samples plus per-sample conserved quantities.
+
+    ``steps`` and ``dt`` are the step count and size that were run, and
+    ``divergence_margin`` is the largest max|c| over all steps divided by
+    ``DIVERGENCE_THRESHOLD``; ``simulate`` sets all three."""
 
     times: list = dc_field(default_factory=list)
     fields: list = dc_field(default_factory=list)
     means: list = dc_field(default_factory=list)
     l2_masses: list = dc_field(default_factory=list)
     dealias_cutoff: float = np.inf
+    steps: int = 0
+    dt: float = 0.0
+    divergence_margin: float = 0.0
 
     def append(self, t, u):
         if self.times and t <= self.times[-1]:
@@ -116,18 +124,28 @@ def nonlinear_rhs(u, dealias_fraction=2.0 / 3.0):
     return u.with_coeffs(_full_spectrum(mult * _square(u.coeffs[:band], u.grid.size)))
 
 
-def _square(c, n):
+def _square(c, n, v=None, spec=None):
     """``rfft(v*v)`` for ``v = irfft(c, n)``, unscaled (modes missing from a
     short ``c`` count as zero); for unitary coefficients the half spectrum
-    of ``F[u^2]`` is this times ``sqrt(2 pi)/dx``."""
-    v = np.fft.irfft(c, n)
-    return np.fft.rfft(v * v)
+    of ``F[u^2]`` is this times ``sqrt(2 pi)/dx``. Given buffers ``v`` (n
+    reals) and ``spec`` (n/2+1 complex), it writes into them instead of
+    allocating its outputs."""
+    v = np.fft.irfft(c, n, out=v)
+    np.multiply(v, v, out=v)
+    return np.fft.rfft(v, out=spec)
 
 
 def _full_spectrum(half):
     """FFT-order coefficients of the real field with half spectrum ``half``
     (modes 0..n/2), conjugate on mirrored modes; the Nyquist slot is zero."""
     return np.concatenate((half[:-1], [0.0], np.conj(half[-2:0:-1])))
+
+
+def _band_field(u, c):
+    """``u``'s real field with band coefficients ``c``, zero above the band."""
+    half = np.zeros(u.grid.size // 2 + 1, dtype=np.complex128)
+    half[:c.size] = c
+    return u.with_coeffs(_full_spectrum(half))
 
 
 def _rhs_multiplier(grid, dealias_fraction):
@@ -159,40 +177,79 @@ def _unit_phasor(w, t):
 
 
 class _Stepper:
-    """Integrating-factor RK4 on the half spectrum (modes 0..n/2) of a real field.
-    Modes outside the dealias band evolve by the linear phase alone."""
+    """Integrating-factor RK4 on the dealias band (modes 0..band-1) of a real
+    field's half spectrum. Modes band..n/2 of a datum projected into the band
+    stay zero (the multiplier vanishes there), so they are not stored. The
+    stages write into buffers the stepper owns; only each returned state is a
+    fresh array. ``peak`` is the largest max|c| the guard has passed."""
 
     def __init__(self, grid, disp, dt, dealias_fraction):
         self.n = grid.size
         self.dt = dt
-        self.band, self.mult = _rhs_multiplier(grid, dealias_fraction)
-        w = omega(np.arange(grid.size // 2 + 1) * grid.dxi, disp)
-        self.e_half = _unit_phasor(w, 0.5 * dt)
-        self.e_full = self.e_half * self.e_half
+        band, mult = _rhs_multiplier(grid, dealias_fraction)
+        self.band, self.mult = band, mult[:band]
+        eh = _unit_phasor(omega(np.arange(band) * grid.dxi, disp), 0.5 * dt)
+        self.e_half, self.e_full = eh, eh * eh
+        # the array factors of dt*eh*k3 and 2.0*eh*(k2+k3), which evaluate
+        # left to right, so precomputing them keeps every bit
+        self.dt_eh, self.two_eh = dt * eh, 2.0 * eh
+        self.peak = 0.0
+        self._v = np.empty(self.n)
+        self._spec = np.empty(self.n // 2 + 1, dtype=np.complex128)
+        self._k = tuple(np.empty((4, band), dtype=np.complex128))
+        self._s, self._t, self._efc = np.empty((3, band), dtype=np.complex128)
+        self._abs = np.empty(band)
 
-    def rhs(self, c):
-        return self.mult * _square(c[:self.band], self.n)
+    def _rhs(self, c, k):
+        spec = _square(c, self.n, self._v, self._spec)
+        np.multiply(self.mult, spec[:self.band], out=k)
 
     def step(self, c):
-        dt, eh, ef = self.dt, self.e_half, self.e_full
-        k1 = self.rhs(c)
-        k2 = self.rhs(eh * (c + 0.5 * dt * k1))
-        k3 = self.rhs(eh * c + 0.5 * dt * k2)
-        k4 = self.rhs(ef * c + dt * eh * k3)
-        out = ef * c + (dt / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
+        """One step from band coefficients ``c``, which are left unchanged.
+        Returns the new state, or None if its max|c| exceeds
+        ``DIVERGENCE_THRESHOLD`` or is NaN. Each operation has the operands
+        and order of ``ef*c + (dt/6)*(ef*k1 + 2*eh*(k2+k3) + k4)`` with
+        ``k2 = rhs(eh*(c + dt/2*k1))``, ``k3 = rhs(eh*c + dt/2*k2)`` and
+        ``k4 = rhs(ef*c + dt*eh*k3)``."""
+        eh, ef, h = self.e_half, self.e_full, 0.5 * self.dt
+        k1, k2, k3, k4 = self._k
+        s, t, efc = self._s, self._t, self._efc
+        self._rhs(c, k1)
+        np.multiply(h, k1, out=s)
+        np.add(c, s, out=s)
+        np.multiply(eh, s, out=s)
+        self._rhs(s, k2)
+        np.multiply(eh, c, out=s)
+        np.multiply(h, k2, out=t)
+        np.add(s, t, out=s)
+        self._rhs(s, k3)
+        np.multiply(ef, c, out=efc)
+        np.multiply(self.dt_eh, k3, out=s)
+        np.add(efc, s, out=s)
+        self._rhs(s, k4)
+        np.multiply(ef, k1, out=k1)
+        np.add(k2, k3, out=k2)
+        np.multiply(self.two_eh, k2, out=k2)
+        np.add(k1, k2, out=k1)
+        np.add(k1, k4, out=k1)
+        out = np.multiply(self.dt / 6.0, k1)
+        np.add(efc, out, out=out)
+        peak = np.abs(out, out=self._abs).max()
         # negated test: NaN compares false and must count as divergence
-        if not np.max(np.abs(out)) <= DIVERGENCE_THRESHOLD:
+        if not peak <= DIVERGENCE_THRESHOLD:
             return None
+        self.peak = max(self.peak, peak)
         return out
 
 
 def step(u, dt, config):
-    """One integrating-factor RK4 step of size ``dt`` for a real field."""
+    """One integrating-factor RK4 step of size ``dt`` for a real field. As in
+    ``simulate``, the datum is projected into the dealias band first."""
     stepper = _Stepper(config.grid, config.disp, dt, config.dealias_fraction)
-    c = stepper.step(_half_spectrum(u, config.grid))
+    c = stepper.step(_half_spectrum(u, config.grid)[:stepper.band])
     if c is None:
         raise SolverDivergenceError(dt)
-    return u.with_coeffs(_full_spectrum(c))
+    return _band_field(u, c)
 
 
 def simulate(u0, config, t0=0.0):
@@ -205,15 +262,17 @@ def simulate(u0, config, t0=0.0):
     dt = config.t_end / n_steps
     stepper = _Stepper(grid, config.disp, dt, config.dealias_fraction)
 
-    traj = Trajectory(dealias_cutoff=dealias_cutoff_index(grid, config.dealias_fraction) * grid.dxi)
-    c = np.pad(half[:stepper.band], (0, half.size - stepper.band))
-    traj.append(t0, u0.with_coeffs(_full_spectrum(c)))
+    traj = Trajectory(dealias_cutoff=dealias_cutoff_index(grid, config.dealias_fraction) * grid.dxi,
+                      steps=n_steps, dt=dt)
+    c = half[:stepper.band]
+    traj.append(t0, _band_field(u0, c))
     for i in range(1, n_steps + 1):
         c = stepper.step(c)
         if c is None:
             raise SolverDivergenceError(t0 + i * dt)
         if i % config.monitor_stride == 0 or i == n_steps:
-            traj.append(t0 + i * dt, u0.with_coeffs(_full_spectrum(c)))
+            traj.append(t0 + i * dt, _band_field(u0, c))
+    traj.divergence_margin = float(stepper.peak) / DIVERGENCE_THRESHOLD
     return traj
 
 

@@ -17,6 +17,7 @@ from kawalab import (
 )
 from kawalab.dispersion import omega
 from kawalab.solver import (
+    DIVERGENCE_THRESHOLD,
     PHASE_GUARD,
     _Stepper,
     dealias_cutoff_index,
@@ -25,6 +26,44 @@ from kawalab.solver import (
 )
 
 D1 = DispersionParams(1.0)
+
+
+def reference_stepper(g, disp, dt, fraction):
+    """The stepper as it was before it kept only the dealias band: IF-RK4 on
+    the whole half spectrum (modes 0..n/2), one temporary per operation.
+    Returns ``step(c) -> c`` on length n/2+1 arrays, None on divergence."""
+    n = g.size
+    band = dealias_cutoff_index(g, fraction) + 1
+    mult = np.zeros(n // 2 + 1, dtype=np.complex128)
+    mult[:band] = (-0.5j * np.sqrt(2.0 * np.pi) / g.dx) * (np.arange(band) * g.dxi)
+    w = omega(np.arange(n // 2 + 1) * g.dxi, disp)
+    arg = np.mod(w.astype(np.longdouble) * np.longdouble(0.5 * dt),
+                 2 * np.longdouble(np.pi)).astype(np.float64)
+    eh = np.exp(1j * arg)
+    ef = eh * eh
+
+    def rhs(c):
+        v = np.fft.irfft(c[:band], n)
+        return mult * np.fft.rfft(v * v)
+
+    def step(c):
+        k1 = rhs(c)
+        k2 = rhs(eh * (c + 0.5 * dt * k1))
+        k3 = rhs(eh * c + 0.5 * dt * k2)
+        k4 = rhs(ef * c + dt * eh * k3)
+        out = ef * c + (dt / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
+        if not np.max(np.abs(out)) <= DIVERGENCE_THRESHOLD:
+            return None
+        return out
+
+    return step
+
+
+def reference_start(u, fraction):
+    """Half spectrum of ``u`` projected into the dealias band."""
+    n = u.grid.size
+    band = dealias_cutoff_index(u.grid, fraction) + 1
+    return np.pad(u.coeffs[:band], (0, n // 2 + 1 - band))
 
 
 def smooth_datum(grid, seed=7, amplitude=1.0, decay=8.0):
@@ -141,10 +180,10 @@ class TestHermitianByConstruction:
         g, dt = self._box()
         st = _Stepper(g, D1, dt, 2.0 / 3.0)
         full = self._full_phasor(g, 0.5 * dt)
-        half = g.size // 2  # FFT-order indices 0..n/2-1 hold modes m >= 0
-        assert st.e_half.shape == st.e_full.shape == (half + 1,)
-        assert np.array_equal(st.e_half[:half], full[:half])
-        assert np.array_equal(st.e_full[:half], (full * full)[:half])
+        # FFT-order indices 0..band-1 hold the stepped modes m >= 0
+        assert st.e_half.shape == st.e_full.shape == (st.band,)
+        assert np.array_equal(st.e_half, full[:st.band])
+        assert np.array_equal(st.e_full, (full * full)[:st.band])
 
     def test_steps_keep_real_field_hermitian(self):
         g, dt = self._box()
@@ -183,6 +222,89 @@ class TestHermitianByConstruction:
             c = ef * c + (dt / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
         c[g.nyquist_index] = 0.0
         assert np.max(np.abs(got - c)) <= 1e-12 * np.max(np.abs(c))
+
+
+class TestBandStepper:
+    """The stepper keeps only the dealias band and reuses its buffers; the
+    result must equal the whole-half-spectrum formula bit for bit."""
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.9])
+    def test_matches_reference_step_bitwise(self, n, fraction):
+        g = Grid(8 * np.pi, n)
+        dt, steps = 1e-3, 200
+        # strong enough that a reordered rounding in one stage reaches the state
+        u0 = smooth_datum(g, seed=n, amplitude=30.0, decay=2.0)
+        cfg = SolverConfig(g, D1, dt=dt, t_end=steps * dt, monitor_stride=50,
+                           dealias_fraction=fraction)
+        traj = simulate(u0, cfg)
+        ref = reference_stepper(g, D1, dt, fraction)
+        c = reference_start(u0, fraction)
+        expect = [c]
+        for i in range(1, steps + 1):
+            c = ref(c)
+            if i % 50 == 0:
+                expect.append(c)
+        assert len(traj) == len(expect) == 5
+        above = dealias_mask(g, fraction) == 0.0
+        for u, half in zip(traj.fields, expect):
+            assert np.array_equal(u.coeffs[:n // 2 + 1], np.concatenate((half[:-1], [0.0])))
+            assert np.all(u.coeffs[above] == 0.0)
+
+    def test_samples_do_not_share_memory(self):
+        g = Grid(2 * np.pi, 64)
+        cfg = SolverConfig(g, D1, dt=1e-3, t_end=5e-3, monitor_stride=1)
+        traj = simulate(smooth_datum(g, seed=2), cfg)
+        assert len(traj) == 6
+        for a, b in zip(traj.fields, traj.fields[1:]):
+            assert not np.shares_memory(a.coeffs, b.coeffs)
+        # the states the stepper returns own their memory as well
+        st = _Stepper(g, D1, 1e-3, 2.0 / 3.0)
+        buffers = [st._v, st._spec, *st._k, st._s, st._t, st._efc, st._abs]
+        states = [traj.fields[0].coeffs[:st.band]]
+        for _ in range(3):
+            states.append(st.step(states[-1]))
+        for i, a in enumerate(states[1:]):
+            assert not any(np.shares_memory(a, b) for b in buffers + states[:i + 1])
+
+    def test_step_leaves_input_unchanged(self):
+        g = Grid(8 * np.pi, 256)
+        u = smooth_datum(g, seed=3, amplitude=2.0)
+        before = u.coeffs.copy()
+        cfg = SolverConfig(g, D1, dt=1e-3, t_end=1.0)
+        step(u, 1e-3, cfg)
+        assert np.array_equal(u.coeffs.view(np.uint64), before.view(np.uint64))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_mid_run_reports_failing_time(self):
+        g = Grid(2 * np.pi, 64)
+        u0 = SpectralField.from_physical(g, 30.0 * np.cos(g.x))
+        t0, cfg = 0.5, SolverConfig(g, D1, dt=3e-3, t_end=0.3)
+        dt = cfg.t_end / 100
+        ref = reference_stepper(g, D1, dt, cfg.dealias_fraction)
+        c, fail = reference_start(u0, cfg.dealias_fraction), None
+        for i in range(1, 101):
+            c = ref(c)
+            if c is None:
+                fail = i
+                break
+        assert fail is not None and 1 < fail < 100
+        with pytest.raises(SolverDivergenceError) as info:
+            simulate(u0, cfg, t0=t0)
+        assert info.value.t == t0 + fail * dt
+
+    def test_health_counters(self):
+        g = Grid(8 * np.pi, 256)
+        u0 = smooth_datum(g, seed=5, amplitude=2.0)
+        cfg = SolverConfig(g, D1, dt=3e-4, t_end=0.01, monitor_stride=1)
+        traj = simulate(u0, cfg)
+        assert traj.steps == 33 == len(traj) - 1
+        assert traj.dt == 0.01 / 33
+        peak = max(np.max(np.abs(u.coeffs)) for u in traj.fields[1:])
+        assert traj.divergence_margin == peak / DIVERGENCE_THRESHOLD
+        assert 0.0 < traj.divergence_margin < 1e-13
+        zero = simulate(SpectralField.zero(g), cfg)
+        assert (zero.steps, zero.divergence_margin) == (33, 0.0)
 
 
 class TestSimulate:
