@@ -10,7 +10,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dispersion import DispersionParams, omega, resonance
+from .dispersion import DispersionParams, omega, phasor, resonance
 from .dyadic import eta_k
 from .multipliers import EnergyMultipliers
 
@@ -404,7 +404,7 @@ def linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid=None,
         buf = np.zeros((min(time_block, times.size), grid.size), dtype=np.complex128)
         for lo in range(0, times.size, time_block):
             hi = min(lo + time_block, times.size)
-            phase = np.exp(1j * w_supp[None, :] * times[lo:hi, None])
+            phase = phasor(w_supp, times[lo:hi, None])
             half = np.arange(lo, hi) % 2 == 0
             rows = buf[:hi - lo]
             for c, (norms_r, l2_t, sup_x, l2t_x, l2t_x_half) in zip(packets, accs):

@@ -206,6 +206,13 @@ def _mirror(c):
     return np.concatenate((c[..., :1], c[..., :0:-1]), axis=-1)
 
 
+def _full_spectrum(half):
+    """FFT-order coefficients (last axis) of the real field with half spectrum
+    ``half`` (modes 0..n/2), conjugate on mirrored modes; Nyquist is zero."""
+    nyquist = np.zeros_like(half[..., :1])
+    return np.concatenate((half[..., :-1], nyquist, np.conj(half[..., -2:0:-1])), axis=-1)
+
+
 def require_hermitian(c):
     """Raise unless every row of ``c`` (modes on the last axis) is finite and
     Hermitian-symmetric to 1e-10 of its own largest coefficient; the rows are

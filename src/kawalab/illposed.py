@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dispersion import DispersionParams, omega, resonance
+from .dispersion import DispersionParams, omega, phasor, resonance
 
 __all__ = [
     "IllposedConfig",
@@ -141,27 +141,18 @@ def build_datum(config, N):
                              hs_norm=float(norm))
 
 
-def _osc(w, t):
-    """``exp(i w t)`` with extended-precision argument reduction; the raw
-    double phase of a fifth-power frequency loses several digits."""
-    arg = np.mod(np.asarray(w, dtype=np.longdouble) * np.longdouble(t),
-                 2 * np.longdouble(np.pi)).astype(np.float64)
-    return np.exp(1j * arg)
-
-
 def _phase_quotient(theta, t):
     """``E(theta, t) = (exp(i theta t) - 1)/(i theta)`` in cancellation-free
-    sinc form, with the half phase reduced in extended precision; entire
-    in theta."""
+    sinc form ``t e sin(theta t/2)/(theta t/2)`` with ``e = exp(i theta t/2)``,
+    whose imaginary part is the sine; entire in theta."""
     theta = np.asarray(theta, dtype=np.float64)
     half_raw = 0.5 * theta * t
-    half = np.mod(np.asarray(theta, dtype=np.longdouble) * np.longdouble(0.5 * t),
-                  2 * np.longdouble(np.pi)).astype(np.float64)
+    e = phasor(theta, 0.5 * t)
     small = np.abs(half_raw) < 1e-6
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(small, 1.0 - half_raw * half_raw / 6.0,
-                         np.sin(half) / np.where(small, 1.0, half_raw))
-    return t * np.exp(1j * half) * ratio
+                         e.imag / np.where(small, 1.0, half_raw))
+    return t * e * ratio
 
 
 def _a2_band_values(datum, disp, xi, t, quad_points, split=False):
@@ -193,8 +184,8 @@ def _a2_band_values(datum, disp, xi, t, quad_points, split=False):
             x2 = xi[has][:, None] - x1
             om = resonance(x1, x2, disp)
             if split:
-                e_free = _osc(omega(x1, disp) + omega(x2, disp), t) / (1j * om)
-                e_flow = _osc(omega(xi[has][:, None], disp), t) / (1j * om)
+                e_free = phasor(omega(x1, disp) + omega(x2, disp), t) / (1j * om)
+                e_flow = phasor(omega(xi[has][:, None], disp), t) / (1j * om)
                 piece_free[has] += np.sum(w * e_free, axis=1) * a * a
                 piece_flow[has] += np.sum(w * e_flow, axis=1) * a * a
             else:
@@ -203,7 +194,7 @@ def _a2_band_values(datum, disp, xi, t, quad_points, split=False):
     pref = 1j * xi / np.sqrt(2.0 * np.pi)
     if split:
         return pref * piece_free, pref * piece_flow
-    return pref * _osc(omega(xi, disp), t) * total
+    return pref * phasor(omega(xi, disp), t) * total
 
 
 def _a3_band_values(datum, disp, xi, t, quad_points, theta_cut):

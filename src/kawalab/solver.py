@@ -13,8 +13,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dispersion import omega
-from .grid import SpectralField, sobolev_norm
+from .dispersion import omega, phasor
+from .grid import SpectralField, _full_spectrum, sobolev_norm
 
 __all__ = [
     "SolverConfig",
@@ -135,12 +135,6 @@ def _square(c, n, v=None, spec=None):
     return np.fft.rfft(v, out=spec)
 
 
-def _full_spectrum(half):
-    """FFT-order coefficients of the real field with half spectrum ``half``
-    (modes 0..n/2), conjugate on mirrored modes; the Nyquist slot is zero."""
-    return np.concatenate((half[:-1], [0.0], np.conj(half[-2:0:-1])))
-
-
 def _band_field(u, c):
     """``u``'s real field with band coefficients ``c``, zero above the band."""
     half = np.zeros(u.grid.size // 2 + 1, dtype=np.complex128)
@@ -167,15 +161,6 @@ def _half_spectrum(u, grid):
     return u.coeffs[:grid.size // 2 + 1]
 
 
-def _unit_phasor(w, t):
-    """``exp(i w t)`` for the symbol ``w`` on modes m >= 0, the argument reduced
-    mod 2 pi in extended precision: plain double products drift by ~|w t|
-    ulps per step, which dominates long integrations."""
-    arg = np.mod(w.astype(np.longdouble) * np.longdouble(t),
-                 2 * np.longdouble(np.pi)).astype(np.float64)
-    return np.exp(1j * arg)
-
-
 class _Stepper:
     """Integrating-factor RK4 on the dealias band (modes 0..band-1) of a real
     field's half spectrum. Modes band..n/2 of a datum projected into the band
@@ -188,7 +173,7 @@ class _Stepper:
         self.dt = dt
         band, mult = _rhs_multiplier(grid, dealias_fraction)
         self.band, self.mult = band, mult[:band]
-        eh = _unit_phasor(omega(np.arange(band) * grid.dxi, disp), 0.5 * dt)
+        eh = phasor(omega(np.arange(band) * grid.dxi, disp), 0.5 * dt)
         self.e_half, self.e_full = eh, eh * eh
         # the array factors of dt*eh*k3 and 2.0*eh*(k2+k3), which evaluate
         # left to right, so precomputing them keeps every bit

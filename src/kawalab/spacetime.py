@@ -11,9 +11,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dispersion import omega
+from .dispersion import omega, phasor
 from .dyadic import SUPPORT, eta0, eta_k, shell_count
-from .grid import require_hermitian
+from .grid import _full_spectrum, require_hermitian
 from .solver import dealias_mask
 
 __all__ = [
@@ -40,16 +40,16 @@ def uniform_times(t_lo, t_hi, count):
 
 def free_trajectory(phi, disp, times):
     """Exact linear evolution of the real field ``phi`` sampled on ``times``
-    (any signs): ``(times, coeffs)`` with one row of coefficients per sample."""
+    (any signs): ``(times, coeffs)`` with one row of coefficients per sample,
+    each ``free_evolve(phi, t, disp).coeffs``."""
     if not phi.real:
         raise ValueError("the free trajectory is sampled for real-flagged fields only")
     times = np.asarray(times, dtype=np.float64)
-    w = omega(phi.grid.xi, disp)
+    w = omega(phi.grid.xi[:phi.grid.size // 2 + 1], disp)
     coeffs = np.empty((times.size, phi.grid.size), dtype=np.complex128)
     for lo in range(0, times.size, _BLOCK):
-        rows = coeffs[lo:lo + _BLOCK]
-        np.multiply(phi.coeffs, np.exp(1j * w * times[lo:lo + _BLOCK, None]), out=rows)
-        rows[:, phi.grid.nyquist_index] = 0.0
+        phase = _full_spectrum(phasor(w, times[lo:lo + _BLOCK, None]))
+        np.multiply(phi.coeffs, phase, out=coeffs[lo:lo + _BLOCK])
     require_hermitian(coeffs)
     return times, coeffs
 
@@ -216,9 +216,10 @@ def duhamel_bilinear(grid, times, coeffs_u, coeffs_v, disp, dealias_fraction=2.0
     i0 = int(np.argmin(np.abs(times)))
     if times[0] > 0.0 or times[-1] < 0.0 or abs(times[i0]) > 0.1 * dts[0]:
         raise ValueError("time grid must contain t = 0")
-    w = omega(grid.xi, disp)
+    w = omega(grid.xi[:grid.size // 2 + 1], disp)
     ixi_mask = 1j * grid.xi * dealias_mask(grid, dealias_fraction)
-    # integrand W(-s) d/dx (psi^2 u v)(s) on every sample, in blocks
+    # integrand W(-s) d/dx (psi^2 u v)(s) on every sample, in blocks (the
+    # mirrored phase zeroes the Nyquist mode)
     integrand = np.empty((times.size, grid.size), dtype=np.complex128)
     for lo in range(0, times.size, _BLOCK):
         rows = slice(lo, lo + _BLOCK)
@@ -226,8 +227,7 @@ def duhamel_bilinear(grid, times, coeffs_u, coeffs_v, disp, dealias_fraction=2.0
         prod = (eta0(ts) ** 2)[:, None] * _physical_rows(grid, coeffs_u[rows])
         prod *= _physical_rows(grid, coeffs_v[rows])
         q = np.fft.fft(prod, axis=1) * (grid.dx / _SQRT2PI) * ixi_mask
-        q[:, grid.nyquist_index] = 0.0
-        integrand[rows] = q * np.exp(-1j * w * ts[:, None])
+        integrand[rows] = q * _full_spectrum(phasor(w, -ts[:, None]))
 
     def integrate(a, ts, j0, out):
         # trapezoid sums from t = 0, forward above it and backward below it;
@@ -238,15 +238,19 @@ def duhamel_bilinear(grid, times, coeffs_u, coeffs_v, disp, dealias_fraction=2.0
         out[j0] = 0.0
         np.cumsum(out[j0 + 1:], axis=0, out=out[j0 + 1:])
         np.cumsum(out[:j0][::-1], axis=0, out=out[:j0][::-1])
-        for lo in range(0, ts.size, _BLOCK):
-            tb = ts[lo:lo + _BLOCK, None]
-            out[lo:lo + _BLOCK] *= eta0(tb / 4.0) * np.exp(1j * w * tb)
         return out
 
     # the stride-2 subgrid first, so the full grid can integrate in place
     sub = slice(i0 % 2, None, 2)
     coarse = integrate(integrand[sub], times[sub], i0 // 2, np.empty_like(integrand[sub]))
     full = integrate(integrand, times, i0, integrand)
+    # psi(t/4) W(t) on both grids, from one evaluation per full-grid row
+    # (_BLOCK is even, so a block's subgrid rows start at coarse row lo // 2)
+    for lo in range(0, times.size, _BLOCK):
+        tb = times[lo:lo + _BLOCK, None]
+        factor = eta0(tb / 4.0) * _full_spectrum(phasor(w, tb))
+        full[lo:lo + _BLOCK] *= factor
+        coarse[lo // 2:lo // 2 + len(factor[sub])] *= factor[sub]
     require_hermitian(coarse)
     require_hermitian(full)
     den = np.linalg.norm(full[sub])

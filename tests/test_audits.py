@@ -26,7 +26,7 @@ from kawalab.audits import (
     sigma3_extension,
     sigma4_bound_audit,
 )
-from kawalab.dispersion import omega
+from kawalab.dispersion import omega, phasor
 from kawalab.multipliers import EnergyMultipliers
 
 
@@ -58,7 +58,7 @@ def reference_linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid,
             l2t_x_half = np.zeros(grid.size)
             for lo in range(0, times.size, time_block):
                 hi = min(lo + time_block, times.size)
-                block = np.exp(1j * w_all[None, :] * times[lo:hi, None]) * c[None, :]
+                block = phasor(w_all, times[lo:hi, None]) * c[None, :]
                 v = np.abs(np.fft.ifft(block, axis=1) * (_SQRT2PI / dx))
                 for r in norms_r:
                     norms_r[r][lo:hi] = (np.sum(v ** r, axis=1) * dx) ** (1.0 / r)

@@ -15,7 +15,7 @@ from kawalab import (
     simulate,
     step,
 )
-from kawalab.dispersion import omega
+from kawalab.dispersion import omega, phasor
 from kawalab.solver import (
     DIVERGENCE_THRESHOLD,
     PHASE_GUARD,
@@ -36,10 +36,7 @@ def reference_stepper(g, disp, dt, fraction):
     band = dealias_cutoff_index(g, fraction) + 1
     mult = np.zeros(n // 2 + 1, dtype=np.complex128)
     mult[:band] = (-0.5j * np.sqrt(2.0 * np.pi) / g.dx) * (np.arange(band) * g.dxi)
-    w = omega(np.arange(n // 2 + 1) * g.dxi, disp)
-    arg = np.mod(w.astype(np.longdouble) * np.longdouble(0.5 * dt),
-                 2 * np.longdouble(np.pi)).astype(np.float64)
-    eh = np.exp(1j * arg)
+    eh = phasor(omega(np.arange(n // 2 + 1) * g.dxi, disp), 0.5 * dt)
     ef = eh * eh
 
     def rhs(c):
@@ -163,11 +160,8 @@ class TestHermitianByConstruction:
 
     @staticmethod
     def _full_phasor(g, t):
-        """``exp(i omega t)`` on every mode in FFT order, with the solver's
-        extended-precision reduction of the argument."""
-        arg = np.mod(omega(g.xi, D1).astype(np.longdouble) * np.longdouble(t),
-                     2 * np.longdouble(np.pi)).astype(np.float64)
-        return np.exp(1j * arg)
+        """``exp(i omega t)`` on every mode in FFT order."""
+        return phasor(omega(g.xi, D1), t)
 
     @staticmethod
     def _box():

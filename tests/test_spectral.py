@@ -1,5 +1,8 @@
 """Lattice, dispersion, dyadic decomposition, and smoothing multiplier."""
 
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,8 @@ from kawalab import (
     shell_count,
     sobolev_norm,
 )
-from kawalab.grid import require_hermitian
+from kawalab.dispersion import phasor
+from kawalab.grid import _full_spectrum, require_hermitian
 
 
 def random_field(grid, seed=0, envelope=None, support=None):
@@ -175,6 +179,57 @@ class TestDispersion:
         u = random_field(g, 9)
         w = free_evolve(u, 0.7, d)
         assert w.hermitian_defect() <= 1e-13
+
+
+class TestPhasor:
+    """``phasor(w, t) = exp(i w t)`` with the argument reduced in extended
+    precision. The lattice reaches |omega| ~ 1e12, so ``|w t|`` reaches 1e6
+    at ``t = 1e-6``."""
+
+    G = Grid(2 * np.pi, 512)
+    D = DispersionParams(0.6)
+    TIMES = (1e-6, 0.37e-6, np.linspace(-2e-6, 3e-6, 9)[:, None])
+
+    @pytest.mark.parametrize("t", TIMES)
+    def test_conjugate_symmetric(self, t):
+        # a reduction by np.mod, which maps w t and -w t to remainders of
+        # one sign, fails this
+        w = omega(self.G.xi, self.D)
+        assert np.array_equal(phasor(-w, t), np.conj(phasor(w, t)))
+
+    @pytest.mark.parametrize("t", TIMES)
+    def test_mirrored_half_spectrum_matches_full_grid(self, t):
+        g = self.G
+        w = omega(g.xi, self.D)
+        mirrored = _full_spectrum(phasor(w[:g.size // 2 + 1], t))
+        full = np.broadcast_to(phasor(w, t), mirrored.shape)
+        off_nyquist = np.arange(g.size) != g.nyquist_index
+        assert mirrored.shape == np.broadcast_shapes(w.shape, np.shape(t))
+        assert mirrored[..., off_nyquist].tobytes() == full[..., off_nyquist].tobytes()
+        assert np.all(mirrored[..., g.nyquist_index] == 0.0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                        reason="no extended-precision long double on this platform")
+    def test_accuracy_against_decimal_reduction(self):
+        # reference: w t formed exactly and reduced mod 2 pi to 60 digits;
+        # the reduced phase then needs only double precision
+        pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+        rng = np.random.default_rng(5)
+        w = rng.uniform(-1.0, 1.0, 400) * 10.0 ** rng.uniform(0.0, 13.0, 400)
+        t = 10.0 ** rng.uniform(-6.0, 0.0, 400)
+        w *= np.minimum(1.0, 1e7 / np.abs(w * t))
+        ref = np.empty(w.size, dtype=np.complex128)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for i, (a, b) in enumerate(zip(w, t)):
+                r = float((Decimal(float(a)) * Decimal(float(b))) % (2 * pi))
+                ref[i] = complex(math.cos(r), math.sin(r))
+        assert np.max(np.abs(w * t)) > 5e6
+        # extended precision: ~|w t| * 6e-20 from the product and the
+        # reduction, against |w t| * 4e-17 with a double pi and |w t| * 1e-16
+        # for a double-precision argument
+        err = np.abs(phasor(w, t) - ref)
+        assert np.all(err <= 1e-15 + 2e-19 * np.abs(w * t))
 
 
 class TestDispersiveOrder:
