@@ -15,16 +15,13 @@ from .grid import (
 from .imethod import (
     EnergyReport,
     GwpConfig,
-    HyperplaneTuple,
     energy_derivative_audit,
     gwp_experiment,
-    h_v_eval,
     lambda_k,
     modified_energies,
-    power_sum_identity_check,
 )
 from .imultiplier import IMultiplier, apply_I
-from .multipliers import EnergyMultipliers
+from .multipliers import EnergyMultipliers, h_v_eval, power_sum_identity_check
 from .solver import (
     PetviashviliError,
     SolverConfig,
@@ -43,10 +40,9 @@ __all__ = [
     "DyadicShell", "eta0", "eta_k", "project_dyadic", "project_low", "shell_count",
     "Grid", "SpectralField", "homogeneous_seminorm", "load_field", "rescale_datum",
     "save_field", "sobolev_norm",
-    "EnergyReport", "GwpConfig", "HyperplaneTuple", "energy_derivative_audit",
-    "gwp_experiment", "h_v_eval", "lambda_k", "modified_energies",
-    "power_sum_identity_check",
-    "IMultiplier", "apply_I", "EnergyMultipliers",
+    "EnergyReport", "GwpConfig", "energy_derivative_audit",
+    "gwp_experiment", "lambda_k", "modified_energies",
+    "IMultiplier", "apply_I", "EnergyMultipliers", "h_v_eval", "power_sum_identity_check",
     "PetviashviliError", "SolverConfig", "SolverDivergenceError", "Trajectory",
     "nonlinear_rhs", "petviashvili_wave", "simulate", "step",
     "__version__",

@@ -197,7 +197,7 @@ def _cmd_energy_track(cfg, seed, workers):
     mult = IMultiplier(cfg["N"], cfg["s"])
     u0 = _random_datum(grid, seed, cfg["amplitude"], cfg["decay"], cfg["support"])
     if cfg["pre_time"] > 0:
-        wmax = float(np.max(np.abs(disp.mu * grid.xi ** 3 - grid.xi ** 5)))
+        wmax = float(np.max(np.abs(omega(grid.xi, disp))))
         dt_pre = min(2e-5, 0.5e6 / wmax)
         pre = SolverConfig(grid, disp, dt=dt_pre, t_end=cfg["pre_time"],
                            monitor_stride=10 ** 9)

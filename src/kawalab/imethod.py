@@ -19,18 +19,19 @@ quartic pair-table engine; the removable singularities of sigma4 are
 resolved in one batch per quartic sum.
 """
 
+import functools
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .grid import sobolev_norm, rescale_datum
 from .imultiplier import apply_I
-from .multipliers import EnergyMultipliers, h_v_eval, power_sum_identity_check
+from .multipliers import EnergyMultipliers
 from .solver import SolverConfig, simulate
 from .summation import ordered_sum
 
 __all__ = [
-    "HyperplaneTuple",
     "EnergyReport",
     "GwpConfig",
     "GwpResult",
@@ -41,34 +42,11 @@ __all__ = [
     "modified_energies",
     "energy_derivative_audit",
     "gwp_experiment",
-    "h_v_eval",
-    "power_sum_identity_check",
 ]
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
-_CHUNK = 1 << 22
-
-
-@dataclass(frozen=True)
-class HyperplaneTuple:
-    """Zero-sum lattice frequency tuple, k in {3, 4, 5}."""
-
-    modes: tuple
-    dxi: float = 1.0
-
-    def __post_init__(self):
-        k = len(self.modes)
-        if k not in (3, 4, 5):
-            raise ValueError("tuple length must be 3, 4, or 5")
-        if any(int(m) != m for m in self.modes):
-            raise ValueError("modes must be integers")
-        if sum(int(m) for m in self.modes) != 0:
-            raise ValueError("mode indices must sum to zero exactly")
-
-    @property
-    def frequencies(self):
-        return np.array([m * self.dxi for m in self.modes])
+_CHUNK = 1 << 16
 
 
 def _hyperplane_weight(k, dxi):
@@ -97,103 +75,42 @@ def _gather(coeff_by_mode, modes, n):
 
 def lambda_k(mult, fields, support_tol=1e-14):
     """Generic hyperplane functional; ``mult`` maps k frequency arrays to
-    multiplier values. Cost grows like the product of field supports, so
-    k = 5 is guarded; dedicated evaluators below handle the production
-    k = 4, 5 kernels.
+    multiplier values. The first k-1 slots run over their supports, the
+    last is gathered at ``-(sum of the others)``, and ``mult`` is evaluated
+    once per block of whole first-slot rows holding at most ``_CHUNK``
+    tuples. Cost grows like the product of the first k-1 supports, so more
+    than 2**24 tuples are refused; dedicated evaluators below handle the
+    production k = 4, 5 kernels.
     """
     k = len(fields)
     if k not in (2, 3, 4, 5):
         raise ValueError("k must be in {2, 3, 4, 5}")
     grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise ValueError("grid mismatch")
-    dxi = grid.dxi
-    n = grid.size
-    w = _hyperplane_weight(k, dxi)
+    if any(f.grid != grid for f in fields[1:]):
+        raise ValueError("grid mismatch")
     supports = [_support(f, support_tol) for f in fields]
     if any(ms.size == 0 for ms, _ in supports):
         return 0.0 + 0.0j
-
-    if k == 2:
-        ms, cs = supports[0]
-        lookup = _mode_lookup(fields[1])
-        partner = _gather(lookup, -ms, n)
-        vals = mult(ms * dxi, -ms * dxi) * cs * partner
-        return complex(ordered_sum([vals]) * w)
-
-    if k == 3:
-        m1, c1 = supports[0]
-        m2, c2 = supports[1]
-        lookup = _mode_lookup(fields[2])
-        chunks = []
-        for i, (mi, ci) in enumerate(zip(m1, c1)):
-            m3 = -mi - m2
-            c3 = _gather(lookup, m3, n)
-            vals = mult(np.full(m2.shape, mi * dxi), m2 * dxi, m3 * dxi) * (ci * c2 * c3)
-            chunks.append(vals)
-        return complex(ordered_sum(chunks) * w)
-
-    if k == 4:
-        m1, c1 = supports[0]
-        m2, c2 = supports[1]
-        m3, c3 = supports[2]
-        lookup = _mode_lookup(fields[3])
-        MJ, MK = np.meshgrid(m2, m3, indexing="ij")
-        CJK = c2[:, None] * c3[None, :]
-        chunks = []
-        for mi, ci in zip(m1, c1):
-            ml = -mi - MJ - MK
-            cl = _gather(lookup, ml, n)
-            vals = mult(
-                np.full(MJ.shape, mi * dxi), MJ * dxi, MK * dxi, ml * dxi
-            ) * (ci * CJK * cl)
-            chunks.append(vals.ravel())
-        return complex(ordered_sum(chunks) * w)
-
-    # k == 5, direct enumeration for small supports only
-    sizes = np.prod([float(ms.size) for ms, _ in supports[:4]])
-    if sizes > 2 ** 24:
-        raise ValueError(
-            "direct k=5 sum too large; use lambda5_m5 (product structure)"
-        )
-    m1, c1 = supports[0]
-    m2, c2 = supports[1]
-    m3, c3 = supports[2]
-    m4, c4 = supports[3]
-    lookup = _mode_lookup(fields[4])
-    MK, ML = np.meshgrid(m3, m4, indexing="ij")
-    CKL = c3[:, None] * c4[None, :]
-    chunks = []
-    for mi, ci in zip(m1, c1):
-        for mj, cj in zip(m2, c2):
-            mtop = -mi - mj - MK - ML
-            ctop = _gather(lookup, mtop, n)
-            vals = mult(
-                np.full(MK.shape, mi * dxi),
-                np.full(MK.shape, mj * dxi),
-                MK * dxi,
-                ML * dxi,
-                mtop * dxi,
-            ) * (ci * cj * CKL * ctop)
-            chunks.append(vals.ravel())
-    return complex(ordered_sum(chunks) * w)
+    ms, cs = zip(*supports[:-1])
+    if math.prod(m.size for m in ms) > 2 ** 24:
+        raise ValueError("direct sum too large; use the dedicated evaluators")
+    dxi = grid.dxi
+    lookup = _mode_lookup(fields[-1])
+    rows = max(1, _CHUNK // math.prod(m.size for m in ms[1:]))
+    blocks = []
+    for r in range(0, ms[0].size, rows):
+        modes = np.meshgrid(ms[0][r:r + rows], *ms[1:], indexing="ij")
+        coeffs = functools.reduce(np.multiply.outer, [cs[0][r:r + rows], *cs[1:]])
+        last = -sum(modes)
+        vals = mult(*[m * dxi for m in modes], last * dxi)
+        blocks.append(vals * (coeffs * _gather(lookup, last, grid.size)))
+    return complex(ordered_sum(blocks) * _hyperplane_weight(k, dxi))
 
 
 def lambda3_kernel(u, kernel, support_tol=1e-14):
-    """Fast ``Lambda_3(kernel; u, u, u)`` over one field's support."""
-    grid = u.grid
-    n = grid.size
-    dxi = grid.dxi
-    ms, cs = _support(u, support_tol)
-    if ms.size == 0:
-        return 0.0 + 0.0j
-    lookup = _mode_lookup(u)
-    MA, MB = np.meshgrid(ms, ms, indexing="ij")
-    MC = -MA - MB
-    cc = _gather(lookup, MC, n)
-    vals = kernel(MA * dxi, MB * dxi, MC * dxi) * (cs[:, None] * cs[None, :] * cc)
-    return complex(ordered_sum([vals.ravel()]) * _hyperplane_weight(3, dxi))
+    """``Lambda_3(kernel; u, u, u)``."""
+    # kept as its own name: perfbench/tracer.py wraps it by name
+    return lambda_k(kernel, [u, u, u], support_tol)
 
 
 class _SigmaTables:

@@ -7,7 +7,6 @@ from kawalab import (
     DispersionParams,
     EnergyMultipliers,
     Grid,
-    HyperplaneTuple,
     IMultiplier,
     SolverConfig,
     SpectralField,
@@ -33,18 +32,6 @@ def random_field(grid, seed, support=None, envelope=None, amplitude=1.0):
     return u * (amplitude / u.l2_norm())
 
 
-class TestHyperplaneTuple:
-    def test_accepts_zero_sum(self):
-        t = HyperplaneTuple((4, -9, 5), dxi=0.5)
-        assert np.allclose(t.frequencies, [2.0, -4.5, 2.5])
-
-    def test_rejects_nonzero_sum(self):
-        with pytest.raises(ValueError):
-            HyperplaneTuple((1, 2, 3))
-        with pytest.raises(ValueError):
-            HyperplaneTuple((1, 2))
-
-
 class TestLambdaK:
     def test_lambda2_is_weighted_mass(self):
         g = Grid(2 * np.pi, 64)
@@ -55,18 +42,24 @@ class TestLambdaK:
         assert val.real == pytest.approx(expect, rel=1e-12)
         assert abs(val.imag) <= 1e-14 * expect
 
-    def test_lambda3_brute_force_enumeration(self):
+    @pytest.mark.parametrize("slots", [(0, 0, 0), (0, 1, 2)], ids=["same", "distinct"])
+    def test_lambda3_brute_force_enumeration(self, slots):
         g = Grid(2 * np.pi, 16)
-        coeff = {1: 0.3 + 0.1j, -1: 0.3 - 0.1j, 2: -0.2 + 0.05j, -2: -0.2 - 0.05j}
-        u = SpectralField.from_mode_dict(g, coeff)
-        got = lambda_k(lambda a, b, c: np.ones_like(a), [u, u, u])
+        dicts = [
+            {1: 0.3 + 0.1j, -1: 0.3 - 0.1j, 2: -0.2 + 0.05j, -2: -0.2 - 0.05j},
+            {1: 0.7 - 0.2j, 3: -0.4 + 0.3j, -4: 0.1 + 0.6j},
+            {-1: 0.5 + 0.5j, -3: 0.2 - 0.1j, 2: -0.3 + 0.2j, 4: 0.9 - 0.4j},
+        ]
+        coeffs = [dicts[i] for i in slots]
+        fields = [SpectralField.from_mode_dict(g, c, real=False) for c in coeffs]
+        # a mode-weighted multiplier tells the three slots apart
+        got = lambda_k(lambda a, b, c: 1.0 + a + 2.0 * b * b, fields)
         brute = 0.0
-        modes = list(coeff)
-        for a in modes:
-            for b in modes:
-                for c in modes:
+        for a, ca in coeffs[0].items():
+            for b, cb in coeffs[1].items():
+                for c, cc in coeffs[2].items():
                     if a + b + c == 0:
-                        brute += coeff[a] * coeff[b] * coeff[c]
+                        brute += (1.0 + a * g.dxi + 2.0 * (b * g.dxi) ** 2) * ca * cb * cc
         brute *= g.dxi ** 2 / np.sqrt(2 * np.pi)
         assert got == pytest.approx(brute, abs=1e-15)
 
@@ -82,6 +75,12 @@ class TestLambdaK:
         val = lambda_k(kern.m3, [u, u, u])
         assert abs(val.imag) <= 1e-12 * max(abs(val.real), 1e-300)
 
+    def test_guard_refuses_large_direct_sum(self):
+        g = Grid(2 * np.pi, 256)
+        u = random_field(g, 2, support=32)  # 65 modes: 65**4 > 2**24 tuples
+        with pytest.raises(ValueError):
+            lambda_k(lambda *xs: np.ones_like(xs[0]), [u] * 5)
+
     def test_grid_mismatch(self):
         u = random_field(Grid(2 * np.pi, 16), 1)
         v = random_field(Grid(2 * np.pi, 32), 1)
@@ -96,6 +95,15 @@ class TestFastPaths:
         u = random_field(g, 9, support=9, envelope=lambda a: (1 + a) ** -0.5)
         fast = lambda4_sigma4(u, kern)
         generic = lambda_k(kern.sigma4, [u, u, u, u])
+        assert abs(fast - generic) <= 1e-12 * abs(generic)
+
+    def test_lambda4_generic_spans_blocks(self):
+        g = Grid(2 * np.pi, 128)
+        kern = EnergyMultipliers(IMultiplier(3.0), DispersionParams(0.6))
+        u = random_field(g, 4, support=20, envelope=lambda a: (1 + a) ** -0.5)
+        assert u.support_indices().size ** 3 > 2 ** 16  # at least two blocks
+        fast = lambda4_sigma4(u, kern)
+        generic = lambda_k(kern.sigma4, [u] * 4)
         assert abs(fast - generic) <= 1e-12 * abs(generic)
 
     def test_lambda5_product_structure_matches_direct(self):
