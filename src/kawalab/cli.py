@@ -154,6 +154,12 @@ SIMULATE_DEFAULTS = {
 }
 
 
+def _run_counters(traj):
+    """The trajectory's deterministic step counters, for ``summary.json``."""
+    return {"steps": traj.steps, "dt": traj.dt,
+            "divergence_margin": traj.divergence_margin}
+
+
 def _cmd_simulate(cfg, seed, workers):
     grid = Grid(cfg["L"], cfg["n"])
     disp = DispersionParams(cfg["mu"])
@@ -180,6 +186,7 @@ def _cmd_simulate(cfg, seed, workers):
     artifacts["summary.json"] = {
         "mean_drift": mean_drift, "l2_relative_drift": l2_drift,
         "samples": len(traj),
+        **_run_counters(traj),
     }
     return artifacts, gates
 
@@ -216,7 +223,8 @@ def _cmd_energy_track(cfg, seed, workers):
     return {
         "energy.csv": (["t", "E2", "corr3", "corr4", "E4", "resid3", "resid5"], rows),
         "summary.json": {"stride": stride, "worst_resid3": worst,
-                         "dealias_warning": audit["dealias_warning"]},
+                         "dealias_warning": audit["dealias_warning"],
+                         **_run_counters(traj)},
     }, gates
 
 

@@ -15,16 +15,18 @@ rounding blowup of raw power sums when a pair sum is small.
 
 Exactly-zero denominators are removable; they are resolved by a
 one-dimensional in-hyperplane limit with Richardson extrapolation, along
-a direction that moves only the vanishing factor(s). The limit works on
-whole arrays, grouped by direction, so the quartic lattice sums of
-:mod:`kawalab.imethod` collect their singular tuples and resolve them in
-one ``sigma4`` call per sum.
+a direction that moves only the vanishing factor(s). Each point carries
+its own direction and step, and the four displaced copies of the whole
+singular set go through one call of the regular kernel, so the quartic
+lattice sums of :mod:`kawalab.imethod` resolve all their singular tuples
+in one ``sigma4`` call per sum and one regular-kernel call per limit.
 
 An optional band cutoff makes the kernels match a dealiased Galerkin
 evolution exactly: pair sums beyond the cutoff then carry weight zero in
 M4 and M5, mirroring the projection inside the discrete nonlinearity.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,13 +88,16 @@ def power_sum_identity_check(freqs):
 
 
 def _richardson(f, cols, direction, step):
-    """Even-in-eps average of ``f`` at +-step, +-step/2, extrapolated."""
-    def shifted(eps):
-        args = [c + eps * d for c, d in zip(cols, direction)]
-        return f(*args)
+    """Even-in-eps average of ``f`` at +-step, +-step/2, extrapolated.
 
-    g1 = 0.5 * (shifted(step) + shifted(-step))
-    g2 = 0.5 * (shifted(0.5 * step) + shifted(-0.5 * step))
+    The four displaced argument sets go through one call of the
+    elementwise ``f``, so each point's value does not depend on the batch.
+    """
+    eps = (step, -step, 0.5 * step, -0.5 * step)
+    args = [np.concatenate([c + e * d for e in eps]) for c, d in zip(cols, direction)]
+    fp, fm, hp, hm = np.split(f(*args), 4)
+    g1 = 0.5 * (fp + fm)
+    g2 = 0.5 * (hp + hm)
     return (4.0 * g2 - g1) / 3.0
 
 
@@ -254,19 +259,12 @@ class EnergyMultipliers:
 
     def _sigma4_limit(self, x1, x2, x3, x4, z12, z13, z23):
         cols = [x1, x2, x3, x4]
-        out = np.zeros(x1.shape, dtype=np.complex128)
-        keys = np.stack([z12, z13, z23])
+        # row 4*z12 + 2*z13 + z23 holds that key's direction
+        table = np.array([self._DIRECTIONS.get(key, (0.0,) * 4)
+                          for key in itertools.product((False, True), repeat=3)])
+        d = table[4 * z12 + 2 * z13 + z23]
         scale = np.maximum(1.0, np.max(np.abs(np.stack(cols)), axis=0))
-        for key, d in self._DIRECTIONS.items():
-            sel = (keys[0] == key[0]) & (keys[1] == key[1]) & (keys[2] == key[2])
-            if not np.any(sel):
-                continue
-            sub = [c[sel] for c in cols]
-            direction = [np.full(sub[0].shape, di) for di in d]
-            out[sel] = _richardson(
-                self._sigma4_regular, sub, direction, self.limit_step * scale[sel]
-            )
-        return out
+        return _richardson(self._sigma4_regular, cols, list(d.T), self.limit_step * scale)
 
     # -- quintic level ----------------------------------------------------
 

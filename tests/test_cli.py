@@ -127,6 +127,19 @@ class TestRuns:
         assert f"L = {grid.length}" in manifest
         assert "n = 64" in manifest
 
+    @pytest.mark.parametrize("command", ["simulate", "energy-track"])
+    def test_summary_carries_step_counters(self, tmp_path, command):
+        out = tmp_path / command
+        main(["--seed", "77", "--no-gate", "--out", str(out), command]
+             + DETERMINISM_PRESETS[command])
+        summary = json.loads((out / "summary.json").read_text())
+        assert isinstance(summary["steps"], int) and summary["steps"] > 0
+        assert summary["dt"] > 0.0
+        assert 0.0 < summary["divergence_margin"] < 1.0
+        if command == "simulate":
+            # 0.02 / 0.0005 steps on the preset
+            assert summary["steps"] == 40 and summary["dt"] == 0.0005
+
     def test_simulate_unusable_datum_named(self, tmp_path, capsys):
         complex_field = tmp_path / "complex.txt"
         save_field(SpectralField.from_mode_dict(Grid(4 * np.pi, 64), {1: 0.1}, real=False),

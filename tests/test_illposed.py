@@ -126,6 +126,33 @@ class TestIterates:
         assert all(a > b for a, b in zip(shares, shares[1:]))
 
 
+class TestTailFloor:
+    CFG = IllposedConfig(n_list=(128,), quad_points=16, out_points=16)
+
+    def test_tail_below_resolution_reads_zero(self):
+        raw = iterate_A(self.CFG, 128, 3, quad_points=2 * self.CFG.quad_points)
+        assert 0.0 < raw["tail_norm"] < 1e-9 * raw["hs_norm"]
+        (row,) = illposed_sweep(self.CFG)
+        assert row["tail_norm"] == 0.0
+        assert row["a3_norm"] == raw["hs_norm"]
+
+    @pytest.mark.parametrize("share, kept", [(2e-9, True), (0.5e-9, False)])
+    def test_floor_is_relative_to_a3_norm(self, monkeypatch, share, kept):
+        from kawalab import illposed
+
+        inner = illposed.iterate_A
+
+        def resolved_tail(config, N, order, quad_points=None):
+            out = inner(config, N, order, quad_points)
+            if order == 3:
+                out = dict(out, tail_norm=share * out["hs_norm"])
+            return out
+
+        monkeypatch.setattr(illposed, "iterate_A", resolved_tail)
+        (row,) = illposed_sweep(self.CFG)
+        assert row["tail_norm"] == (share * row["a3_norm"] if kept else 0.0)
+
+
 class TestGrowthFit:
     def test_expected_exponents(self):
         assert -2.0 * (-2.5) - 4.5 == pytest.approx(0.5)

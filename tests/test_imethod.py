@@ -16,6 +16,7 @@ from kawalab import (
     modified_energies,
     simulate,
 )
+from kawalab import multipliers
 from kawalab.imethod import (
     lambda3_kernel,
     lambda4_sigma4,
@@ -150,6 +151,39 @@ class TestSingularLimitBatch:
         lambda5_m5(u, kern)
         assert len(calls) == 1
         assert len(calls[0]) > 1
+
+    @pytest.mark.parametrize("functional", [lambda4_sigma4, lambda5_m5],
+                             ids=["lambda4", "lambda5"])
+    def test_limit_is_one_kernel_call(self, monkeypatch, functional):
+        # the whole singular set, every direction class at once, goes
+        # through one _sigma4_regular call, and each _richardson call
+        # evaluates its four displaced argument sets in one call of f
+        u, kern = self._case()
+        regular, f_calls = [], []
+        inner_regular = EnergyMultipliers._sigma4_regular
+        inner_richardson = multipliers._richardson
+
+        def counted_regular(self, *cols):
+            regular.append(cols[0].size)
+            return inner_regular(self, *cols)
+
+        def counted_richardson(f, cols, direction, step):
+            calls = []
+
+            def counted_f(*args):
+                calls.append(args[0].size)
+                return f(*args)
+
+            out = inner_richardson(counted_f, cols, direction, step)
+            f_calls.append(calls)
+            return out
+
+        monkeypatch.setattr(EnergyMultipliers, "_sigma4_regular", counted_regular)
+        monkeypatch.setattr(multipliers, "_richardson", counted_richardson)
+        functional(u, kern)
+        assert len(regular) == 1
+        assert f_calls and all(len(calls) == 1 for calls in f_calls)
+        assert [regular[0]] in f_calls  # four displaced copies of the set
 
 
 class TestModifiedEnergies:

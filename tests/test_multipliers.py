@@ -155,6 +155,54 @@ class TestQuarticKernel:
         assert abs(policy - nearby) <= 1e-3 * max(abs(policy), 1e-300)
 
 
+class TestBatchIndependence:
+    """The singular limits stack their displaced arguments into one kernel
+    call; no element of a batch may depend on the others."""
+
+    KERNELS = [KERN, EnergyMultipliers(M, D, band_cutoff=12.0)]
+
+    @pytest.mark.parametrize("kern", KERNELS, ids=["plain", "band"])
+    def test_sigma4_batch_equals_one_at_a_time(self, kern):
+        tuples = np.array([
+            [5.0, -5.0, 9.0, -9.0],     # x1 + x2 = 0
+            [5.0, 9.0, -5.0, -9.0],     # x1 + x3 = 0
+            [9.0, 5.0, -5.0, -9.0],     # x2 + x3 = 0
+            [5.0, 5.0, -5.0, -5.0],     # x1 + x3 = x2 + x3 = 0
+            [5.0, -5.0, 5.0, -5.0],     # x1 + x2 = x2 + x3 = 0
+            [5.0, -5.0, -5.0, 5.0],     # x1 + x2 = x1 + x3 = 0
+            [100.0, -100.0, 37.0, -37.0],  # x1 + x2 = 0, larger step
+            [7.0, 3.0, -2.0, -8.0],     # regular
+            [-13.0, 6.0, 7.0, 0.0],     # regular, one zero frequency
+            [6.0, -13.0, 4.5, 2.5],
+            [1.0, -1.0, 2.0, -2.0],     # singular but below threshold
+            [1.0, 2.0, -1.0, -2.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ])
+        batch = kern.sigma4(*tuples.T)
+        single = np.array([scalar(kern.sigma4(*[t[i:i + 1] for i in range(4)]))
+                           for t in tuples])
+        assert np.all(batch == single)
+        assert np.all(batch[:8] != 0.0) and np.all(batch[-3:] == 0.0)
+
+    @pytest.mark.parametrize("kern", KERNELS, ids=["plain", "band"])
+    def test_sigma3_batch_equals_one_at_a_time(self, kern):
+        triples = np.array([
+            [0.0, 9.0, -9.0],
+            [9.0, 0.0, -9.0],
+            [-9.0, 9.0, 0.0],
+            [0.0, 100.0, -100.0],
+            [0.0, -5.5, 5.5],
+            [5.25, -12.5, 7.25],        # regular
+            [0.0, 2.0, -2.0],           # zero frequency, below threshold
+            [0.0, 0.0, 0.0],
+        ])
+        batch = kern.sigma3(*triples.T)
+        single = np.array([scalar(kern.sigma3(*[t[i:i + 1] for i in range(3)]))
+                           for t in triples])
+        assert np.all(batch == single)
+        assert np.all(batch[:6] != 0.0) and np.all(batch[-2:] == 0.0)
+
+
 class TestQuinticKernel:
     def test_m5_permutation_invariance(self):
         x = (6.0, -13.0, 4.5, 2.5, 0.25)
