@@ -157,7 +157,7 @@ SIMULATE_DEFAULTS = {
 def _run_counters(traj):
     """The trajectory's deterministic step counters, for ``summary.json``."""
     return {"steps": traj.steps, "dt": traj.dt,
-            "divergence_margin": traj.divergence_margin}
+            "peak_growth": traj.peak_growth}
 
 
 def _cmd_simulate(cfg, seed, workers):

@@ -15,8 +15,13 @@ with no stray constants, exactly for the dealiased Galerkin dynamics of
 band cutoff.
 
 ``Lambda_4(sigma4)`` and the product-structure ``Lambda_5(M5)`` share one
-quartic pair-table engine; the removable singularities of sigma4 are
-resolved in one batch per quartic sum.
+quartic pair-table engine. Its summand is symmetric in the first three
+slots, so it visits only the sorted support triples i <= j <= k, each
+weighted by its 6, 3 or 1 distinct orderings; the removable singularities
+of sigma4 are resolved in one batch per quartic sum. The limit is taken
+at the sorted 4-tuple (see :mod:`kawalab.multipliers`), so each ordering
+of a singular tuple has the same value bit for bit and the weights agree
+with the direct sum over all orderings.
 """
 
 import functools
@@ -47,6 +52,10 @@ __all__ = [
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
 _CHUNK = 1 << 16
+
+# distinct orderings of a sorted triple i <= j <= k, indexed by the count
+# of (i == j, j == k): all distinct, one pair equal, all equal
+_ORDERINGS = np.array([6.0, 3.0, 1.0])
 
 
 def _hyperplane_weight(k, dxi):
@@ -137,45 +146,70 @@ class _SigmaTables:
         return self.kernels._t_pair(XA, XB)
 
 
+def _triple_blocks(size):
+    """The triples i <= j <= k of ``range(size)`` in blocks of whole rows i,
+    at most ``_CHUNK`` triples per block (at least one row).
+
+    Yields ``(i, pair)``: each triple's row and its position in the pair
+    list ``np.triu_indices(size)`` (j <= k, ordered by j then k), whose
+    pairs with j >= i are its contiguous tail from ``start[i]``.
+    """
+    rows = np.arange(size)
+    start = rows * size - rows * (rows - 1) // 2
+    counts = size * (size + 1) // 2 - start
+    ends = np.cumsum(counts)
+    r = 0
+    while r < size:
+        stop = max(r + 1, int(np.searchsorted(ends, ends[r] - counts[r] + _CHUNK, "right")))
+        first = ends[r:stop] - counts[r:stop]  # each row's first triple
+        pair = np.arange(first[0], ends[stop - 1]) - np.repeat(first - start[r:stop],
+                                                               counts[r:stop])
+        yield np.repeat(rows[r:stop], counts[r:stop]), pair
+        r = stop
+
+
 def _quartic_sum(tab, kernels, pos4, c4, t4, weigh):
     """``sum weigh(sigma4(xi, xj, xk, xl), xl) * (ci cj ck c4_l)`` over the
-    support rows i, j, k of ``tab``, with ``l = -(i+j+k)``, as the ordered
-    sum of one partial per row i.
+    ordered support triples (i, j, k) of ``tab``, with ``l = -(i+j+k)``.
+
+    The summand is symmetric in (i, j, k), so only the sorted triples
+    i <= j <= k are visited, each weighted by its number of distinct
+    orderings: 6, 3 or 1. They are taken in blocks of whole rows i
+    (``_triple_blocks``) and the block partials combined with
+    ``ordered_sum``.
 
     The fourth slot is given by tables over its own support: ``pos4`` maps
     a mode (offset by n/2) to its column, -1 off the support; ``c4`` holds
     the column coefficients and ``t4`` the pair terms ``T[a, col]`` against
     the rows of ``tab``. Pair-sum zeros are removable singularities: a
-    first pass collects those of every row and resolves them in one
-    ``sigma4`` call, and the second pass computes each row and takes its
-    slice of the limits in row order. Only one row is held at a time.
+    first pass collects those of every block and resolves them in one
+    ``sigma4`` call, and the second pass computes each block and takes its
+    slice of the limits in block order. Only one block is held at a time.
     """
     ms, cs, dxi, n = tab.ms, tab.cs, tab.dxi, tab.n
     mu = kernels.disp.mu
-    T = tab.t_table
-    MJ, MK = np.meshgrid(ms, ms, indexing="ij")
-    PJ, PK = np.meshgrid(np.arange(ms.size), np.arange(ms.size), indexing="ij")
-    CJK = cs[:, None] * cs[None, :]
-    XJ = MJ * dxi
-    XK = MK * dxi
-    p23 = XJ + XK
-    XJ2 = XJ * XJ
-    XK2 = XK * XK
-    jk_zero = MJ + MK == 0
+    T = tab.t_table.ravel()
+    t4_flat = t4.ravel()
+    cols4 = t4.shape[1]
+    size = ms.size
+    J, K = np.triu_indices(size)
+    xs = ms * dxi
 
-    def row(mi):
-        ml = -mi - MJ - MK
+    def block(i, pair):
+        j, k = J[pair], K[pair]
+        mi, mj, mk = ms[i], ms[j], ms[k]
+        ml = -mi - mj - mk
         valid = (ml >= -(n // 2)) & (ml < n // 2)
         pl = np.where(valid, pos4[np.where(valid, ml, 0) + n // 2], -1)
         live = pl >= 0
-        singular = (mi + MJ == 0) | (mi + MK == 0) | jk_zero
-        return ml, pl, live, singular
+        singular = (mi + mj == 0) | (mi + mk == 0) | (mj + mk == 0)
+        return j, k, ml, pl, live, singular
 
     limit_args = ([], [], [], [])
-    for mi in ms:
-        ml, _, live, singular = row(mi)
+    for i, pair in _triple_blocks(size):
+        j, k, ml, _, live, singular = block(i, pair)
         sing = singular & live
-        for dest, col in zip(limit_args, (np.full(MJ.shape, mi * dxi), XJ, XK, ml * dxi)):
+        for dest, col in zip(limit_args, (xs[i], xs[j], xs[k], ml * dxi)):
             dest.append(col[sing])
     limits = np.concatenate(limit_args[0])
     if limits.size:
@@ -183,27 +217,27 @@ def _quartic_sum(tab, kernels, pos4, c4, t4, weigh):
 
     partials = []
     done = 0
-    for a, (mi, ci) in enumerate(zip(ms, cs)):
-        ml, pl, live, singular = row(mi)
+    for i, pair in _triple_blocks(size):
+        j, k, ml, pl, live, singular = block(i, pair)
         plc = np.where(live, pl, 0)
         cl = np.where(live, c4[plc], 0.0)
-        xi = mi * dxi
+        xi, xj, xk = xs[i], xs[j], xs[k]
         xl = ml * dxi
         m4 = 0.25j * (
-            T[a][:, None] + T[a][None, :] + T + t4[a, plc] + t4[PJ, plc] + t4[PK, plc]
+            T[i * size + j] + T[i * size + k] + T[j * size + k]
+            + t4_flat[i * cols4 + plc] + t4_flat[j * cols4 + plc] + t4_flat[k * cols4 + plc]
         )
-        p12 = xi + XJ
-        p13 = xi + XK
-        squares = xi * xi + XJ2 + XK2 + xl * xl
-        hv4 = 1j * p12 * p13 * p23 * (2.5 * squares - 3.0 * mu)
+        squares = xi * xi + xj * xj + xk * xk + xl * xl
+        hv4 = 1j * (xi + xj) * (xi + xk) * (xj + xk) * (2.5 * squares - 3.0 * mu)
         with np.errstate(divide="ignore", invalid="ignore"):
             s4 = np.where(singular | ~live, 0.0, -m4 / np.where(hv4 == 0, 1.0, hv4))
         sing = singular & live
         count = np.count_nonzero(sing)
         s4[sing] = limits[done:done + count]
         done += count
-        vals = weigh(s4, xl) * (ci * CJK * cl)
-        partials.append(vals.ravel().sum())
+        weight = _ORDERINGS[(i == j).astype(np.intp) + (j == k)]
+        vals = weigh(s4, xl) * (cs[i] * (cs[j] * cs[k]) * cl) * weight
+        partials.append(vals.sum())
     return ordered_sum(partials)
 
 

@@ -15,7 +15,10 @@ rounding blowup of raw power sums when a pair sum is small.
 
 Exactly-zero denominators are removable; they are resolved by a
 one-dimensional in-hyperplane limit with Richardson extrapolation, along
-a direction that moves only the vanishing factor(s). Each point carries
+a direction that moves only the vanishing factor(s). The sigma4 limit is
+taken at the sorted tuple, so it is symmetric by construction: every
+ordering of a singular point gets the same value bit for bit, as the
+sorted-triple sums of :mod:`kawalab.imethod` require. Each point carries
 its own direction and step, and the four displaced copies of the whole
 singular set go through one call of the regular kernel, so the quartic
 lattice sums of :mod:`kawalab.imethod` resolve all their singular tuples
@@ -238,9 +241,7 @@ class EnergyMultipliers:
             out[ok] = self._sigma4_regular(x1[ok], x2[ok], x3[ok], x4[ok])
         if np.any(singular):
             out[singular] = self._sigma4_limit(
-                x1[singular], x2[singular], x3[singular], x4[singular],
-                z12[singular], z13[singular], z23[singular],
-            )
+                x1[singular], x2[singular], x3[singular], x4[singular])
         return out
 
     def _sigma4_regular(self, x1, x2, x3, x4):
@@ -256,15 +257,27 @@ class EnergyMultipliers:
         (False, True, True): (1.0, -1.0, 0.0, 0.0),
         (True, True, True): (1.0, 0.0, 0.0, -1.0),
     }
+    # row 4*z12 + 2*z13 + z23 holds that key's direction (map, not a
+    # comprehension: a class-body comprehension cannot see _DIRECTIONS)
+    _DIRECTION_ROWS = np.array(list(map(
+        _DIRECTIONS.get, itertools.product((False, True), repeat=3),
+        itertools.repeat((0.0,) * 4))))
 
-    def _sigma4_limit(self, x1, x2, x3, x4, z12, z13, z23):
-        cols = [x1, x2, x3, x4]
-        # row 4*z12 + 2*z13 + z23 holds that key's direction
-        table = np.array([self._DIRECTIONS.get(key, (0.0,) * 4)
-                          for key in itertools.product((False, True), repeat=3)])
-        d = table[4 * z12 + 2 * z13 + z23]
-        scale = np.maximum(1.0, np.max(np.abs(np.stack(cols)), axis=0))
-        return _richardson(self._sigma4_regular, cols, list(d.T), self.limit_step * scale)
+    def _sigma4_limit(self, x1, x2, x3, x4):
+        """Richardson limit at the sorted tuple, so every ordering of a
+        singular point gets the same value bit for bit. A pairing vanishes
+        when either of its pairs does (on the zero-sum hyperplane p12 = 0
+        iff p34 = 0, likewise 13|24 and 14|23), so the sorted tuple keeps
+        the given tuple's vanishing pairings, also where rounding leaves
+        its sum a little off zero."""
+        cols = np.sort(np.stack([x1, x2, x3, x4]), axis=0)
+        z12 = (cols[0] + cols[1] == 0.0) | (cols[2] + cols[3] == 0.0)
+        z13 = (cols[0] + cols[2] == 0.0) | (cols[1] + cols[3] == 0.0)
+        z23 = (cols[1] + cols[2] == 0.0) | (cols[0] + cols[3] == 0.0)
+        d = self._DIRECTION_ROWS[4 * z12 + 2 * z13 + z23]
+        scale = np.maximum(1.0, np.max(np.abs(cols), axis=0))
+        return _richardson(self._sigma4_regular, list(cols), list(d.T),
+                           self.limit_step * scale)
 
     # -- quintic level ----------------------------------------------------
 

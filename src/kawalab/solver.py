@@ -80,8 +80,9 @@ class Trajectory:
     """Ordered (t, field) samples plus per-sample conserved quantities.
 
     ``steps`` and ``dt`` are the step count and size that were run, and
-    ``divergence_margin`` is the largest max|c| over all steps divided by
-    ``DIVERGENCE_THRESHOLD``; ``simulate`` sets all three."""
+    ``peak_growth`` is the largest max|c| over all steps divided by the
+    band-projected datum's max|c| (0.0 for a zero datum); ``simulate``
+    sets all three."""
 
     times: list = dc_field(default_factory=list)
     fields: list = dc_field(default_factory=list)
@@ -90,7 +91,7 @@ class Trajectory:
     dealias_cutoff: float = np.inf
     steps: int = 0
     dt: float = 0.0
-    divergence_margin: float = 0.0
+    peak_growth: float = 0.0
 
     def append(self, t, u):
         if self.times and t <= self.times[-1]:
@@ -257,7 +258,8 @@ def simulate(u0, config, t0=0.0):
             raise SolverDivergenceError(t0 + i * dt)
         if i % config.monitor_stride == 0 or i == n_steps:
             traj.append(t0 + i * dt, _band_field(u0, c))
-    traj.divergence_margin = float(stepper.peak) / DIVERGENCE_THRESHOLD
+    start = float(np.abs(half[:stepper.band]).max())
+    traj.peak_growth = float(stepper.peak) / start if start > 0.0 else 0.0
     return traj
 
 

@@ -135,7 +135,7 @@ class TestRuns:
         summary = json.loads((out / "summary.json").read_text())
         assert isinstance(summary["steps"], int) and summary["steps"] > 0
         assert summary["dt"] > 0.0
-        assert 0.0 < summary["divergence_margin"] < 1.0
+        assert 0.5 < summary["peak_growth"] < 2.0
         if command == "simulate":
             # 0.02 / 0.0005 steps on the preset
             assert summary["steps"] == 40 and summary["dt"] == 0.0005

@@ -16,7 +16,7 @@ from kawalab import (
     modified_energies,
     simulate,
 )
-from kawalab import multipliers
+from kawalab import imethod, multipliers
 from kawalab.imethod import (
     lambda3_kernel,
     lambda4_sigma4,
@@ -106,6 +106,29 @@ class TestFastPaths:
         fast = lambda4_sigma4(u, kern)
         generic = lambda_k(kern.sigma4, [u] * 4)
         assert abs(fast - generic) <= 1e-12 * abs(generic)
+
+    def test_sorted_triples_span_blocks(self):
+        g = Grid(2 * np.pi, 256)
+        kern = EnergyMultipliers(IMultiplier(3.0), DispersionParams(0.6))
+        u = random_field(g, 4, support=40, envelope=lambda a: (1 + a) ** -0.5)
+        S = u.support_indices().size
+        assert S * (S + 1) * (S + 2) // 6 > 2 ** 16  # at least two blocks
+        fast = lambda4_sigma4(u, kern)
+        generic = lambda_k(kern.sigma4, [u] * 4)
+        assert abs(fast - generic) <= 1e-12 * abs(generic)
+
+    @pytest.mark.parametrize("orderings", [(6.0, 6.0, 6.0), (6.0, 3.0, 3.0)],
+                             ids=["all-six", "diagonal-three"])
+    def test_wrong_multiplicity_is_caught(self, monkeypatch, orderings):
+        # the comparison against the direct sum must see a triple weighted
+        # by the wrong number of orderings
+        g = Grid(2 * np.pi, 64)
+        kern = EnergyMultipliers(IMultiplier(3.0), DispersionParams(0.6))
+        u = random_field(g, 9, support=9, envelope=lambda a: (1 + a) ** -0.5)
+        generic = lambda_k(kern.sigma4, [u] * 4)
+        monkeypatch.setattr(imethod, "_ORDERINGS", np.array(orderings))
+        fast = lambda4_sigma4(u, kern)
+        assert abs(fast - generic) > 1e-6 * abs(generic)
 
     def test_lambda5_product_structure_matches_direct(self):
         g = Grid(2 * np.pi, 64)

@@ -203,6 +203,31 @@ class TestBatchIndependence:
         assert np.all(batch[:6] != 0.0) and np.all(batch[-2:] == 0.0)
 
 
+class TestSymmetricLimit:
+    """The sigma4 limit is taken at the sorted tuple: all 24 orderings of a
+    singular point give the same value bit for bit."""
+
+    TUPLES = [
+        (5.0, -5.0, 9.0, -9.0),          # one vanishing pairing
+        (100.0, -100.0, 37.0, -37.0),    # one, larger step
+        (0.5, -0.5, 11.25, -11.25),      # one, a small pair
+        (9.0, -9.0, 0.0, 0.0),           # one, two zero frequencies
+        (7.0, 7.0, -7.0, -7.0),          # two vanishing pairings
+        (0.0, 0.0, 0.0, 0.0),            # all three; only at zero, below N
+    ]
+
+    @pytest.mark.parametrize("kern", [KERN, EnergyMultipliers(M, D, band_cutoff=12.0)],
+                             ids=["plain", "band"])
+    @pytest.mark.parametrize("point", TUPLES)
+    def test_every_ordering_bitwise_equal(self, kern, point):
+        orderings = np.array(list(itertools.permutations(point)))
+        assert len(orderings) == 24
+        batch = kern.sigma4(*orderings.T)
+        single = [scalar(kern.sigma4(*[np.array([x]) for x in t])) for t in orderings]
+        assert np.all(batch == batch[0]) and all(v == batch[0] for v in single)
+        assert (batch[0] == 0.0) == (max(map(abs, point)) == 0.0)
+
+
 class TestQuinticKernel:
     def test_m5_permutation_invariance(self):
         x = (6.0, -13.0, 4.5, 2.5, 0.25)

@@ -1,7 +1,8 @@
 """Run alternating parent/change pairs of perfbench/run.py and write BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --number N --parent HEAD~1 \\
-        --pairs energies=10 --pairs evolve=5 --pairs lab=5
+        --pairs energies=10 --pairs evolve=5 --pairs lab=5 \\
+        [--junit tier1-junit.xml]
 
 The parent commit's files are exported with ``git archive`` into a
 temporary directory, so each side imports kawalab from its own ``src/``
@@ -17,6 +18,11 @@ then per workload the seeds and, per side, ``attempted`` and ``failed``
 job counts per run and ``runs``/``median``/``q1``/``q3`` per metric
 (inclusive quartiles), plus ``change_vs_parent`` (median ratio, pairs in
 which the change is lower, the parent's interquartile range).
+
+``--junit PATH`` adds ``acceptance_s``: the time of each acceptance
+criterion (``test_aNN_*``) read from a ``pytest --junitxml`` file, such
+as the one the Tier-1 CI step writes with ``-o junit_duration_report=call``
+(call phase only, without fixture setup and teardown).
 """
 
 import argparse
@@ -24,11 +30,13 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import xml.etree.ElementTree as ET
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 with open(os.path.join(ROOT, "BENCHMARK.json")) as _fh:
@@ -122,6 +130,18 @@ def bench_workload(trees, workload, pairs, first_seed):
             "change_vs_parent": compare(parent, change)}
 
 
+def acceptance_times(path):
+    """``{test name: seconds}`` of the ``test_aNN_*`` cases in a JUnit XML file."""
+    times = {}
+    for case in ET.parse(path).getroot().iter("testcase"):
+        name = case.get("name", "")
+        if re.fullmatch(r"test_a\d\d_\w+", name):
+            times[name] = round(float(case.get("time", "nan")), 3)
+    if not times:
+        sys.exit(f"bench_pairs: no test_aNN_* cases in {path}")
+    return dict(sorted(times.items()))
+
+
 def parse_pairs(text):
     workload, _, count = text.partition("=")
     if workload not in WORKLOADS or not count.isdigit() or int(count) < 2:
@@ -137,8 +157,11 @@ def main(argv=None):
                         help="WORKLOAD=PAIRS, repeatable")
     parser.add_argument("--description", default="",
                         help="what the change is, for the description field")
+    parser.add_argument("--junit", metavar="PATH",
+                        help="pytest --junitxml file to take acceptance-criterion times from")
     args = parser.parse_args(argv)
     out = os.path.join(ROOT, f"BENCH_{args.number}.json")
+    acceptance = acceptance_times(args.junit) if args.junit else None
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         trees = {"parent": export(args.parent, os.path.join(tmp, "parent")), "change": ROOT}
@@ -156,6 +179,8 @@ def main(argv=None):
         for workload, pairs in args.pairs:
             record["workloads"][workload] = bench_workload(
                 trees, workload, pairs, 100 * args.number + 1)
+        if acceptance is not None:
+            record["acceptance_s"] = acceptance
     with open(out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
