@@ -6,6 +6,7 @@ All audits are seed-reproducible: a fixed seed fixes every sample, and
 reductions run in a fixed chunk order.
 """
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -26,6 +27,8 @@ __all__ = [
     "sigma3_bound_audit",
     "sigma4_bound_audit",
     "m5_bound_audit",
+    "bound_shell",
+    "bound_report",
 ]
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
@@ -523,12 +526,250 @@ def _fd_derivatives(kernels, x1, x2, x3, h):
     return [f0] + first + second + mixed
 
 
+# the sigma3 audit's default finite-difference step (1/128)
+_LATTICE_STEP = 2.0 * np.pi / (256.0 * np.pi)
+
+
 def _dyadic_cells(cap_exp):
     cells = []
     for a in range(0, cap_exp + 1):
         for b in range(a, cap_exp + 1):
             cells.append((2.0 ** a, 2.0 ** b))
     return cells
+
+
+def _sigma3_cell(kernels, lam, eta, per_cell, h, seed):
+    """One dyadic cell ``(lam, eta)`` of the sigma3 audit: its table row and
+    the argmax of its largest ratio (None for a cell that keeps no sample).
+    The cell draws from its own seed substream with a cap-independent
+    budget; its extension is evaluated once, on the 19 stencil points of all
+    its samples."""
+    mult, disp = kernels.mult, kernels.disp
+    N = mult.threshold
+    junction_offsets = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]) * h
+    rng = np.random.default_rng([seed, int(np.log2(lam)), int(np.log2(eta))])
+    x1 = rng.uniform(lam, 2 * lam, per_cell) * rng.choice([-1.0, 1.0], per_cell)
+    x2 = rng.uniform(eta, 2 * eta, per_cell) * rng.choice([-1.0, 1.0], per_cell)
+    # stratify onto the multiplier junctions (thin bands carrying the
+    # worst second differences; random coverage there is too sparse)
+    probe = 0
+    for junction in (N, 2.0 * N):
+        for col, lo in ((x1, lam), (x2, eta)):
+            if lo <= junction < 2 * lo:
+                take = junction_offsets + junction
+                take = take[(take >= lo) & (take < 2 * lo)]
+                span = min(per_cell // 4, take.size * 16)
+                if span == 0:
+                    continue
+                reps = np.resize(take, span)
+                col[probe:probe + span] = reps * np.sign(col[probe:probe + span])
+                probe += span
+    x3 = -x1 - x2
+    keep = (np.abs(x3) >= eta) & (np.abs(x3) < 2 * eta)
+    # keep clear of the low-frequency resonance sphere and tiny factors
+    squares = x1 ** 2 + x2 ** 2 + x3 ** 2
+    keep &= np.abs(squares - 1.2 * disp.mu) > 0.1 * eta ** 2
+    keep &= np.abs(x1) >= max(lam, 8.0 * h)
+    if not np.any(keep):
+        return {"lam": lam, "eta": eta, "samples": 0, "max_ratio": float("nan")}, None
+    x1, x2, x3 = x1[keep], x2[keep], x3[keep]
+    cell_best = -np.inf
+    arg = None
+    m2lam = mult.m2(lam)
+    derivs = _fd_derivatives(kernels, x1, x2, x3, h)
+    for beta, d in zip(_BETA_ORDERS, derivs):
+        dv = np.abs(d)
+        rhs = (
+            m2lam * eta ** -4.0 * lam ** -float(beta[0])
+            * eta ** -float(beta[1] + beta[2])
+        )
+        ratio = dv / rhs
+        i = int(np.argmax(ratio))
+        if ratio[i] > cell_best:
+            cell_best = float(ratio[i])
+            arg = (float(x1[i]), float(x2[i]), float(x3[i]))
+    return {"lam": lam, "eta": eta, "samples": int(x1.size), "max_ratio": cell_best}, arg
+
+
+def _shell_tuples(seed, top_exp, cap_exp, per_shell, width, singular_guard=1e-3):
+    """Zero-sum tuples (width 4 or 5) of dyadic shell ``top_exp``, drawn from
+    the shell's own seed substream: one coordinate's magnitude lies in
+    [2^top_exp, 2^(top_exp+1)), no magnitude exceeds 2^(cap_exp+1), and the
+    tuples stay clear of the vanishing pair-sum band (that set belongs to
+    the lattice limit policy, not to the region bound). The draws do not
+    depend on the cap, so a lower cap keeps a subset of a higher cap's
+    tuples, in the same order."""
+    free = width - 1
+    rng = np.random.default_rng([seed, top_exp])
+    e = rng.uniform(0.0, top_exp + 1.0, (per_shell, free))
+    e[:, 0] = rng.uniform(top_exp, top_exp + 1.0, per_shell)
+    # random roles for the shell-pinned coordinate
+    perm = rng.integers(0, free, per_shell)
+    swap = e[np.arange(per_shell), perm].copy()
+    e[np.arange(per_shell), perm] = e[:, 0]
+    e[:, 0] = swap
+    mags = 2.0 ** e
+    signs = rng.choice([-1.0, 1.0], (per_shell, free))
+    xfree = mags * signs
+    xlast = -xfree.sum(axis=1)
+    x = np.column_stack([xfree, xlast])
+    top = np.max(np.abs(x), axis=1)
+    keep = (np.abs(xlast) > 0) & (top <= 2.0 ** (cap_exp + 1))
+    for a in range(width):
+        for b in range(a + 1, width):
+            keep &= np.abs(x[:, a] + x[:, b]) > singular_guard * top
+    return x[keep]
+
+
+# compare-exchange steps of the optimal sorting networks on 3 and 4 items
+_NETWORKS = {3: ((0, 1), (1, 2), (0, 1)),
+             4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
+
+
+def _sort_desc(cols):
+    """The columns ``cols`` sorted per row in descending order by a min/max
+    sorting network; it only selects values, so on NaN-free columns it
+    equals ``np.sort(np.column_stack(cols), axis=1)[:, ::-1]`` bit for bit."""
+    cols = list(cols)
+    for i, j in _NETWORKS[len(cols)]:
+        cols[i], cols[j] = np.maximum(cols[i], cols[j]), np.minimum(cols[i], cols[j])
+    return cols
+
+
+def _m4_bound_rhs(mult, x):
+    """``m^2(min over frequencies and pair sums) / ((N+N1)^2 (N+N2)^2
+    (N+N3)^3 (N+N4))`` with N1 >= ... >= N4 the sorted magnitudes."""
+    N = mult.threshold
+    n1, n2, n3, n4 = _sort_desc(np.abs(x).T)
+    p12 = np.abs(x[:, 0] + x[:, 1])
+    p13 = np.abs(x[:, 0] + x[:, 2])
+    p23 = np.abs(x[:, 1] + x[:, 2])
+    m2min = mult.m2(np.minimum.reduce([n4, p12, p13, p23]))
+    return m2min / ((N + n1) ** 2 * (N + n2) ** 2 * (N + n3) ** 3 * (N + n4))
+
+
+def _m5_bound_rhs(mult, x):
+    """The symmetrized quotient ``[m^2(N_*45) N45 / ((N+N1)^2 (N+N2)^2
+    (N+N3)^3 (N+N45))]_sym`` over the ten pair groupings."""
+    N = mult.threshold
+    mags = np.abs(x)
+    rhs = np.zeros(x.shape[0])
+    for a, b in itertools.combinations(range(5), 2):
+        rest = [i for i in range(5) if i not in (a, b)]
+        n45 = np.abs(x[:, a] + x[:, b])
+        r1, r2, r3 = _sort_desc(mags[:, rest].T)
+        p12 = np.abs(x[:, rest[0]] + x[:, rest[1]])
+        p13 = np.abs(x[:, rest[0]] + x[:, rest[2]])
+        p23 = np.abs(x[:, rest[1]] + x[:, rest[2]])
+        nstar = np.minimum.reduce([r3, n45, p12, p13, p23])
+        rhs += mult.m2(nstar) * n45 / (
+            (N + r1) ** 2 * (N + r2) ** 2 * (N + r3) ** 3 * (N + n45)
+        )
+    return rhs / 10.0
+
+
+# per tuple bound: tuple width, report name, and the ratio lhs / rhs
+_TUPLE_BOUNDS = {
+    "sigma4": (4, "sigma4_region_bound",
+               lambda k, x: np.abs(k.sigma4(*x.T)) / _m4_bound_rhs(k.mult, x)),
+    "m5": (5, "m5_pointwise_bound",
+           lambda k, x: np.abs(k.m5(*x.T)) / _m5_bound_rhs(k.mult, x)),
+}
+
+
+def _tuple_summary(x, ratio, scale):
+    """``(samples, max ratio, argmax, scale rows)`` of one shell at one cap;
+    a scale row is ``(scale_exp, samples, max ratio)``."""
+    if ratio.size == 0:
+        return 0, -np.inf, None, []
+    i = int(np.argmax(ratio))
+    rows = [(int(sc), int(np.count_nonzero(scale == sc)), float(np.max(ratio[scale == sc])))
+            for sc in np.unique(scale)]
+    return x.shape[0], float(ratio[i]), tuple(float(v) for v in x[i]), rows
+
+
+def bound_shell(name, mult, disp, shell, caps, n_samples, seed, fd_step=None):
+    """Evaluate dyadic shell ``shell`` of bound ``name`` (``"sigma3"``,
+    ``"sigma4"`` or ``"m5"``) once, and summarise it for every cap exponent
+    in ``caps`` (each at least ``shell``); :func:`bound_report` reduces the
+    summaries of shells 0..cap into the cap's report.
+
+    For sigma4 and m5 the shell holds the tuples whose pinned coordinate
+    lies in [2^shell, 2^(shell+1)); they are drawn and evaluated once, at
+    the largest cap, and each cap's summary covers those with every
+    magnitude at most 2^(cap+1). For sigma3 the shell holds the cells
+    ``(2^a, 2^shell)`` with ``a <= shell``, which no cap restricts. The
+    summaries are small: no sample arrays.
+    """
+    kernels = EnergyMultipliers(mult, disp)
+    if name == "sigma3":
+        h = _LATTICE_STEP if fd_step is None else fd_step
+        per_cell = max(256, n_samples // 36)
+        cells = [_sigma3_cell(kernels, 2.0 ** a, 2.0 ** shell, per_cell, h, seed)
+                 for a in range(shell + 1)]
+        return {cap: cells for cap in caps}
+    width, _, ratio_fn = _TUPLE_BOUNDS[name]
+    x = _shell_tuples(seed, shell, max(caps), max(256, n_samples // 8), width)
+    ratio = ratio_fn(kernels, x)
+    top = np.max(np.abs(x), axis=1)
+    scale = np.floor(np.log2(top)).astype(int)
+    summaries = {}
+    for cap in caps:
+        sel = top <= 2.0 ** (cap + 1)
+        summaries[cap] = _tuple_summary(x[sel], ratio[sel], scale[sel])
+    return summaries
+
+
+def _fold(pieces, arg=None):
+    """Total samples, max ratio and argmax over ``(samples, max ratio,
+    argmax)`` pieces in order. A later piece takes over only with a strictly
+    larger ratio, so a tie resolves to the first sample, as one argmax over
+    the concatenated samples would."""
+    total, best = 0, -np.inf
+    for samples, ratio, where in pieces:
+        total += samples
+        if where is not None and ratio > best:
+            best, arg = ratio, where
+    return total, best, arg
+
+
+def bound_report(name, mult, shells, cap_exp, seed, fd_step=None):
+    """The ``BoundCheckReport`` of bound ``name`` at cap ``2^cap_exp``, from
+    the :func:`bound_shell` summaries ``shells`` of shells 0..cap_exp (in
+    shell order). Cells and shells are folded in the order one pass over the
+    whole sample set takes, so argmax ties resolve the same way."""
+    if name == "sigma3":
+        h = _LATTICE_STEP if fd_step is None else fd_step
+        cells = [shells[int(np.log2(eta))][cap_exp][int(np.log2(lam))]
+                 for lam, eta in _dyadic_cells(cap_exp)]
+        total, best, arg = _fold(((row["samples"], row["max_ratio"], where)
+                                  for row, where in cells), arg=(0.0, 0.0, 0.0))
+        return BoundCheckReport(
+            bound_name="sigma3_extension_derivatives", seed=seed,
+            samples_evaluated=total, max_ratio=best, argmax=arg,
+            cell_table=[row for row, _ in cells],
+            extras={"cap_exp": cap_exp, "fd_step": h, "threshold": mult.threshold},
+        )
+    parts = [shell[cap_exp] for shell in shells]
+    total, best, arg = _fold(part[:3] for part in parts)
+    scales = {}
+    for *_, rows in parts:
+        for sc, samples, top in rows:
+            n, m = scales.get(sc, (0, -np.inf))
+            scales[sc] = (n + samples, max(m, top))
+    return BoundCheckReport(
+        bound_name=_TUPLE_BOUNDS[name][1], seed=seed,
+        samples_evaluated=total, max_ratio=best, argmax=arg,
+        cell_table=[{"scale_exp": sc, "samples": n, "max_ratio": m}
+                    for sc, (n, m) in sorted(scales.items())],
+        extras={"cap_exp": cap_exp, "threshold": mult.threshold},
+    )
+
+
+def _bound_audit(name, mult, disp, cap_exp, n_samples, seed, fd_step=None):
+    shells = [bound_shell(name, mult, disp, e, (cap_exp,), n_samples, seed, fd_step)
+              for e in range(cap_exp + 1)]
+    return bound_report(name, mult, shells, cap_exp, seed, fd_step)
 
 
 def sigma3_bound_audit(mult, disp, cap_exp, n_samples, seed, fd_step=None):
@@ -544,121 +785,7 @@ def sigma3_bound_audit(mult, disp, cap_exp, n_samples, seed, fd_step=None):
     drift between caps then isolates whether larger shells grow the
     constants.
     """
-    kernels = EnergyMultipliers(mult, disp)
-    cells = _dyadic_cells(cap_exp)
-    per_cell = max(256, n_samples // 36)
-    h = fd_step if fd_step is not None else 2.0 * np.pi / (256.0 * np.pi)
-    best = -np.inf
-    arg = (0.0, 0.0, 0.0)
-    table = []
-    total = 0
-    N = mult.threshold
-    junction_offsets = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]) * h
-    for lam, eta in cells:
-        rng = np.random.default_rng([seed, int(np.log2(lam)), int(np.log2(eta))])
-        x1 = rng.uniform(lam, 2 * lam, per_cell) * rng.choice([-1.0, 1.0], per_cell)
-        x2 = rng.uniform(eta, 2 * eta, per_cell) * rng.choice([-1.0, 1.0], per_cell)
-        # stratify onto the multiplier junctions (thin bands carrying the
-        # worst second differences; random coverage there is too sparse)
-        probe = 0
-        for junction in (N, 2.0 * N):
-            for col, lo in ((x1, lam), (x2, eta)):
-                if lo <= junction < 2 * lo:
-                    take = junction_offsets + junction
-                    take = take[(take >= lo) & (take < 2 * lo)]
-                    span = min(per_cell // 4, take.size * 16)
-                    if span == 0:
-                        continue
-                    reps = np.resize(take, span)
-                    col[probe:probe + span] = reps * np.sign(col[probe:probe + span])
-                    probe += span
-        x3 = -x1 - x2
-        keep = (np.abs(x3) >= eta) & (np.abs(x3) < 2 * eta)
-        # keep clear of the low-frequency resonance sphere and tiny factors
-        squares = x1 ** 2 + x2 ** 2 + x3 ** 2
-        keep &= np.abs(squares - 1.2 * disp.mu) > 0.1 * eta ** 2
-        keep &= np.abs(x1) >= max(lam, 8.0 * h)
-        if not np.any(keep):
-            table.append({"lam": lam, "eta": eta, "samples": 0,
-                          "max_ratio": float("nan")})
-            continue
-        x1, x2, x3 = x1[keep], x2[keep], x3[keep]
-        total += x1.size
-        cell_best = -np.inf
-        m2lam = mult.m2(lam)
-        derivs = _fd_derivatives(kernels, x1, x2, x3, h)
-        for beta, d in zip(_BETA_ORDERS, derivs):
-            dv = np.abs(d)
-            rhs = (
-                m2lam * eta ** -4.0 * lam ** -float(beta[0])
-                * eta ** -float(beta[1] + beta[2])
-            )
-            ratio = dv / rhs
-            i = int(np.argmax(ratio))
-            if ratio[i] > cell_best:
-                cell_best = float(ratio[i])
-            if ratio[i] > best:
-                best = float(ratio[i])
-                arg = (float(x1[i]), float(x2[i]), float(x3[i]))
-        table.append({"lam": lam, "eta": eta, "samples": int(x1.size),
-                      "max_ratio": cell_best})
-    return BoundCheckReport(
-        bound_name="sigma3_extension_derivatives",
-        seed=seed,
-        samples_evaluated=total,
-        max_ratio=best,
-        argmax=arg,
-        cell_table=table,
-        extras={"cap_exp": cap_exp, "fd_step": h, "threshold": mult.threshold},
-    )
-
-
-def _sample_zero_sum_tuples(seed, cap_exp, per_shell, width, singular_guard=1e-3):
-    """Zero-sum tuples (width 4 or 5) with dyadic magnitudes, stratified by
-    the top dyadic shell with one seed substream per shell, and clear of
-    the vanishing pair-sum band (that set belongs to the lattice limit
-    policy, not to the region bound)."""
-    blocks = []
-    free = width - 1
-    for top_exp in range(cap_exp + 1):
-        rng = np.random.default_rng([seed, top_exp])
-        e = rng.uniform(0.0, top_exp + 1.0, (per_shell, free))
-        e[:, 0] = rng.uniform(top_exp, top_exp + 1.0, per_shell)
-        # random roles for the shell-pinned coordinate
-        perm = rng.integers(0, free, per_shell)
-        swap = e[np.arange(per_shell), perm].copy()
-        e[np.arange(per_shell), perm] = e[:, 0]
-        e[:, 0] = swap
-        mags = 2.0 ** e
-        signs = rng.choice([-1.0, 1.0], (per_shell, free))
-        xfree = mags * signs
-        xlast = -xfree.sum(axis=1)
-        x = np.column_stack([xfree, xlast])
-        top = np.max(np.abs(x), axis=1)
-        keep = (np.abs(xlast) > 0) & (top <= 2.0 ** (cap_exp + 1))
-        for a in range(width):
-            for b in range(a + 1, width):
-                keep &= np.abs(x[:, a] + x[:, b]) > singular_guard * top
-        blocks.append(x[keep])
-    return np.concatenate(blocks, axis=0)
-
-
-def _m4_bound_rhs(mult, x):
-    """``m^2(min over frequencies and pair sums) / ((N+N1)^2 (N+N2)^2
-    (N+N3)^3 (N+N4))`` with N1 >= ... >= N4 the sorted magnitudes."""
-    N = mult.threshold
-    mags = np.sort(np.abs(x), axis=1)[:, ::-1]
-    p12 = np.abs(x[:, 0] + x[:, 1])
-    p13 = np.abs(x[:, 0] + x[:, 2])
-    p23 = np.abs(x[:, 1] + x[:, 2])
-    smallest = np.min(
-        np.column_stack([np.abs(x), p12, p13, p23]), axis=1
-    )
-    m2min = mult.m2(smallest)
-    return m2min / (
-        (N + mags[:, 0]) ** 2 * (N + mags[:, 1]) ** 2
-        * (N + mags[:, 2]) ** 3 * (N + mags[:, 3])
-    )
+    return _bound_audit("sigma3", mult, disp, cap_exp, n_samples, seed, fd_step)
 
 
 def sigma4_bound_audit(mult, disp, cap_exp, n_samples, seed):
@@ -667,71 +794,10 @@ def sigma4_bound_audit(mult, disp, cap_exp, n_samples, seed):
     Samples are stratified by the top dyadic shell with cap-independent
     substreams, so cap-doubling only adds shells.
     """
-    kernels = EnergyMultipliers(mult, disp)
-    x = _sample_zero_sum_tuples(seed, cap_exp, max(256, n_samples // 8), 4)
-    lhs = np.abs(kernels.sigma4(x[:, 0], x[:, 1], x[:, 2], x[:, 3]))
-    rhs = _m4_bound_rhs(mult, x)
-    ratio = lhs / rhs
-    i = int(np.argmax(ratio))
-    return BoundCheckReport(
-        bound_name="sigma4_region_bound",
-        seed=seed,
-        samples_evaluated=int(x.shape[0]),
-        max_ratio=float(ratio[i]),
-        argmax=tuple(float(v) for v in x[i]),
-        cell_table=_scale_table(x, ratio),
-        extras={"cap_exp": cap_exp, "threshold": mult.threshold},
-    )
-
-
-def _scale_table(x, ratio):
-    """Max ratio binned by the dyadic scale of the largest frequency."""
-    tops = np.floor(np.log2(np.max(np.abs(x), axis=1))).astype(int)
-    table = []
-    for sc in sorted(set(tops.tolist())):
-        sel = tops == sc
-        table.append({
-            "scale_exp": int(sc),
-            "samples": int(np.count_nonzero(sel)),
-            "max_ratio": float(np.max(ratio[sel])),
-        })
-    return table
+    return _bound_audit("sigma4", mult, disp, cap_exp, n_samples, seed)
 
 
 def m5_bound_audit(mult, disp, cap_exp, n_samples, seed):
     """Quintic multiplier bound: |M5| against the symmetrized quotient
     ``[m^2(N_*45) N45 / ((N+N1)^2 (N+N2)^2 (N+N3)^3 (N+N45))]_sym``."""
-    kernels = EnergyMultipliers(mult, disp)
-    N = mult.threshold
-    x = _sample_zero_sum_tuples(seed, cap_exp, max(256, n_samples // 8), 5)
-    lhs = np.abs(kernels.m5(x[:, 0], x[:, 1], x[:, 2], x[:, 3], x[:, 4]))
-
-    idx = range(5)
-    rhs = np.zeros(x.shape[0])
-    for a in idx:
-        for b in idx:
-            if b <= a:
-                continue
-            rest = [i for i in idx if i not in (a, b)]
-            n45 = np.abs(x[:, a] + x[:, b])
-            r = np.sort(np.abs(x[:, rest]), axis=1)[:, ::-1]
-            p12 = np.abs(x[:, rest[0]] + x[:, rest[1]])
-            p13 = np.abs(x[:, rest[0]] + x[:, rest[2]])
-            p23 = np.abs(x[:, rest[1]] + x[:, rest[2]])
-            nstar = np.min(np.column_stack([r, n45, p12, p13, p23]), axis=1)
-            rhs += mult.m2(nstar) * n45 / (
-                (N + r[:, 0]) ** 2 * (N + r[:, 1]) ** 2 * (N + r[:, 2]) ** 3
-                * (N + n45)
-            )
-    rhs /= 10.0
-    ratio = lhs / rhs
-    i = int(np.argmax(ratio))
-    return BoundCheckReport(
-        bound_name="m5_pointwise_bound",
-        seed=seed,
-        samples_evaluated=int(x.shape[0]),
-        max_ratio=float(ratio[i]),
-        argmax=tuple(float(v) for v in x[i]),
-        cell_table=_scale_table(x, ratio),
-        extras={"cap_exp": cap_exp, "threshold": mult.threshold},
-    )
+    return _bound_audit("m5", mult, disp, cap_exp, n_samples, seed)

@@ -16,9 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import io as kio
-from .audits import (KnappConfig, knapp_sharpness, linear_estimate_audit,
-                     m5_bound_audit, resonance_size_audit, sigma3_bound_audit,
-                     sigma4_bound_audit)
+from .audits import (KnappConfig, bound_report, bound_shell, knapp_sharpness,
+                     linear_estimate_audit, resonance_size_audit)
 from .dispersion import DispersionParams, omega, resonance
 from .dyadic import eta0, eta_k
 from .grid import Grid, SpectralField, load_field, rescale_datum, save_field
@@ -121,6 +120,9 @@ def parse_config(command, defaults, file_path=None, flag_values=None, sections=N
         n = resolved["n"]
         if n < 8 or (n & (n - 1)) != 0:
             raise ConfigError("n must be a power of two")
+    if "cap_lo" in resolved and not 0 <= resolved["cap_lo"] < resolved["cap_hi"]:
+        raise ConfigError(f"caps need 0 <= cap_lo < cap_hi, got cap_lo = "
+                          f"{resolved['cap_lo']}, cap_hi = {resolved['cap_hi']}")
     return resolved
 
 
@@ -274,38 +276,51 @@ BOUNDS_DEFAULTS = {
 }
 
 
+BOUNDS = ("sigma3", "sigma4", "m5")
+
+
 def _bounds_unit(args):
-    name, mult_args, mu, cap, samples, seed = args
-    mult = IMultiplier(*mult_args)
-    disp = DispersionParams(mu)
-    fn = {"sigma3": sigma3_bound_audit, "sigma4": sigma4_bound_audit,
-          "m5": m5_bound_audit}[name]
-    return fn(mult, disp, cap, samples, seed).as_dict()
+    name, mult_args, mu, shell, caps, samples, seed = args
+    return bound_shell(name, IMultiplier(*mult_args), DispersionParams(mu), shell, caps,
+                       samples, seed)
 
 
 def _cmd_verify_bounds(cfg, seed, workers):
-    units = [(name, (cfg["N"], cfg["s"]), cfg["mu"], cap, cfg["samples"], seed)
-             for name in ("sigma3", "sigma4", "m5")
-             for cap in (cfg["cap_lo"], cfg["cap_hi"])]
-    reports = _parallel_map(_bounds_unit, units, workers)
-    by_key = {(u[0], u[3]): r for u, r in zip(units, reports)}
+    caps = (cfg["cap_lo"], cfg["cap_hi"])
+    mult_args = (cfg["N"], cfg["s"])
+    # one unit per (bound, dyadic shell), evaluated once for every cap that
+    # holds the shell; heaviest first: an m5 shell costs several times a
+    # sigma3 or sigma4 shell, and higher shells keep more tuples above N
+    units = sorted(
+        ((name, mult_args, cfg["mu"], shell, tuple(c for c in caps if c >= shell),
+          cfg["samples"], seed)
+         for shell in range(max(caps) + 1) for name in BOUNDS),
+        key=lambda u: (u[0] != "m5", -u[3]))
+    shells = {(u[0], u[3]): part
+              for u, part in zip(units, _parallel_map(_bounds_unit, units, workers))}
+    mult = IMultiplier(*mult_args)
+    reports = {
+        (name, cap): bound_report(name, mult, [shells[name, e] for e in range(cap + 1)],
+                                  cap, seed).as_dict()
+        for name in BOUNDS for cap in caps
+    }
     gates = {}
     drifts = {}
-    for name in ("sigma3", "sigma4", "m5"):
-        lo = by_key[(name, cfg["cap_lo"])]["max_ratio"]
-        hi = by_key[(name, cfg["cap_hi"])]["max_ratio"]
+    for name in BOUNDS:
+        lo = reports[name, cfg["cap_lo"]]["max_ratio"]
+        hi = reports[name, cfg["cap_hi"]]["max_ratio"]
         drift = hi / lo if lo > 0 else float("inf")
         drifts[name] = drift
         gates[f"{name}_cap_stability"] = (drift < 2.0) and (drift > 0.5)
     lines = [
-        f"{r['bound_name']:34s} cap=2^{u[3]} "
+        f"{r['bound_name']:34s} cap=2^{cap} "
         f"samples={r['samples_evaluated']:8d} "
         f"max_ratio={r['max_ratio']:.6g} seed={r['seed']}"
-        for u, r in zip(units, reports)
+        for (_, cap), r in reports.items()
     ]
     return {
         "bounds.json": {
-            "reports": {f"{u[0]}_cap{u[3]}": r for u, r in zip(units, reports)},
+            "reports": {f"{name}_cap{cap}": r for (name, cap), r in reports.items()},
             "drifts": drifts,
         },
         "bounds.txt": lines,

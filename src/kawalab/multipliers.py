@@ -181,13 +181,17 @@ class EnergyMultipliers:
         s = xa + xb
         return self.sigma3(xa, xb, -s) * s * self._band(s)
 
-    def m4(self, x1, x2, x3, x4):
-        """Symmetrized quartic multiplier, as the six-pair sum."""
+    def m4(self, x1, x2, x3, x4, pairs=None):
+        """Symmetrized quartic multiplier, as the six-pair sum. ``pairs``
+        optionally gives the terms ``(t12, t13, t23)`` already computed."""
+        if pairs is None:
+            pairs = (self._t_pair(x1, x2), self._t_pair(x1, x3), self._t_pair(x2, x3))
+        t12, t13, t23 = pairs
         total = (
-            self._t_pair(x1, x2)
-            + self._t_pair(x1, x3)
+            t12
+            + t13
             + self._t_pair(x1, x4)
-            + self._t_pair(x2, x3)
+            + t23
             + self._t_pair(x2, x4)
             + self._t_pair(x3, x4)
         )
@@ -211,8 +215,10 @@ class EnergyMultipliers:
         squares = x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4
         return 1j * p12 * p13 * p23 * (2.5 * squares - 3.0 * self.disp.mu)
 
-    def sigma4(self, x1, x2, x3, x4):
-        """``-M4/(h4 - v4)`` with the singular-set limit policy."""
+    def sigma4(self, x1, x2, x3, x4, pairs=None):
+        """``-M4/(h4 - v4)`` with the singular-set limit policy. ``pairs``
+        optionally gives the pair terms ``(t12, t13, t23)`` of ``m4`` at
+        every point; the regular points use them, the limit does not."""
         x1 = np.atleast_1d(np.asarray(x1, dtype=np.float64))
         x2 = np.atleast_1d(np.asarray(x2, dtype=np.float64))
         x3 = np.atleast_1d(np.asarray(x3, dtype=np.float64))
@@ -238,14 +244,16 @@ class EnergyMultipliers:
         out = np.zeros(x1.shape, dtype=np.complex128)
         ok = ~below & ~singular
         if np.any(ok):
-            out[ok] = self._sigma4_regular(x1[ok], x2[ok], x3[ok], x4[ok])
+            if pairs is not None:
+                pairs = [t[ok] for t in pairs]
+            out[ok] = self._sigma4_regular(x1[ok], x2[ok], x3[ok], x4[ok], pairs)
         if np.any(singular):
             out[singular] = self._sigma4_limit(
                 x1[singular], x2[singular], x3[singular], x4[singular])
         return out
 
-    def _sigma4_regular(self, x1, x2, x3, x4):
-        return -self.m4(x1, x2, x3, x4) / self.hv4(x1, x2, x3, x4)
+    def _sigma4_regular(self, x1, x2, x3, x4, pairs=None):
+        return -self.m4(x1, x2, x3, x4, pairs) / self.hv4(x1, x2, x3, x4)
 
     # Direction table: move every vanishing pair factor, fix the others.
     _DIRECTIONS = {
@@ -282,22 +290,24 @@ class EnergyMultipliers:
     # -- quintic level ----------------------------------------------------
 
     def m5(self, x1, x2, x3, x4, x5):
-        """Symmetrized quintic multiplier: ten pair groupings of sigma4."""
+        """Symmetrized quintic multiplier: ten pair groupings of sigma4. A
+        grouping (a b | c d e) puts ``s = xa + xb`` in sigma4's last slot;
+        the pair terms among c, d, e are shared by the three groupings that
+        keep each pair, so the ten are computed once and passed to sigma4."""
         cols = [
             np.atleast_1d(np.asarray(c, dtype=np.float64)) for c in (x1, x2, x3, x4, x5)
         ]
         cols = list(np.broadcast_arrays(*cols))
+        groupings = list(itertools.combinations(range(5), 2))
+        pair = {(a, b): self._t_pair(cols[a], cols[b]) for a, b in groupings}
         total = np.zeros(cols[0].shape, dtype=np.complex128)
-        idx = range(5)
-        for a in idx:
-            for b in idx:
-                if b <= a:
-                    continue
-                rest = [i for i in idx if i not in (a, b)]
-                s = cols[a] + cols[b]
-                total = total + (
-                    self.sigma4(cols[rest[0]], cols[rest[1]], cols[rest[2]], s)
-                    * s
-                    * self._band(s)
-                )
+        for a, b in groupings:
+            c, d, e = (i for i in range(5) if i not in (a, b))
+            s = cols[a] + cols[b]
+            total = total + (
+                self.sigma4(cols[c], cols[d], cols[e], s,
+                            pairs=(pair[c, d], pair[c, e], pair[d, e]))
+                * s
+                * self._band(s)
+            )
         return -0.2j * total

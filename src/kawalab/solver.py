@@ -81,8 +81,9 @@ class Trajectory:
 
     ``steps`` and ``dt`` are the step count and size that were run, and
     ``peak_growth`` is the largest max|c| over all steps divided by the
-    band-projected datum's max|c| (0.0 for a zero datum); ``simulate``
-    sets all three."""
+    band-projected datum's max|c|, both taken over the modes other than
+    the mean, which the solver conserves to the bit (0.0 for a datum with
+    no such mode); ``simulate`` sets all three."""
 
     times: list = dc_field(default_factory=list)
     fields: list = dc_field(default_factory=list)
@@ -167,7 +168,8 @@ class _Stepper:
     field's half spectrum. Modes band..n/2 of a datum projected into the band
     stay zero (the multiplier vanishes there), so they are not stored. The
     stages write into buffers the stepper owns; only each returned state is a
-    fresh array. ``peak`` is the largest max|c| the guard has passed."""
+    fresh array. ``peak`` is the largest max|c| over modes 1..band-1 the
+    guard has passed."""
 
     def __init__(self, grid, disp, dt, dealias_fraction):
         self.n = grid.size
@@ -220,9 +222,11 @@ class _Stepper:
         np.add(k1, k4, out=k1)
         out = np.multiply(self.dt / 6.0, k1)
         np.add(efc, out, out=out)
-        peak = np.abs(out, out=self._abs).max()
-        # negated test: NaN compares false and must count as divergence
-        if not peak <= DIVERGENCE_THRESHOLD:
+        mags = np.abs(out, out=self._abs)
+        peak = mags[1:].max(initial=0.0)
+        # negated test: NaN compares false and must count as divergence; the
+        # mean mode stays out of the peak but not out of the guard
+        if not (peak <= DIVERGENCE_THRESHOLD and mags[0] <= DIVERGENCE_THRESHOLD):
             return None
         self.peak = max(self.peak, peak)
         return out
@@ -258,7 +262,7 @@ def simulate(u0, config, t0=0.0):
             raise SolverDivergenceError(t0 + i * dt)
         if i % config.monitor_stride == 0 or i == n_steps:
             traj.append(t0 + i * dt, _band_field(u0, c))
-    start = float(np.abs(half[:stepper.band]).max())
+    start = float(np.abs(half[1:stepper.band]).max(initial=0.0))
     traj.peak_growth = float(stepper.peak) / start if start > 0.0 else 0.0
     return traj
 

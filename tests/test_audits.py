@@ -1,5 +1,6 @@
 """Sampling audits: resonance, box functional, extremal boxes, bounds."""
 
+import itertools
 import json
 
 import numpy as np
@@ -26,6 +27,7 @@ from kawalab.audits import (
     sigma3_extension,
     sigma4_bound_audit,
 )
+from kawalab.cli import main
 from kawalab.dispersion import omega, phasor
 from kawalab.multipliers import EnergyMultipliers
 
@@ -207,6 +209,75 @@ def reference_sigma3_bound_audit(mult, disp, cap_exp, n_samples, seed, fd_step=N
     )
 
 
+def reference_zero_sum_tuples(seed, cap_exp, per_shell, width, singular_guard=1e-3):
+    """All shells 0..cap_exp drawn at cap ``cap_exp`` and concatenated."""
+    blocks = []
+    free = width - 1
+    for top_exp in range(cap_exp + 1):
+        rng = np.random.default_rng([seed, top_exp])
+        e = rng.uniform(0.0, top_exp + 1.0, (per_shell, free))
+        e[:, 0] = rng.uniform(top_exp, top_exp + 1.0, per_shell)
+        perm = rng.integers(0, free, per_shell)
+        swap = e[np.arange(per_shell), perm].copy()
+        e[np.arange(per_shell), perm] = e[:, 0]
+        e[:, 0] = swap
+        signs = rng.choice([-1.0, 1.0], (per_shell, free))
+        xfree = 2.0 ** e * signs
+        xlast = -xfree.sum(axis=1)
+        x = np.column_stack([xfree, xlast])
+        top = np.max(np.abs(x), axis=1)
+        keep = (np.abs(xlast) > 0) & (top <= 2.0 ** (cap_exp + 1))
+        for a in range(width):
+            for b in range(a + 1, width):
+                keep &= np.abs(x[:, a] + x[:, b]) > singular_guard * top
+        blocks.append(x[keep])
+    return np.concatenate(blocks, axis=0)
+
+
+def reference_tuple_bound_audit(name, mult, disp, cap_exp, n_samples, seed):
+    """One pass over the concatenated sample set of every shell, with
+    ``np.sort`` for the sorted magnitudes."""
+    kernels = EnergyMultipliers(mult, disp)
+    N = mult.threshold
+    width = 4 if name == "sigma4" else 5
+    x = reference_zero_sum_tuples(seed, cap_exp, max(256, n_samples // 8), width)
+    if name == "sigma4":
+        lhs = np.abs(kernels.sigma4(x[:, 0], x[:, 1], x[:, 2], x[:, 3]))
+        mags = np.sort(np.abs(x), axis=1)[:, ::-1]
+        pairs = [np.abs(x[:, a] + x[:, b]) for a, b in ((0, 1), (0, 2), (1, 2))]
+        smallest = np.min(np.column_stack([np.abs(x)] + pairs), axis=1)
+        rhs = mult.m2(smallest) / (
+            (N + mags[:, 0]) ** 2 * (N + mags[:, 1]) ** 2
+            * (N + mags[:, 2]) ** 3 * (N + mags[:, 3]))
+        bound_name = "sigma4_region_bound"
+    else:
+        lhs = np.abs(kernels.m5(*[x[:, i] for i in range(5)]))
+        rhs = np.zeros(x.shape[0])
+        for a, b in itertools.combinations(range(5), 2):
+            rest = [i for i in range(5) if i not in (a, b)]
+            n45 = np.abs(x[:, a] + x[:, b])
+            r = np.sort(np.abs(x[:, rest]), axis=1)[:, ::-1]
+            pairs = [np.abs(x[:, rest[i]] + x[:, rest[j]])
+                     for i, j in ((0, 1), (0, 2), (1, 2))]
+            nstar = np.min(np.column_stack([r, n45] + pairs), axis=1)
+            rhs += mult.m2(nstar) * n45 / (
+                (N + r[:, 0]) ** 2 * (N + r[:, 1]) ** 2 * (N + r[:, 2]) ** 3
+                * (N + n45))
+        rhs /= 10.0
+        bound_name = "m5_pointwise_bound"
+    ratio = lhs / rhs
+    i = int(np.argmax(ratio))
+    tops = np.floor(np.log2(np.max(np.abs(x), axis=1))).astype(int)
+    table = [{"scale_exp": int(sc), "samples": int(np.count_nonzero(tops == sc)),
+              "max_ratio": float(np.max(ratio[tops == sc]))}
+             for sc in sorted(set(tops.tolist()))]
+    return BoundCheckReport(
+        bound_name=bound_name, seed=seed, samples_evaluated=int(x.shape[0]),
+        max_ratio=float(ratio[i]), argmax=tuple(float(v) for v in x[i]),
+        cell_table=table, extras={"cap_exp": cap_exp, "threshold": mult.threshold},
+    )
+
+
 class TestResonance:
     def test_worked_point(self):
         d0 = DispersionParams(0.0)
@@ -373,7 +444,9 @@ class TestBoundAudits:
 
         monkeypatch.setattr(audits, "sigma3_extension", counted)
         rep = sigma3_bound_audit(self.M, self.D, 4, 4000, 3)
-        kept = [row["samples"] for row in rep.cell_table if row["samples"] > 0]
+        # the cells are evaluated shell by shell: (lam, eta) in eta-major order
+        by_shell = sorted(rep.cell_table, key=lambda row: (row["eta"], row["lam"]))
+        kept = [row["samples"] for row in by_shell if row["samples"] > 0]
         assert calls == [19 * n for n in kept]
 
     def test_low_shells_give_zero_ratio(self):
@@ -396,3 +469,59 @@ class TestBoundAudits:
             hi = fn(self.M, self.D, 6, 30000, seed=4)
             drift = hi.max_ratio / lo.max_ratio
             assert 0.5 < drift < 2.0
+
+    @pytest.mark.parametrize("name, fn", [("sigma4", sigma4_bound_audit),
+                                          ("m5", m5_bound_audit)])
+    @pytest.mark.parametrize("cap", [0, 3, 6])
+    def test_tuple_audit_matches_one_pass_reference(self, name, fn, cap):
+        new = fn(self.M, self.D, cap, 8000, 23)
+        ref = reference_tuple_bound_audit(name, self.M, self.D, cap, 8000, 23)
+        assert new.as_dict() == ref.as_dict()
+
+    def test_lower_cap_restricts_its_shells(self):
+        # shells 0..3 hold tuples above 2^4 when drawn at cap 5: the cap-3
+        # report must restrict them, not take them whole
+        for width in (4, 5):
+            tops = [np.max(np.abs(audits._shell_tuples(9, e, 5, 500, width)))
+                    for e in range(4)]
+            assert max(tops) > 2.0 ** 4
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sharded_cli_equals_standalone_audits(self, tmp_path, workers):
+        out = tmp_path / "bounds"
+        assert main(["--seed", "9", "--workers", workers, "--no-gate", "--out", str(out),
+                     "verify-bounds", "--samples", "4000",
+                     "--cap_lo", "3", "--cap_hi", "5"]) == 0
+        reports = json.loads((out / "bounds.json").read_text())["reports"]
+        assert set(reports) == {f"{name}_cap{cap}" for name in ("sigma3", "sigma4", "m5")
+                                for cap in (3, 5)}
+        for name, fn in (("sigma3", sigma3_bound_audit), ("sigma4", sigma4_bound_audit),
+                         ("m5", m5_bound_audit)):
+            for cap in (3, 5):
+                alone = json.loads(json.dumps(fn(self.M, self.D, cap, 4000, 9).as_dict()))
+                if name == "sigma3":
+                    # NaN rows (cells that keep no sample) defeat dict ==
+                    assert (json.dumps(reports[f"{name}_cap{cap}"], sort_keys=True)
+                            == json.dumps(alone, sort_keys=True))
+                else:
+                    assert reports[f"{name}_cap{cap}"] == alone
+
+
+class TestSortingNetwork:
+    @pytest.mark.parametrize("width", [3, 4])
+    def test_matches_np_sort_with_ties(self, width):
+        rng = np.random.default_rng(width)
+        # few distinct values, so most rows hold ties; zeros included
+        rows = rng.integers(0, 4, (2000, width)).astype(np.float64) * 0.75
+        rows[:4] = [[1.5] * width, [0.0] * width, [3.0] + [0.0] * (width - 1),
+                    [0.75] * (width - 1) + [2.25]]
+        got = np.column_stack(audits._sort_desc(rows.T))
+        want = np.sort(rows, axis=1)[:, ::-1]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_matches_np_sort_on_magnitudes(self):
+        rng = np.random.default_rng(3)
+        mags = np.abs(rng.standard_normal((5000, 4)) * 2.0 ** rng.integers(-3, 9, (5000, 4)))
+        for cols in (mags, mags[:, :3]):
+            got = np.column_stack(audits._sort_desc(cols.T))
+            assert np.array_equal(got, np.sort(cols, axis=1)[:, ::-1])

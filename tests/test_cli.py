@@ -86,6 +86,20 @@ class TestParseConfig:
         assert "unknown key 'sed' in section [common]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("caps", [("-1", "7"), ("3", "2"), ("2", "2")])
+    def test_verify_bounds_caps_validated(self, tmp_path, capsys, caps):
+        # a negative cap has no shells; equal or swapped caps give no drift
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "verify-bounds", "--samples", "2000",
+                     "--cap_lo", caps[0], "--cap_hi", caps[1]]) == 2
+        err = capsys.readouterr().err
+        assert "0 <= cap_lo < cap_hi" in err and "Traceback" not in err
+        assert not out.exists()
+        path = tmp_path / "caps.cfg"
+        path.write_text(f"[verify-bounds]\ncap_lo = {caps[0]}\ncap_hi = {caps[1]}\n")
+        with pytest.raises(ConfigError, match="cap_lo"):
+            parse_config("verify-bounds", COMMANDS["verify-bounds"][0], str(path))
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.cfg"
         path.write_text("[common]\nseed = -3\n")

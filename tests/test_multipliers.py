@@ -243,3 +243,50 @@ class TestQuinticKernel:
         a = scalar(KERN.m5(*x))
         b = scalar(KERN.m5(*(-x)))
         assert abs(b - np.conj(a)) <= 1e-12 * abs(a)
+
+
+def reference_m5(kern, *x):
+    """The ten pair groupings, each a plain ``sigma4`` call."""
+    cols = list(np.broadcast_arrays(*[np.atleast_1d(np.asarray(c, dtype=np.float64))
+                                      for c in x]))
+    total = np.zeros(cols[0].shape, dtype=np.complex128)
+    for a, b in itertools.combinations(range(5), 2):
+        rest = [i for i in range(5) if i not in (a, b)]
+        s = cols[a] + cols[b]
+        total = total + (kern.sigma4(cols[rest[0]], cols[rest[1]], cols[rest[2]], s)
+                         * s * kern._band(s))
+    return -0.2j * total
+
+
+def lattice_quintuples(rng, count, span=40):
+    """Integer zero-sum 5-tuples with vanishing pair sums, zero frequencies
+    and pairings that vanish in sigma4's regular and limit paths."""
+    x = rng.integers(-span, span + 1, (count, 4)).astype(np.float64)
+    x[0::5, 1] = -x[0::5, 0]                 # x1 + x2 = 0
+    x[1::5, 3] = -x[1::5, 2]                 # x3 + x4 = 0
+    x[2::5, 2] = 0.0                         # a zero frequency
+    x[3::5, 1], x[3::5, 3] = -x[3::5, 0], -x[3::5, 2]   # two vanishing pairs
+    x5 = -x.sum(axis=1)
+    return np.column_stack([x, x5])
+
+
+class TestM5SharedPairs:
+    """m5 computes each singleton pair term once; it must equal the
+    ten-grouping sum of plain sigma4 calls bit for bit."""
+
+    @pytest.mark.parametrize("cutoff", [None, 30.0], ids=["plain", "band"])
+    def test_audit_tuples(self, cutoff):
+        from kawalab.audits import _shell_tuples
+        kern = EnergyMultipliers(IMultiplier(16.0), D, band_cutoff=cutoff)
+        x = np.concatenate([_shell_tuples(112, e, 7, 400, 5) for e in range(8)])
+        got = kern.m5(*x.T)
+        assert np.array_equal(got, reference_m5(kern, *x.T))
+        assert np.all(np.isfinite(got))
+
+    @pytest.mark.parametrize("cutoff", [None, 30.0], ids=["plain", "band"])
+    def test_lattice_tuples_with_singular_pairings(self, cutoff):
+        kern = EnergyMultipliers(M, D, band_cutoff=cutoff)
+        x = lattice_quintuples(np.random.default_rng(6), 3000)
+        got = kern.m5(*x.T)
+        assert np.array_equal(got, reference_m5(kern, *x.T))
+        assert np.all(np.isfinite(got)) and np.count_nonzero(got) > 2000

@@ -294,11 +294,27 @@ class TestBandStepper:
         traj = simulate(u0, cfg)
         assert traj.steps == 33 == len(traj) - 1
         assert traj.dt == 0.01 / 33
-        peak = max(np.max(np.abs(u.coeffs)) for u in traj.fields[1:])
-        assert traj.peak_growth == peak / np.max(np.abs(traj.fields[0].coeffs))
+        # both maxima leave out the mean, index 0 of the full spectrum
+        peak = max(np.max(np.abs(u.coeffs[1:])) for u in traj.fields[1:])
+        assert traj.peak_growth == peak / np.max(np.abs(traj.fields[0].coeffs[1:]))
         assert 0.99 < traj.peak_growth < 1.01  # a smooth datum over 0.01 time
         zero = simulate(SpectralField.zero(g), cfg)
         assert (zero.steps, zero.peak_growth) == (33, 0.0)
+        mean_only = simulate(SpectralField.from_mode_dict(g, {0: 3.0}), cfg)
+        assert mean_only.peak_growth == 0.0
+
+    def test_peak_growth_sees_past_a_large_mean(self):
+        # the mean is conserved to the bit, so a mean larger than every
+        # other coefficient would pin a peak over all modes at exactly 1.0
+        g = Grid(8 * np.pi, 256)
+        u0 = smooth_datum(g, seed=5, amplitude=2.0)
+        big = np.max(np.abs(u0.coeffs)) * 100.0
+        u0 = u0.with_coeffs(u0.coeffs + np.where(g.modes == 0, big, 0.0))
+        cfg = SolverConfig(g, D1, dt=3e-4, t_end=0.01, monitor_stride=1)
+        traj = simulate(u0, cfg)
+        peak = max(np.max(np.abs(u.coeffs[1:])) for u in traj.fields[1:])
+        assert traj.peak_growth == peak / np.max(np.abs(traj.fields[0].coeffs[1:]))
+        assert traj.peak_growth != 1.0
 
 
 class TestSimulate:

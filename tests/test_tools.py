@@ -1,4 +1,4 @@
-"""Repository tooling: the BENCH writer's JUnit reader."""
+"""Repository tooling: the BENCH writer's JUnit reader and claim rule."""
 
 import importlib.util
 import os
@@ -43,3 +43,27 @@ def test_acceptance_times_refuses_file_without_criteria(tmp_path):
                     "</testsuite></testsuites>")
     with pytest.raises(SystemExit):
         load_bench_pairs().acceptance_times(str(path))
+
+
+def _side(bench_pairs, runs):
+    """A BENCH side dict in which every end-to-end metric has ``runs``."""
+    return {name: bench_pairs.summary(runs) for name in bench_pairs.METRICS}
+
+
+@pytest.mark.parametrize("change, met", [
+    # 10/10 lower, medians 0.1 apart against a parent IQR of 0.005
+    ([0.40 + 0.001 * i for i in range(10)], True),
+    # 9/10 lower, one pair a tie (ties count for neither side): still met
+    ([0.40] * 8 + [0.50, 0.505], True),
+    # 8/10 lower: fewer than nine tenths
+    ([0.40] * 8 + [0.51, 0.51], False),
+    # 10/10 lower, but by less than the parent's IQR
+    ([0.499 - 0.0001 * i for i in range(10)], False),
+])
+def test_claim_met_rule(change, met):
+    bp = load_bench_pairs()
+    parent = [0.50 + 0.001 * (i % 2) * i for i in range(10)]
+    assert bp.summary(parent)["q3"] - bp.summary(parent)["q1"] > 0.002
+    rows = bp.compare(_side(bp, parent), _side(bp, change))
+    assert set(rows) == set(bp.METRICS)
+    assert all(row["claim_met"] is met for row in rows.values())

@@ -17,7 +17,9 @@ The output has the layout of the earlier BENCH files: machine facts,
 then per workload the seeds and, per side, ``attempted`` and ``failed``
 job counts per run and ``runs``/``median``/``q1``/``q3`` per metric
 (inclusive quartiles), plus ``change_vs_parent`` (median ratio, pairs in
-which the change is lower, the parent's interquartile range).
+which the change is lower, the parent's interquartile range, and
+``claim_met``: the change is better in at least 9/10 of the pairs and its
+median beats the parent's by more than that range).
 
 ``--junit PATH`` adds ``acceptance_s``: the time of each acceptance
 criterion (``test_aNN_*``) read from a ``pytest --junitxml`` file, such
@@ -42,6 +44,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 with open(os.path.join(ROOT, "BENCHMARK.json")) as _fh:
     SPEC = json.load(_fh)
 METRICS = [m["name"] for m in SPEC["end_to_end"]]
+BETTER = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 SECONDS = SPEC["run_seconds"]
 
@@ -102,14 +105,23 @@ def side(results):
 
 
 def compare(parent, change):
+    """Per metric: median ratio, pairs in which the change is lower, the
+    parent's interquartile range, and ``claim_met``: the change is better in
+    at least nine tenths of the pairs (ties count for neither side) and the
+    medians differ in its favour by more than the parent's IQR."""
     out = {}
     for name in METRICS:
         p, c = parent[name], change[name]
+        sign = 1.0 if BETTER[name] == "lower" else -1.0
+        pairs = len(p["runs"])
+        wins = sum(sign * (a - b) > 0 for a, b in zip(p["runs"], c["runs"]))
+        iqr = p["q3"] - p["q1"]
         out[name] = {
             "median_ratio": round(c["median"] / p["median"], 4),
             "pairs_change_lower": sum(b < a for a, b in zip(p["runs"], c["runs"])),
-            "pairs": len(p["runs"]),
-            "parent_iqr": round(p["q3"] - p["q1"], 5),
+            "pairs": pairs,
+            "parent_iqr": round(iqr, 5),
+            "claim_met": 10 * wins >= 9 * pairs and sign * (p["median"] - c["median"]) > iqr,
         }
     return out
 
