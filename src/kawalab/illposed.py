@@ -202,6 +202,13 @@ def _a3_band_values(datum, disp, xi, t, quad_points, theta_cut):
     the resonant piece (free-phase part restricted to ``|theta| <= cut``),
     its oscillatory tail, and the flow-phase piece.
 
+    The quadrature runs on live rows only: in each band block, the
+    (xi, xa) rows whose xb interval is non-empty are gathered, evaluated on
+    (rows, nodes) arrays, and each row's node sum is scattered into its
+    output xi. The weight diagnostics sum the block's dense (xi, xa, xb)
+    weights, as if every row were evaluated, so they do not depend on
+    which rows are gathered.
+
     Returns ``(resonant, tail, flow, diagnostics)``. The full iterate is
     ``resonant + tail - flow``, all carrying ``exp(i omega(xi) t)``.
     """
@@ -224,39 +231,35 @@ def _a3_band_values(datum, disp, xi, t, quad_points, theta_cut):
                 lo = np.maximum(sb * N - r, xi[:, None] - xa[None, :] - (s1 * N + r))
                 hi = np.minimum(sb * N + r, xi[:, None] - xa[None, :] - (s1 * N - r))
                 width = hi - lo
-                has = width > 0
-                if not np.any(has):
+                i_xi, i_a = np.nonzero(width > 0)
+                if i_xi.size == 0:
                     continue
-                xb = 0.5 * (lo + hi)[:, :, None] \
-                    + 0.5 * width[:, :, None] * nodes[None, None, :]
-                wb = 0.5 * np.where(has, width, 0.0)[:, :, None] * weights[None, None, :]
-                x1 = xi[:, None, None] - xa[None, :, None] - xb
-                om_ab = resonance(xa[None, :, None], xb, disp)
+                lo, hi, width = lo[i_xi, i_a], hi[i_xi, i_a], width[i_xi, i_a]
+                x_out, x_a, w_a = xi[i_xi][:, None], xa[i_a][:, None], wa[i_a][:, None]
+                xb = 0.5 * (lo + hi)[:, None] + 0.5 * width[:, None] * nodes
+                wb = 0.5 * width[:, None] * weights
+                x1 = x_out - x_a - xb
+                om_ab = resonance(x_a, xb, disp)
                 # the resonant phase collapses to O((log N)^-2); the factored
                 # form keeps it exact where the raw omega sums (~N^5) cancel
-                theta = theta_eval(x1, xa[None, :, None], xb, disp)
+                theta = theta_eval(x1, x_a, xb, disp)
                 om_1p = theta - om_ab
-                pref = (
-                    -xi[:, None, None]
-                    * (xa[None, :, None] + xb)
-                    / (2.0 * np.pi)
-                    * (a ** 3)
-                    * wa[None, :, None] * wb
-                )
+                pref = -x_out * (x_a + xb) / (2.0 * np.pi) * (a ** 3) * w_a * wb
                 e_theta = _phase_quotient(theta, t) / (1j * om_ab)
                 e_flow = _phase_quotient(om_1p, t) / (1j * om_ab)
                 small = np.abs(theta) <= theta_cut
-                g1 += np.sum(pref * e_theta * small, axis=(1, 2))
-                tail += np.sum(pref * e_theta * ~small, axis=(1, 2))
-                g2 += np.sum(pref * e_flow, axis=(1, 2))
+                # each live row's node sum into its output xi
+                np.add.at(g1, i_xi, np.sum(pref * e_theta * small, axis=1))
+                np.add.at(tail, i_xi, np.sum(pref * e_theta * ~small, axis=1))
+                np.add.at(g2, i_xi, np.sum(pref * e_flow, axis=1))
                 mixed = (sa != sb) or (sa != s1)
                 if mixed:
-                    theta_crit_max = max(
-                        theta_crit_max,
-                        float(np.max(np.abs(theta) * has[:, :, None])),
-                    )
-                    crit_mass += float(np.sum(np.abs(wa[None, :, None] * wb)))
-                    crit_small += float(np.sum(np.abs(wa[None, :, None] * wb) * small))
+                    theta_crit_max = max(theta_crit_max, float(np.max(np.abs(theta))))
+                    mass = np.zeros((xi.size, quad_points, quad_points))
+                    mass[i_xi, i_a] = np.abs(w_a * wb)
+                    crit_mass += float(np.sum(mass))
+                    mass[i_xi, i_a] *= small
+                    crit_small += float(np.sum(mass))
     diag = {
         "theta_crit_max": theta_crit_max,
         "small_theta_fraction": crit_small / crit_mass if crit_mass else 0.0,

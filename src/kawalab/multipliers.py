@@ -24,6 +24,11 @@ singular set go through one call of the regular kernel, so the quartic
 lattice sums of :mod:`kawalab.imethod` resolve all their singular tuples
 in one ``sigma4`` call per sum and one regular-kernel call per limit.
 
+M5 evaluates ``m^2 x`` once per distinct argument: the five frequencies,
+the ten pair sums and the thirty triple sums ``x_c + s_ab`` that its
+groupings form. The regular sigma4 -> M4 -> sigma3 path takes these values
+as ``m2x``; the limit paths evaluate their own displaced points.
+
 An optional band cutoff makes the kernels match a dealiased Galerkin
 evolution exactly: pair sums beyond the cutoff then carry weight zero in
 M4 and M5, mirroring the projection inside the discrete nonlinearity.
@@ -130,18 +135,23 @@ class EnergyMultipliers:
 
     # -- cubic level ----------------------------------------------------
 
-    def m3(self, x1, x2, x3):
-        """Symmetrized cubic multiplier on the zero-sum hyperplane."""
-        return (1j / 3.0) * (self._m2x(x1) + self._m2x(x2) + self._m2x(x3))
+    def m3(self, x1, x2, x3, m2x=None):
+        """Symmetrized cubic multiplier on the zero-sum hyperplane. ``m2x``
+        optionally gives ``m^2 x`` at the three frequencies."""
+        if m2x is None:
+            m2x = (self._m2x(x1), self._m2x(x2), self._m2x(x3))
+        return (1j / 3.0) * (m2x[0] + m2x[1] + m2x[2])
 
     def hv3(self, x1, x2, x3):
         """Factored ``h3 - v3 = -(5i/2) x1 x2 x3 (sum xi^2 - 6 mu/5)``."""
         squares = x1 * x1 + x2 * x2 + x3 * x3
         return -2.5j * (x1 * x2 * x3) * (squares - 1.2 * self.disp.mu)
 
-    def sigma3(self, x1, x2, x3):
+    def sigma3(self, x1, x2, x3, m2x=None):
         """Cancellation multiplier ``-M3/(h3 - v3)``; zero below threshold,
-        removable zero-frequency points resolved by the limit policy."""
+        removable zero-frequency points resolved by the limit policy.
+        ``m2x`` optionally gives ``m^2 x`` at every point of the three
+        frequencies; the regular points use it, the limit does not."""
         x1 = np.atleast_1d(np.asarray(x1, dtype=np.float64))
         x2 = np.atleast_1d(np.asarray(x2, dtype=np.float64))
         x3 = np.atleast_1d(np.asarray(x3, dtype=np.float64))
@@ -153,14 +163,15 @@ class EnergyMultipliers:
         out = np.zeros(x1.shape, dtype=np.complex128)
         ok = ~below & ~singular
         if np.any(ok):
-            num = self.m3(x1[ok], x2[ok], x3[ok])
-            out[ok] = -num / self.hv3(x1[ok], x2[ok], x3[ok])
+            if m2x is not None:
+                m2x = [v[ok] for v in m2x]
+            out[ok] = self._sigma3_regular(x1[ok], x2[ok], x3[ok], m2x)
         if np.any(singular):
             out[singular] = self._sigma3_limit(x1[singular], x2[singular], x3[singular])
         return out
 
-    def _sigma3_regular(self, x1, x2, x3):
-        return -self.m3(x1, x2, x3) / self.hv3(x1, x2, x3)
+    def _sigma3_regular(self, x1, x2, x3, m2x=None):
+        return -self.m3(x1, x2, x3, m2x) / self.hv3(x1, x2, x3)
 
     def _sigma3_limit(self, x1, x2, x3):
         cols = [x1, x2, x3]
@@ -176,25 +187,29 @@ class EnergyMultipliers:
 
     # -- quartic level ---------------------------------------------------
 
-    def _t_pair(self, xa, xb):
-        """``sigma3(xa, xb, -(xa+xb)) * (xa+xb)``, band-masked."""
+    def _t_pair(self, xa, xb, m2x=None):
+        """``sigma3(xa, xb, -(xa+xb)) * (xa+xb)``, band-masked. ``m2x``
+        optionally gives ``m^2 x`` at ``xa``, ``xb`` and ``xa + xb`` (m is
+        even, so the third slot takes its negative)."""
         s = xa + xb
-        return self.sigma3(xa, xb, -s) * s * self._band(s)
+        if m2x is not None:
+            m2x = (m2x[0], m2x[1], -m2x[2])
+        return self.sigma3(xa, xb, -s, m2x) * s * self._band(s)
 
-    def m4(self, x1, x2, x3, x4, pairs=None):
+    def m4(self, x1, x2, x3, x4, pairs=None, m2x=None):
         """Symmetrized quartic multiplier, as the six-pair sum. ``pairs``
-        optionally gives the terms ``(t12, t13, t23)`` already computed."""
+        optionally gives the terms ``(t12, t13, t23)`` already computed, and
+        ``m2x`` the values ``m^2 x`` at the four frequencies, which the pair
+        terms with ``x4`` use."""
         if pairs is None:
             pairs = (self._t_pair(x1, x2), self._t_pair(x1, x3), self._t_pair(x2, x3))
+        if m2x is None:
+            t14, t24, t34 = (self._t_pair(x, x4) for x in (x1, x2, x3))
+        else:
+            t14, t24, t34 = (self._t_pair(x, x4, (mx, m2x[3], self._m2x(x + x4)))
+                             for x, mx in zip((x1, x2, x3), m2x))
         t12, t13, t23 = pairs
-        total = (
-            t12
-            + t13
-            + self._t_pair(x1, x4)
-            + t23
-            + self._t_pair(x2, x4)
-            + self._t_pair(x3, x4)
-        )
+        total = t12 + t13 + t14 + t23 + t24 + t34
         return 0.25j * total
 
     def m4_grouped(self, x1, x2, x3, x4):
@@ -215,10 +230,11 @@ class EnergyMultipliers:
         squares = x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4
         return 1j * p12 * p13 * p23 * (2.5 * squares - 3.0 * self.disp.mu)
 
-    def sigma4(self, x1, x2, x3, x4, pairs=None):
+    def sigma4(self, x1, x2, x3, x4, pairs=None, m2x=None):
         """``-M4/(h4 - v4)`` with the singular-set limit policy. ``pairs``
         optionally gives the pair terms ``(t12, t13, t23)`` of ``m4`` at
-        every point; the regular points use them, the limit does not."""
+        every point, and ``m2x`` the values ``m^2 x`` of the four
+        frequencies; the regular points use them, the limit does not."""
         x1 = np.atleast_1d(np.asarray(x1, dtype=np.float64))
         x2 = np.atleast_1d(np.asarray(x2, dtype=np.float64))
         x3 = np.atleast_1d(np.asarray(x3, dtype=np.float64))
@@ -246,14 +262,16 @@ class EnergyMultipliers:
         if np.any(ok):
             if pairs is not None:
                 pairs = [t[ok] for t in pairs]
-            out[ok] = self._sigma4_regular(x1[ok], x2[ok], x3[ok], x4[ok], pairs)
+            if m2x is not None:
+                m2x = [v[ok] for v in m2x]
+            out[ok] = self._sigma4_regular(x1[ok], x2[ok], x3[ok], x4[ok], pairs, m2x)
         if np.any(singular):
             out[singular] = self._sigma4_limit(
                 x1[singular], x2[singular], x3[singular], x4[singular])
         return out
 
-    def _sigma4_regular(self, x1, x2, x3, x4, pairs=None):
-        return -self.m4(x1, x2, x3, x4, pairs) / self.hv4(x1, x2, x3, x4)
+    def _sigma4_regular(self, x1, x2, x3, x4, pairs=None, m2x=None):
+        return -self.m4(x1, x2, x3, x4, pairs, m2x) / self.hv4(x1, x2, x3, x4)
 
     # Direction table: move every vanishing pair factor, fix the others.
     _DIRECTIONS = {
@@ -293,20 +311,26 @@ class EnergyMultipliers:
         """Symmetrized quintic multiplier: ten pair groupings of sigma4. A
         grouping (a b | c d e) puts ``s = xa + xb`` in sigma4's last slot;
         the pair terms among c, d, e are shared by the three groupings that
-        keep each pair, so the ten are computed once and passed to sigma4."""
+        keep each pair, so the ten are computed once and passed to sigma4,
+        as is ``m^2 x`` of the five frequencies and the ten pair sums."""
         cols = [
             np.atleast_1d(np.asarray(c, dtype=np.float64)) for c in (x1, x2, x3, x4, x5)
         ]
         cols = list(np.broadcast_arrays(*cols))
         groupings = list(itertools.combinations(range(5), 2))
-        pair = {(a, b): self._t_pair(cols[a], cols[b]) for a, b in groupings}
+        sums = {(a, b): cols[a] + cols[b] for a, b in groupings}
+        m2x = [self._m2x(c) for c in cols]
+        m2x_sum = {ab: self._m2x(s) for ab, s in sums.items()}
+        pair = {(a, b): self._t_pair(cols[a], cols[b], (m2x[a], m2x[b], m2x_sum[a, b]))
+                for a, b in groupings}
         total = np.zeros(cols[0].shape, dtype=np.complex128)
         for a, b in groupings:
             c, d, e = (i for i in range(5) if i not in (a, b))
-            s = cols[a] + cols[b]
+            s = sums[a, b]
             total = total + (
                 self.sigma4(cols[c], cols[d], cols[e], s,
-                            pairs=(pair[c, d], pair[c, e], pair[d, e]))
+                            pairs=(pair[c, d], pair[c, e], pair[d, e]),
+                            m2x=(m2x[c], m2x[d], m2x[e], m2x_sum[a, b]))
                 * s
                 * self._band(s)
             )

@@ -219,15 +219,19 @@ def duhamel_bilinear(grid, times, coeffs_u, coeffs_v, disp, dealias_fraction=2.0
     w = omega(grid.xi[:grid.size // 2 + 1], disp)
     ixi_mask = 1j * grid.xi * dealias_mask(grid, dealias_fraction)
     # integrand W(-s) d/dx (psi^2 u v)(s) on every sample, in blocks (the
-    # mirrored phase zeroes the Nyquist mode)
+    # mirrored phase zeroes the Nyquist mode); the half-spectrum phases
+    # exp(i w s) are kept for the output factor, and exp(-i w s) is their
+    # conjugate bit for bit
     integrand = np.empty((times.size, grid.size), dtype=np.complex128)
+    phases = np.empty((times.size, w.size), dtype=np.complex128)
     for lo in range(0, times.size, _BLOCK):
         rows = slice(lo, lo + _BLOCK)
         ts = times[rows]
+        phases[rows] = phasor(w, ts[:, None])
         prod = (eta0(ts) ** 2)[:, None] * _physical_rows(grid, coeffs_u[rows])
         prod *= _physical_rows(grid, coeffs_v[rows])
         q = np.fft.fft(prod, axis=1) * (grid.dx / _SQRT2PI) * ixi_mask
-        integrand[rows] = q * _full_spectrum(phasor(w, -ts[:, None]))
+        integrand[rows] = q * _full_spectrum(np.conj(phases[rows]))
 
     def integrate(a, ts, j0, out):
         # trapezoid sums from t = 0, forward above it and backward below it;
@@ -244,11 +248,11 @@ def duhamel_bilinear(grid, times, coeffs_u, coeffs_v, disp, dealias_fraction=2.0
     sub = slice(i0 % 2, None, 2)
     coarse = integrate(integrand[sub], times[sub], i0 // 2, np.empty_like(integrand[sub]))
     full = integrate(integrand, times, i0, integrand)
-    # psi(t/4) W(t) on both grids, from one evaluation per full-grid row
+    # psi(t/4) W(t) on both grids, from the phases of each full-grid row
     # (_BLOCK is even, so a block's subgrid rows start at coarse row lo // 2)
     for lo in range(0, times.size, _BLOCK):
         tb = times[lo:lo + _BLOCK, None]
-        factor = eta0(tb / 4.0) * _full_spectrum(phasor(w, tb))
+        factor = eta0(tb / 4.0) * _full_spectrum(phases[lo:lo + _BLOCK])
         full[lo:lo + _BLOCK] *= factor
         coarse[lo // 2:lo // 2 + len(factor[sub])] *= factor[sub]
     require_hermitian(coarse)

@@ -283,6 +283,23 @@ class TestM5SharedPairs:
         assert np.array_equal(got, reference_m5(kern, *x.T))
         assert np.all(np.isfinite(got))
 
+    def test_m2_once_per_distinct_argument(self, monkeypatch):
+        # 5 frequencies, 10 pair sums and 30 triple sums x_c + s_ab; one
+        # evaluation per sigma3 call would make 120
+        from kawalab.audits import _shell_tuples
+        calls = []
+        m2 = IMultiplier.m2
+
+        def counted(self, xi):
+            calls.append(np.size(xi))
+            return m2(self, xi)
+
+        monkeypatch.setattr(IMultiplier, "m2", counted)
+        kern = EnergyMultipliers(IMultiplier(16.0), D)
+        x = _shell_tuples(112, 6, 7, 2500, 5)
+        kern.m5(*x.T)
+        assert len(calls) == 45
+
     @pytest.mark.parametrize("cutoff", [None, 30.0], ids=["plain", "band"])
     def test_lattice_tuples_with_singular_pairings(self, cutoff):
         kern = EnergyMultipliers(M, D, band_cutoff=cutoff)

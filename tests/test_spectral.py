@@ -198,6 +198,13 @@ class TestPhasor:
         assert np.array_equal(phasor(-w, t), np.conj(phasor(w, t)))
 
     @pytest.mark.parametrize("t", TIMES)
+    def test_conjugate_at_negated_time(self, t):
+        # duhamel_bilinear evaluates exp(i w t) once and takes the conjugate
+        # for exp(-i w t)
+        w = omega(self.G.xi, self.D)
+        assert np.array_equal(phasor(w, -t), np.conj(phasor(w, t)))
+
+    @pytest.mark.parametrize("t", TIMES)
     def test_mirrored_half_spectrum_matches_full_grid(self, t):
         g = self.G
         w = omega(g.xi, self.D)
