@@ -2,7 +2,7 @@
 dispersive-estimate audits on a periodic box."""
 
 from .dispersion import DispersionParams, dispersive_order_audit, free_evolve, omega, resonance
-from .dyadic import DyadicShell, eta0, eta_k, project_dyadic, project_low, shell_count
+from .dyadic import eta0, eta_k, project_dyadic, project_low, shell_count
 from .grid import (
     Grid,
     SpectralField,
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DispersionParams", "dispersive_order_audit", "free_evolve", "omega", "resonance",
-    "DyadicShell", "eta0", "eta_k", "project_dyadic", "project_low", "shell_count",
+    "eta0", "eta_k", "project_dyadic", "project_low", "shell_count",
     "Grid", "SpectralField", "homogeneous_seminorm", "load_field", "rescale_datum",
     "save_field", "sobolev_norm",
     "EnergyReport", "GwpConfig", "energy_derivative_audit",

@@ -33,6 +33,28 @@ __all__ = [
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
+# resonance_size_audit: the magnitude range of its samples, and pairs per draw
+_RESONANCE_MAGNITUDES = (1e-2, 1e4)
+_RESONANCE_CHUNK = 1 << 18
+# j_functional: the relative standard error at which it stops doubling its
+# budget, and the most doublings it makes
+_SE_GATE = 0.02
+_MAX_DOUBLINGS = 3
+# widening factor of the extremal output box's modulation interval, which
+# absorbs the quadratic spread of the curved box
+_KNAPP_GAMMA = 40.0
+# linear_estimate_audit: shell k's window [0, _WINDOW_FACTOR * 2^(-4k)], the
+# exponent p of its stretched samples t_max * (j / count)^p, and the time
+# samples per batched ifft
+_WINDOW_FACTOR = 4.0
+_STRETCH_POWER = 3.0
+_TIME_BLOCK = 128
+# the sigma3 bound audit's finite-difference step (1/128)
+_LATTICE_STEP = 2.0 * np.pi / (256.0 * np.pi)
+# the sigma4 and m5 bound audits leave out tuples with a pair sum below this
+# share of their largest magnitude
+_SINGULAR_GUARD = 1e-3
+
 
 @dataclass
 class BoundCheckReport:
@@ -61,17 +83,17 @@ class BoundCheckReport:
 # -- resonance size ----------------------------------------------------
 
 
-def resonance_size_audit(n_samples, seed, mu=None, mag_lo=1e-2, mag_hi=1e4,
-                         chunk=1 << 18):
+def resonance_size_audit(n_samples, seed, mu=None):
     """Ratio ``|Omega(x1, x2)| / (|xi|_max^4 |xi|_min)`` over random pairs.
 
-    Magnitudes are log-uniform in [mag_lo, mag_hi] with random signs; the
-    hypothesis ``max(|x1|, |x2|, |x1+x2|) >= 10`` filters the admissible
-    set. ``mu=None`` samples the third-order coefficient uniformly in
-    [-1, 1] per pair; a float pins it.
+    Magnitudes are log-uniform in ``_RESONANCE_MAGNITUDES`` with random
+    signs, drawn ``_RESONANCE_CHUNK`` pairs at a time; the hypothesis
+    ``max(|x1|, |x2|, |x1+x2|) >= 10`` filters the admissible set.
+    ``mu=None`` samples the third-order coefficient uniformly in [-1, 1]
+    per pair; a float pins it.
     """
     rng = np.random.default_rng(seed)
-    lo, hi = np.log(mag_lo), np.log(mag_hi)
+    lo, hi = np.log(_RESONANCE_MAGNITUDES)
     best_max = -np.inf
     best_min = np.inf
     arg_max = arg_min = (0.0, 0.0, 0.0)
@@ -79,7 +101,7 @@ def resonance_size_audit(n_samples, seed, mu=None, mag_lo=1e-2, mag_hi=1e4,
     remaining = n_samples
     first = True
     while remaining > 0:
-        m = min(chunk, remaining)
+        m = min(_RESONANCE_CHUNK, remaining)
         remaining -= m
         x1 = np.exp(rng.uniform(lo, hi, m)) * rng.choice([-1.0, 1.0], m)
         x2 = np.exp(rng.uniform(lo, hi, m)) * rng.choice([-1.0, 1.0], m)
@@ -177,16 +199,15 @@ def _trapezoid_mass(l1, l2, k1, a, b):
     return F(b) - F(a)
 
 
-def j_functional(f_box, g_box, h_box, disp, n_samples, seed,
-                 lattice_spacing=None, se_gate=0.02, max_doublings=3):
+def j_functional(f_box, g_box, h_box, disp, n_samples, seed, lattice_spacing=None):
     """Monte-Carlo value of the trilinear box functional.
 
     Frequencies are sampled uniformly over the two input boxes; the two
     modulation integrals are carried out exactly per sample (the integral
     of an interval convolution over the sheared target interval), which
     keeps the estimator unbiased while removing two sampling dimensions.
-    Doubles the budget (up to ``max_doublings``) until the standard error
-    is within ``se_gate`` of the estimate.
+    Doubles the budget (up to ``_MAX_DOUBLINGS`` times) until the standard
+    error is within ``_SE_GATE`` of the estimate.
     """
     for box in (f_box, g_box, h_box):
         if lattice_spacing is not None and (
@@ -195,7 +216,7 @@ def j_functional(f_box, g_box, h_box, disp, n_samples, seed,
             raise ValueError("unresolvable box: width below the lattice spacing")
     rng = np.random.default_rng(seed)
     budget = int(n_samples)
-    for attempt in range(max_doublings + 1):
+    for attempt in range(_MAX_DOUBLINGS + 1):
         x1 = rng.uniform(f_box.xi_lo, f_box.xi_hi, budget)
         x2 = rng.uniform(g_box.xi_lo, g_box.xi_hi, budget)
         x3 = x1 + x2
@@ -220,7 +241,7 @@ def j_functional(f_box, g_box, h_box, disp, n_samples, seed,
         if estimate == 0.0 and not np.any(vals):
             return {"estimate": 0.0, "standard_error": 0.0, "samples": budget,
                     "converged": True}
-        if se <= se_gate * abs(estimate):
+        if se <= _SE_GATE * abs(estimate):
             return {"estimate": estimate, "standard_error": se, "samples": budget,
                     "converged": True}
         budget *= 2
@@ -234,14 +255,12 @@ def j_functional(f_box, g_box, h_box, disp, n_samples, seed,
 @dataclass(frozen=True)
 class KnappConfig:
     """Thin-box extremal configuration at shell scale N1 with modulation
-    scales L1 <= L2. ``gamma`` is the widening factor absorbing the
-    quadratic spread of the curved output box."""
+    scales L1 <= L2; the output box is widened by ``_KNAPP_GAMMA``."""
 
     n1: float
     l1: float
     l2: float
     mu: float = 1.0
-    gamma: float = 40.0
 
     def __post_init__(self):
         if self.l1 > self.l2:
@@ -272,7 +291,7 @@ def knapp_sharpness(config, n_samples=1 << 20, seed=0):
     """
     disp = DispersionParams(config.mu)
     w = config.xi_halfwidth
-    n1, l1, l2, gamma = config.n1, config.l1, config.l2, config.gamma
+    n1, l1, l2, gamma = config.n1, config.l1, config.l2, _KNAPP_GAMMA
     f1 = Box(n1 - w, n1 + w, -l1, l1)
     f2 = Box(n1 - w, n1 + w, -l2, l2)
 
@@ -325,9 +344,9 @@ def _packet(grid, k, rng):
     return c / nrm
 
 
-def _stretched_times(t_max, count, power=3.0):
+def _stretched_times(t_max, count):
     j = np.arange(count + 1, dtype=np.float64)
-    t = t_max * (j / count) ** power
+    t = t_max * (j / count) ** _STRETCH_POWER
     w = np.zeros(count + 1)
     w[1:-1] = 0.5 * (t[2:] - t[:-2])
     w[0] = 0.5 * (t[1] - t[0])
@@ -353,12 +372,11 @@ def _check_admissible(q, r):
         raise ValueError(f"inadmissible exponent pair (q, r) = ({q}, {r})")
 
 
-def linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid=None,
-                          n_times=1024, window_factor=4.0, time_block=128):
+def linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid=None, n_times=1024):
     """Mixed-norm ratios of the free flow on shell-localized packets.
 
     For each shell the time samples live on the dispersive accrual window
-    ``[0, window_factor * 2^(-4k)]`` (power-stretched toward 0 so both the
+    ``[0, _WINDOW_FACTOR * 2^(-4k)]`` (power-stretched toward 0 so both the
     coherent peak and the spreading tail are resolved); on the periodic
     box, later times are dominated by wrap-around recurrence which the
     whole-line decay estimates do not describe. Tabulates, per shell:
@@ -372,7 +390,7 @@ def linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid=None,
 
     A shell's packets are drawn first, in trial order. Every packet vanishes
     off the shell support ``eta_k > 0`` (and on the Nyquist mode), so each
-    block of ``time_block`` samples evaluates ``exp(i omega t)`` there only,
+    block of ``_TIME_BLOCK`` samples evaluates ``exp(i omega t)`` there only,
     once for all trials, and scatters ``phase * c`` into one zero-padded
     ``ifft`` buffer; each trial's norms accumulate block by block.
     """
@@ -392,7 +410,7 @@ def linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid=None,
     stability = {}
 
     for k in ks:
-        t_max = min(1.0, window_factor * 2.0 ** (-4.0 * k))
+        t_max = min(1.0, _WINDOW_FACTOR * 2.0 ** (-4.0 * k))
         times, weights = _stretched_times(t_max, n_times)
         supp = eta_k(grid.xi, k) > 0.0
         supp[grid.nyquist_index] = False
@@ -404,9 +422,9 @@ def linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid=None,
         accs = [({r: np.zeros(times.size) for _, r in qr_pairs if r != 2},
                  np.zeros(times.size), np.zeros(grid.size), np.zeros(grid.size),
                  np.zeros(grid.size)) for _ in packets]
-        buf = np.zeros((min(time_block, times.size), grid.size), dtype=np.complex128)
-        for lo in range(0, times.size, time_block):
-            hi = min(lo + time_block, times.size)
+        buf = np.zeros((min(_TIME_BLOCK, times.size), grid.size), dtype=np.complex128)
+        for lo in range(0, times.size, _TIME_BLOCK):
+            hi = min(lo + _TIME_BLOCK, times.size)
             phase = phasor(w_supp, times[lo:hi, None])
             half = np.arange(lo, hi) % 2 == 0
             rows = buf[:hi - lo]
@@ -526,10 +544,6 @@ def _fd_derivatives(kernels, x1, x2, x3, h):
     return [f0] + first + second + mixed
 
 
-# the sigma3 audit's default finite-difference step (1/128)
-_LATTICE_STEP = 2.0 * np.pi / (256.0 * np.pi)
-
-
 def _dyadic_cells(cap_exp):
     cells = []
     for a in range(0, cap_exp + 1):
@@ -538,7 +552,7 @@ def _dyadic_cells(cap_exp):
     return cells
 
 
-def _sigma3_cell(kernels, lam, eta, per_cell, h, seed):
+def _sigma3_cell(kernels, lam, eta, per_cell, seed):
     """One dyadic cell ``(lam, eta)`` of the sigma3 audit: its table row and
     the argmax of its largest ratio (None for a cell that keeps no sample).
     The cell draws from its own seed substream with a cap-independent
@@ -546,6 +560,7 @@ def _sigma3_cell(kernels, lam, eta, per_cell, h, seed):
     its samples."""
     mult, disp = kernels.mult, kernels.disp
     N = mult.threshold
+    h = _LATTICE_STEP
     junction_offsets = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]) * h
     rng = np.random.default_rng([seed, int(np.log2(lam)), int(np.log2(eta))])
     x1 = rng.uniform(lam, 2 * lam, per_cell) * rng.choice([-1.0, 1.0], per_cell)
@@ -591,7 +606,7 @@ def _sigma3_cell(kernels, lam, eta, per_cell, h, seed):
     return {"lam": lam, "eta": eta, "samples": int(x1.size), "max_ratio": cell_best}, arg
 
 
-def _shell_tuples(seed, top_exp, cap_exp, per_shell, width, singular_guard=1e-3):
+def _shell_tuples(seed, top_exp, cap_exp, per_shell, width):
     """Zero-sum tuples (width 4 or 5) of dyadic shell ``top_exp``, drawn from
     the shell's own seed substream: one coordinate's magnitude lies in
     [2^top_exp, 2^(top_exp+1)), no magnitude exceeds 2^(cap_exp+1), and the
@@ -617,7 +632,7 @@ def _shell_tuples(seed, top_exp, cap_exp, per_shell, width, singular_guard=1e-3)
     keep = (np.abs(xlast) > 0) & (top <= 2.0 ** (cap_exp + 1))
     for a in range(width):
         for b in range(a + 1, width):
-            keep &= np.abs(x[:, a] + x[:, b]) > singular_guard * top
+            keep &= np.abs(x[:, a] + x[:, b]) > _SINGULAR_GUARD * top
     return x[keep]
 
 
@@ -688,7 +703,7 @@ def _tuple_summary(x, ratio, scale):
     return x.shape[0], float(ratio[i]), tuple(float(v) for v in x[i]), rows
 
 
-def bound_shell(name, mult, disp, shell, caps, n_samples, seed, fd_step=None):
+def bound_shell(name, mult, disp, shell, caps, n_samples, seed):
     """Evaluate dyadic shell ``shell`` of bound ``name`` (``"sigma3"``,
     ``"sigma4"`` or ``"m5"``) once, and summarise it for every cap exponent
     in ``caps`` (each at least ``shell``); :func:`bound_report` reduces the
@@ -703,9 +718,8 @@ def bound_shell(name, mult, disp, shell, caps, n_samples, seed, fd_step=None):
     """
     kernels = EnergyMultipliers(mult, disp)
     if name == "sigma3":
-        h = _LATTICE_STEP if fd_step is None else fd_step
         per_cell = max(256, n_samples // 36)
-        cells = [_sigma3_cell(kernels, 2.0 ** a, 2.0 ** shell, per_cell, h, seed)
+        cells = [_sigma3_cell(kernels, 2.0 ** a, 2.0 ** shell, per_cell, seed)
                  for a in range(shell + 1)]
         return {cap: cells for cap in caps}
     width, _, ratio_fn = _TUPLE_BOUNDS[name]
@@ -733,13 +747,12 @@ def _fold(pieces, arg=None):
     return total, best, arg
 
 
-def bound_report(name, mult, shells, cap_exp, seed, fd_step=None):
+def bound_report(name, mult, shells, cap_exp, seed):
     """The ``BoundCheckReport`` of bound ``name`` at cap ``2^cap_exp``, from
     the :func:`bound_shell` summaries ``shells`` of shells 0..cap_exp (in
     shell order). Cells and shells are folded in the order one pass over the
     whole sample set takes, so argmax ties resolve the same way."""
     if name == "sigma3":
-        h = _LATTICE_STEP if fd_step is None else fd_step
         cells = [shells[int(np.log2(eta))][cap_exp][int(np.log2(lam))]
                  for lam, eta in _dyadic_cells(cap_exp)]
         total, best, arg = _fold(((row["samples"], row["max_ratio"], where)
@@ -748,7 +761,8 @@ def bound_report(name, mult, shells, cap_exp, seed, fd_step=None):
             bound_name="sigma3_extension_derivatives", seed=seed,
             samples_evaluated=total, max_ratio=best, argmax=arg,
             cell_table=[row for row, _ in cells],
-            extras={"cap_exp": cap_exp, "fd_step": h, "threshold": mult.threshold},
+            extras={"cap_exp": cap_exp, "fd_step": _LATTICE_STEP,
+                    "threshold": mult.threshold},
         )
     parts = [shell[cap_exp] for shell in shells]
     total, best, arg = _fold(part[:3] for part in parts)
@@ -766,13 +780,13 @@ def bound_report(name, mult, shells, cap_exp, seed, fd_step=None):
     )
 
 
-def _bound_audit(name, mult, disp, cap_exp, n_samples, seed, fd_step=None):
-    shells = [bound_shell(name, mult, disp, e, (cap_exp,), n_samples, seed, fd_step)
+def _bound_audit(name, mult, disp, cap_exp, n_samples, seed):
+    shells = [bound_shell(name, mult, disp, e, (cap_exp,), n_samples, seed)
               for e in range(cap_exp + 1)]
-    return bound_report(name, mult, shells, cap_exp, seed, fd_step)
+    return bound_report(name, mult, shells, cap_exp, seed)
 
 
-def sigma3_bound_audit(mult, disp, cap_exp, n_samples, seed, fd_step=None):
+def sigma3_bound_audit(mult, disp, cap_exp, n_samples, seed):
     """Derivative bounds of the sigma3 extension on dyadic cells.
 
     On each cell ``(lam, eta)`` the audited ratio is
@@ -785,7 +799,7 @@ def sigma3_bound_audit(mult, disp, cap_exp, n_samples, seed, fd_step=None):
     drift between caps then isolates whether larger shells grow the
     constants.
     """
-    return _bound_audit("sigma3", mult, disp, cap_exp, n_samples, seed, fd_step)
+    return _bound_audit("sigma3", mult, disp, cap_exp, n_samples, seed)
 
 
 def sigma4_bound_audit(mult, disp, cap_exp, n_samples, seed):

@@ -6,8 +6,6 @@ for k >= 1. The differences telescope bitwise, so summing the projections
 of a field over all shells reproduces it exactly.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import apply_multiplier
@@ -17,8 +15,6 @@ __all__ = [
     "SUPPORT",
     "eta0",
     "eta_k",
-    "chi_k",
-    "DyadicShell",
     "shell_count",
     "project_dyadic",
     "project_low",
@@ -43,35 +39,6 @@ def eta_k(xi, k):
         return eta0(xi)
     xi = np.asarray(xi, dtype=np.float64)
     return eta0(xi / 2.0 ** k) - eta0(xi / 2.0 ** (k - 1))
-
-
-def chi_k(xi, k):
-    """Homogeneous counterpart, defined for every integer ``k``."""
-    xi = np.asarray(xi, dtype=np.float64)
-    return eta0(xi / 2.0 ** k) - eta0(xi / 2.0 ** (k - 1))
-
-
-@dataclass(frozen=True)
-class DyadicShell:
-    """Shell ``|xi| in [2^(k-1), 2^(k+1)]`` (k >= 1); ``|xi| <= 2`` for k = 0."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("shell index must be nonnegative")
-
-    @property
-    def lo(self):
-        return 0.0 if self.k == 0 else 2.0 ** (self.k - 1)
-
-    @property
-    def hi(self):
-        return 2.0 if self.k == 0 else 2.0 ** (self.k + 1)
-
-    def indicator(self, xi):
-        a = np.abs(np.asarray(xi, dtype=np.float64))
-        return (a >= self.lo) & (a <= self.hi)
 
 
 def shell_count(grid):

@@ -34,6 +34,9 @@ __all__ = [
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 _ROW_BLOCK = 64  # rows per Hermitian check, so its temporaries stay small
 
+# relative coefficient size below which a mode is not part of a field's support
+SUPPORT_TOL = 1e-14
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -43,8 +46,8 @@ class Grid:
     size: int
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError("box length must be positive")
+        if not (0.0 < self.length < np.inf):
+            raise ValueError("box length must be positive and finite")
         n = self.size
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError("mode count n must be a power of two, n >= 8")
@@ -169,13 +172,14 @@ class SpectralField:
             return 0.0
         return float(np.max(np.abs(c - flipped)) / scale)
 
-    def support_indices(self, tol=1e-14):
-        """FFT-order indices of modes carrying relative weight above ``tol``."""
+    def support_indices(self):
+        """FFT-order indices of modes carrying relative weight above
+        ``SUPPORT_TOL``."""
         mags = np.abs(self.coeffs)
         top = mags.max()
         if top == 0.0:
             return np.zeros(0, dtype=np.int64)
-        return np.nonzero(mags > tol * top)[0].astype(np.int64)
+        return np.nonzero(mags > SUPPORT_TOL * top)[0].astype(np.int64)
 
     # -- arithmetic (new fields; inputs never mutate) ------------------
 

@@ -77,13 +77,17 @@ class IllposedConfig:
     mu: float = 1.0
     quad_points: int = 48
     out_points: int = 64
-    theta_cut_factor: float = 128.0
 
     def __post_init__(self):
         if not (0.0 < self.t_eval <= 1.0):
             raise ValueError("evaluation time must lie in (0, 1]")
         if any(N < 8 for N in self.n_list):
             raise ValueError("band frequencies must be at least 8")
+
+
+# the resonant piece of the third iterate is its free-phase part on
+# |theta| <= _THETA_CUT_FACTOR * r^2 N^3, a multiple of the collapsed phase scale
+_THETA_CUT_FACTOR = 128.0
 
 
 def band_halfwidth(N):
@@ -155,19 +159,16 @@ def _phase_quotient(theta, t):
     return t * e * ratio
 
 
-def _a2_band_values(datum, disp, xi, t, quad_points, split=False):
+def _a2_band_values(datum, disp, xi, t, quad_points):
     """Second-iterate coefficients at output frequencies ``xi``.
 
     ``A2_hat(xi) = i xi (2 pi)^-0.5 exp(i omega(xi) t) *
     int f(x1) f(xi - x1) E(Omega(x1, xi - x1), t) dx1``; the integral runs
-    over the band overlaps. ``split=True`` returns the free-phase and
-    flow-phase pieces separately instead of their difference.
+    over the band overlaps.
     """
     xi = np.asarray(xi, dtype=np.float64)
     N, r, a = datum.N, datum.r, datum.amplitude
     total = np.zeros(xi.shape, dtype=np.complex128)
-    piece_free = np.zeros_like(total)
-    piece_flow = np.zeros_like(total)
     for s1 in (1.0, -1.0):
         # x1 in band(s1), xi - x1 in band(s2) for s2 in {+1, -1}
         for s2 in (1.0, -1.0):
@@ -182,18 +183,9 @@ def _a2_band_values(datum, disp, xi, t, quad_points, split=False):
                 + 0.5 * width[has][:, None] * nodes[None, :]
             w = 0.5 * width[has][:, None] * weights[None, :]
             x2 = xi[has][:, None] - x1
-            om = resonance(x1, x2, disp)
-            if split:
-                e_free = phasor(omega(x1, disp) + omega(x2, disp), t) / (1j * om)
-                e_flow = phasor(omega(xi[has][:, None], disp), t) / (1j * om)
-                piece_free[has] += np.sum(w * e_free, axis=1) * a * a
-                piece_flow[has] += np.sum(w * e_flow, axis=1) * a * a
-            else:
-                vals = _phase_quotient(om, t)
-                total[has] += np.sum(w * vals, axis=1) * a * a
+            vals = _phase_quotient(resonance(x1, x2, disp), t)
+            total[has] += np.sum(w * vals, axis=1) * a * a
     pref = 1j * xi / np.sqrt(2.0 * np.pi)
-    if split:
-        return pref * piece_free, pref * piece_flow
     return pref * phasor(omega(xi, disp), t) * total
 
 
@@ -307,7 +299,7 @@ def iterate_A(config, N, order, quad_points=None):
         # zero band: own mirror is the negative half, already doubled
         return {"datum": datum, "hs_norm": norm2}
     r = datum.r
-    theta_cut = config.theta_cut_factor * r * r * N ** 3
+    theta_cut = _THETA_CUT_FACTOR * r * r * N ** 3
     bands = [(N - 3 * r, N + 3 * r), (3 * N - 3 * r, 3 * N + 3 * r)]
     acc = {"g1": 0.0, "tail": 0.0, "g2": 0.0, "total": 0.0}
     diag_all = {"theta_crit_max": 0.0, "small_theta_fraction": 0.0}
@@ -378,7 +370,7 @@ def illposed_sweep(config):
     return rows
 
 
-def growth_fit(config, rows=None, use="a3_norm"):
+def growth_fit(config, rows=None):
     """Log-log slope of the (log-corrected) third-iterate norm in N.
 
     Divides out the ``1/log N`` factor, fits the remaining power, and
@@ -389,7 +381,7 @@ def growth_fit(config, rows=None, use="a3_norm"):
     if len(rows) < 4:
         raise ValueError("need at least 4 band frequencies for the fit")
     N = np.array([row["N"] for row in rows], dtype=np.float64)
-    y = np.array([row[use] for row in rows], dtype=np.float64)
+    y = np.array([row["a3_norm"] for row in rows], dtype=np.float64)
     corrected = np.log(y * np.log(N))
     slope = float(np.polyfit(np.log(N), corrected, 1)[0])
     expected = -2.0 * config.sobolev_s - 4.5

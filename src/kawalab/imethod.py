@@ -53,6 +53,16 @@ _SQRT2PI = np.sqrt(2.0 * np.pi)
 
 _CHUNK = 1 << 16
 
+# modes above this share of the largest coefficient, at or above 0.8 of the
+# dealias cutoff, raise energy_derivative_audit's dealias warning
+_CUTOFF_ENERGY_TOL = 1e-8
+
+# dt * max|omega| of the I-method's own trajectories: just under the
+# solver's phase-accuracy guard (the linear part is exact); gwp_experiment
+# also caps dt at _GWP_DT_MAX
+_GUARDED_PHASE = 0.98e6
+_GWP_DT_MAX = 2e-3
+
 # distinct orderings of a sorted triple i <= j <= k, indexed by the count
 # of (i == j, j == k): all distinct, one pair equal, all equal
 _ORDERINGS = np.array([6.0, 3.0, 1.0])
@@ -62,8 +72,8 @@ def _hyperplane_weight(k, dxi):
     return dxi ** (k - 1) * (2.0 * np.pi) ** (-(k - 2) / 2.0)
 
 
-def _support(u, tol):
-    idx = u.support_indices(tol)
+def _support(u):
+    idx = u.support_indices()
     ms = u.grid.modes[idx]
     order = np.argsort(ms)
     return ms[order], u.coeffs[idx][order]
@@ -82,7 +92,7 @@ def _gather(coeff_by_mode, modes, n):
     return np.where(valid, coeff_by_mode[safe + n // 2], 0.0)
 
 
-def lambda_k(mult, fields, support_tol=1e-14):
+def lambda_k(mult, fields):
     """Generic hyperplane functional; ``mult`` maps k frequency arrays to
     multiplier values. The first k-1 slots run over their supports, the
     last is gathered at ``-(sum of the others)``, and ``mult`` is evaluated
@@ -97,7 +107,7 @@ def lambda_k(mult, fields, support_tol=1e-14):
     grid = fields[0].grid
     if any(f.grid != grid for f in fields[1:]):
         raise ValueError("grid mismatch")
-    supports = [_support(f, support_tol) for f in fields]
+    supports = [_support(f) for f in fields]
     if any(ms.size == 0 for ms, _ in supports):
         return 0.0 + 0.0j
     ms, cs = zip(*supports[:-1])
@@ -116,18 +126,18 @@ def lambda_k(mult, fields, support_tol=1e-14):
     return complex(ordered_sum(blocks) * _hyperplane_weight(k, dxi))
 
 
-def lambda3_kernel(u, kernel, support_tol=1e-14):
+def lambda3_kernel(u, kernel):
     """``Lambda_3(kernel; u, u, u)``."""
     # kept as its own name: perfbench/tracer.py wraps it by name
-    return lambda_k(kernel, [u, u, u], support_tol)
+    return lambda_k(kernel, [u, u, u])
 
 
 class _SigmaTables:
     """Support-indexed tables for the quartic/quintic lattice sums."""
 
-    def __init__(self, u, kernels, support_tol=1e-14):
+    def __init__(self, u, kernels):
         self.kernels = kernels
-        self.ms, self.cs = _support(u, support_tol)
+        self.ms, self.cs = _support(u)
         self.n = u.grid.size
         self.dxi = u.grid.dxi
         self.pos_by_mode = self.positions_of(self.ms)
@@ -241,7 +251,7 @@ def _quartic_sum(tab, kernels, pos4, c4, t4, weigh):
     return ordered_sum(partials)
 
 
-def lambda4_sigma4(u, kernels, support_tol=1e-14, tables=None):
+def lambda4_sigma4(u, kernels):
     """``Lambda_4(sigma4; u,u,u,u)`` via the pair-sum table.
 
     On the zero-sum hyperplane the six-pair form of M4 reduces to six
@@ -249,7 +259,7 @@ def lambda4_sigma4(u, kernels, support_tol=1e-14, tables=None):
     the O(S^3) sum into gathers plus the factored denominator; the
     singular limit is resolved in one batch for the whole sum.
     """
-    tab = tables if tables is not None else _SigmaTables(u, kernels, support_tol)
+    tab = _SigmaTables(u, kernels)
     if tab.ms.size == 0:
         return 0.0 + 0.0j
     total = _quartic_sum(tab, kernels, tab.pos_by_mode, tab.cs, tab.t_table,
@@ -273,7 +283,7 @@ def _squared_field_coeffs(u, cutoff_index=None):
     return q
 
 
-def lambda5_m5(u, kernels, support_tol=1e-14, tables=None):
+def lambda5_m5(u, kernels):
     """``Lambda_5(M5; u^5)`` through its product structure.
 
     Grouping the two slots inside M5's pair argument against the
@@ -282,7 +292,7 @@ def lambda5_m5(u, kernels, support_tol=1e-14, tables=None):
     slot eta runs over the nonzero modes of ``F[u^2]`` with weight
     ``xi_eta * band(xi_eta)``.
     """
-    tab = tables if tables is not None else _SigmaTables(u, kernels, support_tol)
+    tab = _SigmaTables(u, kernels)
     if tab.ms.size == 0:
         return 0.0 + 0.0j
     grid = u.grid
@@ -323,15 +333,14 @@ class EnergyReport:
         return self.e3 + self.corr4
 
 
-def modified_energies(u, mult, disp, band_cutoff=None, t=0.0, support_tol=1e-14):
+def modified_energies(u, mult, disp, band_cutoff=None, t=0.0):
     """E2 = ||Iu||^2 with the cubic and quartic correction terms."""
     if not u.real:
         raise ValueError("modified energies are defined for real-flagged fields")
     kernels = EnergyMultipliers(mult, disp, band_cutoff=band_cutoff)
     e2 = apply_I(u, mult).l2_norm() ** 2
-    corr3 = lambda3_kernel(u, kernels.sigma3, support_tol)
-    tab = _SigmaTables(u, kernels, support_tol)
-    corr4 = lambda4_sigma4(u, kernels, support_tol, tables=tab)
+    corr3 = lambda3_kernel(u, kernels.sigma3)
+    corr4 = lambda4_sigma4(u, kernels)
     return EnergyReport(
         t=t,
         e2=float(e2),
@@ -342,13 +351,13 @@ def modified_energies(u, mult, disp, band_cutoff=None, t=0.0, support_tol=1e-14)
     )
 
 
-def suggest_audit_stride(u, safety=0.02, support_tol=1e-14):
+def suggest_audit_stride(u, safety=0.02):
     """Sample stride making centered differences of the modified energies
     accurate: the energy derivative carries components oscillating at the
     three-frequency phase speed ``|h3 - v3|``, up to about ``7.5 xi_max^5``
     over the field's support, and the O(stride^2) difference error is
     ``(theta * stride)^2 / 6`` per component."""
-    idx = u.support_indices(support_tol)
+    idx = u.support_indices()
     if idx.size == 0:
         return 1e-3
     ximax = float(np.max(np.abs(u.grid.xi[idx])))
@@ -356,16 +365,15 @@ def suggest_audit_stride(u, safety=0.02, support_tol=1e-14):
     return safety / theta_max
 
 
-def energy_derivative_audit(
-    traj, mult, disp, include_quintic=None, support_tol=1e-14, cutoff_energy_tol=1e-8
-):
+def energy_derivative_audit(traj, mult, disp, include_quintic=None):
     """Centered-difference derivatives of E2 and E4 against the direct
     Lambda_3(M3) and Lambda_5(M5) sums, per interior sample.
 
     The quintic check is evaluated only on small grids (n <= 128) unless
     forced, since it costs a full quartic sum per sample. A warning flag
-    is raised when energetic modes sit near the dealias cutoff, where the
-    computed Galerkin dynamics stop tracking the continuum equation.
+    is raised when modes above ``_CUTOFF_ENERGY_TOL`` of the largest sit
+    near the dealias cutoff, where the computed Galerkin dynamics stop
+    tracking the continuum equation.
     """
     if len(traj) < 3:
         raise ValueError("need at least three samples for centered differences")
@@ -381,19 +389,18 @@ def energy_derivative_audit(
         if top == 0.0:
             continue
         near = np.abs(grid.modes) * grid.dxi >= 0.8 * traj.dealias_cutoff
-        if np.any(mags[near] > cutoff_energy_tol * top):
+        if np.any(mags[near] > _CUTOFF_ENERGY_TOL * top):
             cutoff_warning = True
 
     reports = [
-        modified_energies(u, mult, disp, band_cutoff=traj.dealias_cutoff, t=t,
-                          support_tol=support_tol)
+        modified_energies(u, mult, disp, band_cutoff=traj.dealias_cutoff, t=t)
         for t, u in zip(traj.times, traj.fields)
     ]
     rows = []
     for i in range(1, len(traj) - 1):
         dt_c = traj.times[i + 1] - traj.times[i - 1]
         d_e2 = (reports[i + 1].e2 - reports[i - 1].e2) / dt_c
-        lam3 = np.real(lambda3_kernel(traj.fields[i], kernels.m3, support_tol))
+        lam3 = np.real(lambda3_kernel(traj.fields[i], kernels.m3))
         resid3 = abs(d_e2 - lam3) / max(abs(d_e2), abs(lam3), 1e-300)
         row = {
             "t": traj.times[i],
@@ -408,7 +415,7 @@ def energy_derivative_audit(
         }
         if include_quintic:
             d_e4 = (reports[i + 1].e4 - reports[i - 1].e4) / dt_c
-            lam5 = np.real(lambda5_m5(traj.fields[i], kernels, support_tol))
+            lam5 = np.real(lambda5_m5(traj.fields[i], kernels))
             row["de4_dt"] = d_e4
             row["lambda5_m5"] = lam5
             row["resid5"] = abs(d_e4 - lam5) / max(abs(d_e4), abs(lam5), 1e-300)
@@ -424,13 +431,11 @@ class GwpConfig:
     eps0: float = 0.1
     steps: int = 20
     sobolev_s: float = -1.75
-    lam: float = None
-    dt: float = None
-    dealias_fraction: float = 2.0 / 3.0
     track_e4: bool = False
 
     def __post_init__(self):
-        if self.eps0 <= 0 or self.steps < 1 or self.threshold <= 0:
+        if not (0.0 < self.eps0 < np.inf and self.steps >= 1
+                and 0.0 < self.threshold < np.inf):
             raise ValueError("invalid experiment parameters")
 
 
@@ -473,9 +478,7 @@ def _solve_lambda(datum, mult, eps0):
     return lo
 
 
-def almost_conservation_sweep(u0, disp, thresholds, sobolev_s=-1.75, dt=None,
-                              t_end=1.0, dealias_fraction=2.0 / 3.0,
-                              support_tol=1e-14):
+def almost_conservation_sweep(u0, disp, thresholds, sobolev_s=-1.75):
     """Unit-time quartic-energy increment for a fixed datum, per threshold.
 
     The trajectory is shared across thresholds (the dynamics do not see
@@ -488,11 +491,9 @@ def almost_conservation_sweep(u0, disp, thresholds, sobolev_s=-1.75, dt=None,
     from .imultiplier import IMultiplier
 
     grid = u0.grid
-    if dt is None:
-        wmax = float(np.max(np.abs(_omega(grid.xi, disp))))
-        dt = 0.98e6 / max(wmax, 1.0)
-    cfg = SolverConfig(grid, disp, dt=dt, t_end=t_end,
-                       dealias_fraction=dealias_fraction, monitor_stride=10 ** 9)
+    wmax = float(np.max(np.abs(_omega(grid.xi, disp))))
+    cfg = SolverConfig(grid, disp, dt=_GUARDED_PHASE / max(wmax, 1.0), t_end=1.0,
+                       monitor_stride=10 ** 9)
     traj = simulate(u0, cfg)
     start, end = traj.fields[0], traj.fields[-1]
     # the Galerkin flow conserves the plain mass exactly, so its measured
@@ -502,12 +503,8 @@ def almost_conservation_sweep(u0, disp, thresholds, sobolev_s=-1.75, dt=None,
     rows = []
     for N in thresholds:
         mult = IMultiplier(N, sobolev_s)
-        rep0 = modified_energies(start, mult, disp,
-                                 band_cutoff=traj.dealias_cutoff,
-                                 support_tol=support_tol)
-        rep1 = modified_energies(end, mult, disp,
-                                 band_cutoff=traj.dealias_cutoff,
-                                 support_tol=support_tol)
+        rep0 = modified_energies(start, mult, disp, band_cutoff=traj.dealias_cutoff)
+        rep1 = modified_energies(end, mult, disp, band_cutoff=traj.dealias_cutoff)
         rows.append({
             "threshold": N,
             "e4_start": rep0.e4,
@@ -527,7 +524,7 @@ def almost_conservation_sweep(u0, disp, thresholds, sobolev_s=-1.75, dt=None,
     }
 
 
-def gwp_experiment(config, datum, disp, mult=None):
+def gwp_experiment(config, datum, disp):
     """Rescale, then iterate unit time steps watching ``E_I^2 < 4 eps0^2``.
 
     Records the rescaled-back H^s norm after each unit step and fits its
@@ -537,9 +534,8 @@ def gwp_experiment(config, datum, disp, mult=None):
     """
     from .imultiplier import IMultiplier
 
-    if mult is None:
-        mult = IMultiplier(config.threshold, config.sobolev_s)
-    lam = config.lam if config.lam is not None else _solve_lambda(datum, mult, config.eps0)
+    mult = IMultiplier(config.threshold, config.sobolev_s)
+    lam = _solve_lambda(datum, mult, config.eps0)
     u = rescale_datum(datum, lam)
     start_norm = apply_I(u, mult).l2_norm()
     if start_norm > 2.0 * config.eps0:
@@ -551,10 +547,7 @@ def gwp_experiment(config, datum, disp, mult=None):
     from .dispersion import omega as _omega
 
     wmax = float(np.max(np.abs(_omega(grid.xi, disp))))
-    dt = config.dt
-    if dt is None:
-        # sit just under the phase-accuracy guard; the linear part is exact
-        dt = min(2e-3, 0.98e6 / max(wmax, 1.0))
+    dt = min(_GWP_DT_MAX, _GUARDED_PHASE / max(wmax, 1.0))
     steps_per_unit = max(1, int(np.ceil(1.0 / dt)))
     dt = 1.0 / steps_per_unit
 
@@ -580,11 +573,7 @@ def gwp_experiment(config, datum, disp, mult=None):
     record(0, u)
     current = u
     for j in range(1, config.steps + 1):
-        cfg = SolverConfig(
-            grid, disp, dt=dt, t_end=1.0,
-            dealias_fraction=config.dealias_fraction,
-            monitor_stride=10 ** 9,
-        )
+        cfg = SolverConfig(grid, disp, dt=dt, t_end=1.0, monitor_stride=10 ** 9)
         traj = simulate(current, cfg)
         current = traj.fields[-1]
         record(j, current)

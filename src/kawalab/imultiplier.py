@@ -23,8 +23,8 @@ class IMultiplier:
     sobolev_s: float = -1.75
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError("threshold N must be positive")
+        if not (0.0 < self.threshold < np.inf):
+            raise ValueError("threshold N must be positive and finite")
         if not (-1.75 <= self.sobolev_s <= 0.0):
             raise ValueError("sobolev index must lie in [-7/4, 0]")
 

@@ -95,6 +95,11 @@ def power_sum_identity_check(freqs):
     return float(np.max(np.maximum(rel_c, rel_q)))
 
 
+# base displacement of the removable-singularity limit, in frequency units;
+# each point's step is this times max(1, its largest magnitude)
+_LIMIT_STEP = 1e-3
+
+
 def _richardson(f, cols, direction, step):
     """Even-in-eps average of ``f`` at +-step, +-step/2, extrapolated.
 
@@ -114,14 +119,13 @@ class EnergyMultipliers:
     """Kernel family for a fixed smoothing multiplier and dispersion.
 
     ``band_cutoff`` (a frequency, or None) activates the Galerkin-exact
-    variant described in the module docstring. ``limit_step`` is the base
-    displacement of the removable-singularity limit, in frequency units.
+    variant described in the module docstring. The removable-singularity
+    limit displaces by ``_LIMIT_STEP``, in frequency units.
     """
 
     mult: object
     disp: object
     band_cutoff: float = None
-    limit_step: float = 1e-3
 
     # -- helpers -------------------------------------------------------
 
@@ -182,7 +186,7 @@ class EnergyMultipliers:
             (zero_slot == i).astype(np.float64) - (big_slot == i).astype(np.float64)
             for i in range(3)
         ]
-        step = self.limit_step * np.maximum(1.0, mags.max(axis=0))
+        step = _LIMIT_STEP * np.maximum(1.0, mags.max(axis=0))
         return _richardson(self._sigma3_regular, cols, direction, step)
 
     # -- quartic level ---------------------------------------------------
@@ -303,7 +307,7 @@ class EnergyMultipliers:
         d = self._DIRECTION_ROWS[4 * z12 + 2 * z13 + z23]
         scale = np.maximum(1.0, np.max(np.abs(cols), axis=0))
         return _richardson(self._sigma4_regular, list(cols), list(d.T),
-                           self.limit_step * scale)
+                           _LIMIT_STEP * scale)
 
     # -- quintic level ----------------------------------------------------
 

@@ -34,6 +34,8 @@ _SQRT2PI = np.sqrt(2.0 * np.pi)
 
 DIVERGENCE_THRESHOLD = 1e15
 PHASE_GUARD = 1e6
+# share of the half spectrum the nonlinearity keeps: the 2/3 rule
+DEALIAS_FRACTION = 2.0 / 3.0
 
 
 class SolverDivergenceError(RuntimeError):
@@ -58,12 +60,12 @@ class SolverConfig:
     disp: object
     dt: float
     t_end: float
-    dealias_fraction: float = 2.0 / 3.0
+    dealias_fraction: float = DEALIAS_FRACTION
     monitor_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end < 0:
-            raise ValueError("dt must be positive and t_end nonnegative")
+        if not (0.0 < self.dt < np.inf and 0.0 <= self.t_end < np.inf):
+            raise ValueError("dt must be positive and t_end nonnegative, both finite")
         if not (0.5 < self.dealias_fraction < 1.0):
             raise ValueError("dealias_fraction must lie in (1/2, 1)")
         if self.monitor_stride < 1:
@@ -106,16 +108,16 @@ class Trajectory:
         return len(self.times)
 
 
-def dealias_cutoff_index(grid, fraction=2.0 / 3.0):
+def dealias_cutoff_index(grid, fraction=DEALIAS_FRACTION):
     """Largest retained mode index: ``floor(fraction * n/2)``."""
     return int(np.floor(fraction * (grid.size // 2)))
 
 
-def dealias_mask(grid, fraction=2.0 / 3.0):
+def dealias_mask(grid, fraction=DEALIAS_FRACTION):
     return (np.abs(grid.modes) <= dealias_cutoff_index(grid, fraction)).astype(np.float64)
 
 
-def nonlinear_rhs(u, dealias_fraction=2.0 / 3.0):
+def nonlinear_rhs(u, dealias_fraction=DEALIAS_FRACTION):
     """Dealiased ``-(1/2) d/dx (u^2)`` by transform-square-transform.
 
     Masking before and after the pointwise square makes the retained band

@@ -85,9 +85,9 @@ class SpaceTimeField:
         return self.grid.dxi * self.dtau
 
     @classmethod
-    def from_samples(cls, grid, times, coeffs, window=True):
+    def from_samples(cls, grid, times, coeffs):
         """Windowed 2-D transform of uniform samples, ``coeffs`` holding one
-        row of spectral coefficients per time."""
+        row of spectral coefficients per time; the window is ``eta0(t)``."""
         times = np.asarray(times, dtype=np.float64)
         if times.size < 4:
             raise ValueError("time window needs at least 4 samples")
@@ -96,7 +96,7 @@ class SpaceTimeField:
             raise ValueError("time samples must be uniform")
         dt = float(dts[0])
         t_box = dt * times.size
-        mat = coeffs * eta0(times)[:, None] if window else coeffs
+        mat = coeffs * eta0(times)[:, None]
         # continuum-convention transform in t, with the absolute phase of t0
         F = cls(grid=grid, t_box=t_box, coeffs2d=np.fft.fft(mat, axis=0) * (dt / _SQRT2PI))
         F.coeffs2d[...] *= np.exp(-1j * F.tau[:, None] * times[0])
@@ -173,32 +173,32 @@ def xk_norm(F, k, disp, profiles=None):
     return _shell_norm(F, profiles, k)
 
 
-def low_frequency_norm(grid, times, coeffs, window=True):
-    """``L_x^2 L_t^inf`` of the (windowed) low-frequency piece P_{<=0} of
-    real samples, one row of ``coeffs`` per time."""
+def low_frequency_norm(grid, times, coeffs):
+    """``L_x^2 L_t^inf`` of the windowed low-frequency piece P_{<=0} of
+    real samples, one row of ``coeffs`` per time; the window is
+    ``eta0(t)``."""
     v = np.abs(_physical_rows(grid, coeffs, eta0(grid.xi)))
-    if window:
-        v *= eta0(times)[:, None]
+    v *= eta0(times)[:, None]
     return float(np.sqrt(np.sum(np.max(v, axis=0) ** 2) * grid.dx))
 
 
-def fbar_norm(grid, times, coeffs, s, disp, window=True, F=None, profiles=None):
-    """Resolution-space norm: dyadic X_k pieces for k >= 1 plus the
-    low-frequency ``L_x^2 L_t^inf`` piece. ``F`` and ``profiles``, if given,
-    are the samples' transform (with the same ``window``) and
-    ``modulation_profiles(F, disp)``, so a caller holding them does not
-    rebuild them."""
+def fbar_norm(grid, times, coeffs, s, disp, F=None, profiles=None):
+    """Resolution-space norm of the windowed samples: dyadic X_k pieces for
+    k >= 1 plus the low-frequency ``L_x^2 L_t^inf`` piece. ``F`` and
+    ``profiles``, if given, are ``SpaceTimeField.from_samples(grid, times,
+    coeffs)`` and ``modulation_profiles(F, disp)``, so a caller holding them
+    does not rebuild them."""
     if F is None:
-        F = SpaceTimeField.from_samples(grid, times, coeffs, window=window)
+        F = SpaceTimeField.from_samples(grid, times, coeffs)
     if profiles is None:
         profiles = modulation_profiles(F, disp)
-    total = low_frequency_norm(grid, times, coeffs, window=window) ** 2
+    total = low_frequency_norm(grid, times, coeffs) ** 2
     for k in range(1, shell_count(grid) + 1):
         total += 2.0 ** (2.0 * s * k) * _shell_norm(F, profiles, k) ** 2
     return float(np.sqrt(total))
 
 
-def duhamel_bilinear(grid, times, coeffs_u, coeffs_v, disp, dealias_fraction=2.0 / 3.0):
+def duhamel_bilinear(grid, times, coeffs_u, coeffs_v, disp):
     """``B(u, v)(t) = psi(t/4) int_0^t W(t-s) d/dx (psi^2(s) u v)(s) ds``.
 
     Composite trapezoid in the integration variable with the linear flow
@@ -206,6 +206,7 @@ def duhamel_bilinear(grid, times, coeffs_u, coeffs_v, disp, dealias_fraction=2.0
     time); returns the output coefficients on the input time grid plus
     a self-convergence estimate from the stride-2 subgrid (which must
     change the output L^2 norm by < 0.5% for a trustworthy quadrature).
+    The product is dealiased as in the solver, at ``solver.DEALIAS_FRACTION``.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.size < 9:
@@ -217,7 +218,7 @@ def duhamel_bilinear(grid, times, coeffs_u, coeffs_v, disp, dealias_fraction=2.0
     if times[0] > 0.0 or times[-1] < 0.0 or abs(times[i0]) > 0.1 * dts[0]:
         raise ValueError("time grid must contain t = 0")
     w = omega(grid.xi[:grid.size // 2 + 1], disp)
-    ixi_mask = 1j * grid.xi * dealias_mask(grid, dealias_fraction)
+    ixi_mask = 1j * grid.xi * dealias_mask(grid)
     # integrand W(-s) d/dx (psi^2 u v)(s) on every sample, in blocks (the
     # mirrored phase zeroes the Nyquist mode); the half-spectrum phases
     # exp(i w s) are kept for the output factor, and exp(-i w s) is their

@@ -32,10 +32,10 @@ from kawalab.dispersion import omega, phasor
 from kawalab.multipliers import EnergyMultipliers
 
 
-def reference_linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid,
-                                    n_times=1024, window_factor=4.0, time_block=128):
+def reference_linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid, n_times=1024):
     """The per-trial loop over the full spectrum: one packet, then every
-    block of ``exp(i omega t)`` on all modes."""
+    block of 128 samples of ``exp(i omega t)`` on all modes, on the window
+    ``[0, 4 * 2^(-4k)]``."""
     for q, r in qr_pairs:
         _check_admissible(q, r)
     rng = np.random.default_rng(seed)
@@ -47,7 +47,7 @@ def reference_linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid,
     results["smoothing"] = {}
     stability = {}
     for k in ks:
-        t_max = min(1.0, window_factor * 2.0 ** (-4.0 * k))
+        t_max = min(1.0, 4.0 * 2.0 ** (-4.0 * k))
         times, weights = _stretched_times(t_max, n_times)
         per_trial = {key: [] for key in results}
         per_trial_half = {key: [] for key in results}
@@ -58,8 +58,8 @@ def reference_linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid,
             sup_x = np.zeros(grid.size)
             l2t_x = np.zeros(grid.size)
             l2t_x_half = np.zeros(grid.size)
-            for lo in range(0, times.size, time_block):
-                hi = min(lo + time_block, times.size)
+            for lo in range(0, times.size, 128):
+                hi = min(lo + 128, times.size)
                 block = phasor(w_all, times[lo:hi, None]) * c[None, :]
                 v = np.abs(np.fft.ifft(block, axis=1) * (_SQRT2PI / dx))
                 for r in norms_r:
@@ -141,12 +141,12 @@ def reference_fd_derivative(f, cols, beta, h):
     return vals / (4.0 * h * h)
 
 
-def reference_sigma3_bound_audit(mult, disp, cap_exp, n_samples, seed, fd_step=None):
+def reference_sigma3_bound_audit(mult, disp, cap_exp, n_samples, seed):
     """The per-multi-index loop: up to 28 ``sigma3_extension`` calls a cell."""
     kernels = EnergyMultipliers(mult, disp)
     cells = _dyadic_cells(cap_exp)
     per_cell = max(256, n_samples // 36)
-    h = fd_step if fd_step is not None else 2.0 * np.pi / (256.0 * np.pi)
+    h = 2.0 * np.pi / (256.0 * np.pi)
     f = lambda a, b, c: sigma3_extension(kernels, a, b, c)
     best = -np.inf
     arg = (0.0, 0.0, 0.0)
@@ -209,7 +209,7 @@ def reference_sigma3_bound_audit(mult, disp, cap_exp, n_samples, seed, fd_step=N
     )
 
 
-def reference_zero_sum_tuples(seed, cap_exp, per_shell, width, singular_guard=1e-3):
+def reference_zero_sum_tuples(seed, cap_exp, per_shell, width):
     """All shells 0..cap_exp drawn at cap ``cap_exp`` and concatenated."""
     blocks = []
     free = width - 1
@@ -229,7 +229,7 @@ def reference_zero_sum_tuples(seed, cap_exp, per_shell, width, singular_guard=1e
         keep = (np.abs(xlast) > 0) & (top <= 2.0 ** (cap_exp + 1))
         for a in range(width):
             for b in range(a + 1, width):
-                keep &= np.abs(x[:, a] + x[:, b]) > singular_guard * top
+                keep &= np.abs(x[:, a] + x[:, b]) > 1e-3 * top
         blocks.append(x[keep])
     return np.concatenate(blocks, axis=0)
 
@@ -383,10 +383,10 @@ class TestLinearEstimates:
         assert 0.5 < r66[4] / r66[6] < 2.0
 
     def test_matches_reference_loop(self):
-        # 101 samples in blocks of 32: the last block is partial
+        # 301 samples in blocks of 128: the last block is partial
         d = DispersionParams(1.0)
         args = (d, [4, 5], [(6.0, 6.0), (8.0, 4.0), (np.inf, 2.0)], 3, 21)
-        kwargs = dict(grid=Grid(4 * np.pi, 1024), n_times=100, time_block=32)
+        kwargs = dict(grid=Grid(4 * np.pi, 1024), n_times=300)
         new = linear_estimate_audit(*args, **kwargs)
         ref = reference_linear_estimate_audit(*args, **kwargs)
         assert json.dumps(new) == json.dumps(ref)
@@ -412,11 +412,10 @@ class TestBoundAudits:
         rel = np.abs(ext - direct) / np.maximum(np.abs(direct), 1e-300)
         assert np.max(rel[np.abs(direct) > 0]) <= 1e-10
 
-    @pytest.mark.parametrize("cap, fd_step", [(3, None), (6, None), (6, 0.05)])
-    def test_sigma3_audit_matches_reference_loop(self, cap, fd_step):
-        new = sigma3_bound_audit(self.M, self.D, cap, 4000, 17, fd_step=fd_step)
-        ref = reference_sigma3_bound_audit(self.M, self.D, cap, 4000, 17,
-                                           fd_step=fd_step)
+    @pytest.mark.parametrize("cap", [3, 6])
+    def test_sigma3_audit_matches_reference_loop(self, cap):
+        new = sigma3_bound_audit(self.M, self.D, cap, 4000, 17)
+        ref = reference_sigma3_bound_audit(self.M, self.D, cap, 4000, 17)
         # equal-scale cells keep no samples and give the NaN row
         assert any(row["samples"] == 0 for row in new.cell_table)
         assert json.dumps(new.as_dict()) == json.dumps(ref.as_dict())

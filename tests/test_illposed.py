@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from kawalab import DispersionParams
-from kawalab.dispersion import resonance
+from kawalab.dispersion import phasor, resonance
 from kawalab.illposed import (
+    _THETA_CUT_FACTOR,
     FrequencyBoxDatum,
     IllposedConfig,
     _a3_band_values,
@@ -90,18 +91,20 @@ class TestIterates:
         out = iterate_A(self.CFG, 128, 1)
         assert out["hs_norm"] == out["datum"].hs_norm
 
-    def test_second_iterate_split_consistent(self):
-        # low band frequency so the two phase paths are both representable;
-        # the agreement floor is |omega t| ulps
-        from kawalab.illposed import _a2_band_values
+    @pytest.mark.parametrize("theta", [
+        # series branch, |theta t/2| < 1e-6 (above 5e-7, so the closed
+        # form's cancellation stays far below the tolerance)
+        2.5e-6, -3.0e-6, 3.9e-6,
+        # sinc branch
+        4.1e-6, -1e-3, 0.7, -3.0, 250.0, 1e5])
+    def test_phase_quotient_matches_closed_form(self, theta):
+        t = 0.5
+        got = _phase_quotient(np.array([theta]), t)
+        want = (phasor(np.array([theta]), t) - 1.0) / (1j * theta)
+        assert np.abs(got - want)[0] <= 1e-9 * np.abs(want)[0]
 
-        cfg = IllposedConfig(n_list=(8,))
-        datum = build_datum(cfg, 8)
-        disp = DispersionParams(cfg.mu)
-        xi = np.linspace(2 * 8 - datum.r, 2 * 8 + datum.r, 17)
-        total = _a2_band_values(datum, disp, xi, 0.5, 32)
-        free, flow = _a2_band_values(datum, disp, xi, 0.5, 32, split=True)
-        assert np.max(np.abs(total - (free - flow))) <= 1e-9 * np.max(np.abs(total))
+    def test_phase_quotient_at_zero_is_t(self):
+        assert _phase_quotient(np.array([0.0]), 0.5)[0] == 0.5
 
     def test_second_iterate_support_bands(self):
         # output spectrum confined to |xi| in [2N-2r, 2N+2r] and [0, 2r]
@@ -205,7 +208,7 @@ class TestLiveRowQuadrature:
         datum = build_datum(cfg, N)
         disp = DispersionParams(cfg.mu)
         r = datum.r
-        cut = cfg.theta_cut_factor * r * r * N ** 3
+        cut = _THETA_CUT_FACTOR * r * r * N ** 3
         # both output bands, plus 2N, where no block has a live row
         xi = np.concatenate([_gauss(N - 3 * r, N + 3 * r, 16)[0],
                              _gauss(3 * N - 3 * r, 3 * N + 3 * r, 16)[0],

@@ -18,6 +18,7 @@ from kawalab import (
 )
 from kawalab import imethod, multipliers
 from kawalab.imethod import (
+    GwpConfig,
     lambda3_kernel,
     lambda4_sigma4,
     lambda5_m5,
@@ -285,3 +286,12 @@ class TestDerivativeIdentities:
             # cubic functional of a size-eps field
             assert abs(r["lambda3_m3"]) <= 10 * eps ** 3
             assert abs(r["de2_dt"] - r["lambda3_m3"]) <= eps ** 2.5
+
+
+class TestGwpConfig:
+    @pytest.mark.parametrize("eps0, threshold", [(np.nan, 16.0), (np.inf, 16.0),
+                                                 (0.1, np.nan), (0.1, np.inf),
+                                                 (0.0, 16.0)])
+    def test_rejects_nonfinite_parameters(self, eps0, threshold):
+        with pytest.raises(ValueError):
+            GwpConfig(threshold=threshold, eps0=eps0)

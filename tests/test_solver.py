@@ -144,6 +144,12 @@ class TestStep:
         with pytest.raises(SolverDivergenceError):
             step(bad, 1e-4, cfg)
 
+    @pytest.mark.parametrize("dt, t_end", [(np.nan, 1.0), (1e-4, np.nan),
+                                           (1e-4, np.inf), (0.0, 1.0)])
+    def test_rejects_nonfinite_times(self, dt, t_end):
+        with pytest.raises(ValueError):
+            SolverConfig(Grid(2 * np.pi, 64), D1, dt=dt, t_end=t_end)
+
     def test_phase_guard(self):
         g = Grid(2 * np.pi, 1024)  # xi_max = 512, max omega ~ 3.4e13
         with pytest.raises(ValueError):

@@ -43,6 +43,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(1.0, 4)
 
+    @pytest.mark.parametrize("length", [np.nan, np.inf, 0.0])
+    def test_rejects_nonfinite_length(self, length):
+        with pytest.raises(ValueError):
+            Grid(length, 64)
+
     def test_frequencies(self):
         g = Grid(256 * np.pi, 1024)
         assert g.dxi == pytest.approx(1.0 / 128.0)
@@ -298,6 +303,11 @@ class TestDyadic:
 
 
 class TestIMultiplier:
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, 0.0])
+    def test_rejects_nonfinite_threshold(self, threshold):
+        with pytest.raises(ValueError):
+            IMultiplier(threshold)
+
     def test_piecewise_values(self):
         m = IMultiplier(2.0, -1.75)
         assert m.m(1.0) == 1.0

@@ -67,3 +67,36 @@ def test_claim_met_rule(change, met):
     rows = bp.compare(_side(bp, parent), _side(bp, change))
     assert set(rows) == set(bp.METRICS)
     assert all(row["claim_met"] is met for row in rows.values())
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_targets_resolve():
+    # perfbench --trace 1 wraps these names; a rename must fail here first
+    missing = []
+    for module_name, attr, *_ in load_tracer().TARGETS:
+        module = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            cls = getattr(module, cls_name, None)
+            ok = cls is not None and meth in vars(cls)
+        else:
+            ok = callable(getattr(module, attr, None))
+        if not ok:
+            missing.append(f"{module_name}.{attr}")
+    assert not missing
+
+
+def test_cli_commands_are_defaults_runner_pairs():
+    from kawalab.cli import COMMANDS
+
+    for command, entry in COMMANDS.items():
+        assert isinstance(entry, tuple) and len(entry) == 2, command
+        defaults, runner = entry
+        assert isinstance(defaults, dict) and callable(runner), command
