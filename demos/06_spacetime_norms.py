@@ -45,8 +45,7 @@ print(f"  resolution-space norm at s = -7/4: "
 m0, amp = 8, 0.1
 pair = SpectralField.from_mode_dict(grid, {m0: amp, -m0: amp})
 times = uniform_times(-2.0, 2.0, 1024)
-_, cu = free_trajectory(pair, disp, times)
-res = duhamel_bilinear(grid, times, cu, cu, disp)
+res = duhamel_bilinear(pair, pair, disp, times)
 xi0 = m0 * grid.dxi
 idx = int(np.argmin(np.abs(res["times"] - 1.0)))
 theta = float(resonance(xi0, xi0, disp))

@@ -392,17 +392,23 @@ def linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid=None, n_times=1
     off the shell support ``eta_k > 0`` (and on the Nyquist mode), so each
     block of ``_TIME_BLOCK`` samples evaluates ``exp(i omega t)`` there only,
     once for all trials, and scatters ``phase * c`` into one zero-padded
-    ``ifft`` buffer; each trial's norms accumulate block by block.
+    buffer that is transformed in place; each trial's sums of powers of
+    ``v^2`` accumulate block by block. The exponents r must be even.
     """
     from .grid import Grid
 
     for q, r in qr_pairs:
         _check_admissible(q, r)
+    # sum_x v^r is taken from v^2 by products, so r must be even
+    rs = sorted({r for _, r in qr_pairs})
+    if any(r % 2 for r in rs):
+        raise ValueError("the audit takes even exponents r only")
     if grid is None:
         grid = Grid(4.0 * np.pi, 8192)
     rng = np.random.default_rng(seed)
     w_all = omega(grid.xi, disp)
     dx = grid.dx
+    s2 = (_SQRT2PI / dx) ** 2  # v^2 over the squared unscaled ifft
     results = {f"Lt{q}Lx{r}": {} for q, r in qr_pairs}
     results["maximal_Lx4"] = {}
     results["maximal_Lx2"] = {}
@@ -415,40 +421,49 @@ def linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid=None, n_times=1
         supp = eta_k(grid.xi, k) > 0.0
         supp[grid.nyquist_index] = False
         runs = _runs(supp)
+        gaps = [run for run, _ in _runs(~supp)]
         w_supp = w_all[supp]
         packets = [_packet(grid, k, rng)[supp] for _ in range(trials)]
-        # per trial: L_x^r norms and L_x^2 norm per sample, sup over t,
-        # L_t^2 (all samples and even samples) per point
-        accs = [({r: np.zeros(times.size) for _, r in qr_pairs if r != 2},
-                 np.zeros(times.size), np.zeros(grid.size), np.zeros(grid.size),
-                 np.zeros(grid.size)) for _ in packets]
-        buf = np.zeros((min(_TIME_BLOCK, times.size), grid.size), dtype=np.complex128)
+        # per trial: sum_x v^r per sample for each even r (r = 2 included),
+        # sup over t of v^2, and the two weighted L_t^2 sums of v^2 (all
+        # samples, and even samples at twice the weight) per point
+        accs = [({r: np.zeros(times.size) for r in rs}, np.zeros(grid.size),
+                 np.zeros((2, grid.size))) for _ in packets]
+        m = min(_TIME_BLOCK, times.size)
+        buf = np.empty((m, grid.size), dtype=np.complex128)
+        v2 = np.empty((m, grid.size))
         for lo in range(0, times.size, _TIME_BLOCK):
             hi = min(lo + _TIME_BLOCK, times.size)
             phase = phasor(w_supp, times[lo:hi, None])
-            half = np.arange(lo, hi) % 2 == 0
-            rows = buf[:hi - lo]
-            for c, (norms_r, l2_t, sup_x, l2t_x, l2t_x_half) in zip(packets, accs):
+            even = np.arange(lo, hi) % 2 == 0
+            wts = np.stack((weights[lo:hi], np.where(even, 2.0 * weights[lo:hi], 0.0)))
+            rows, sq = buf[:hi - lo], v2[:hi - lo]
+            for c, (sums_r, sup2_x, l2t_x) in zip(packets, accs):
+                # the previous ifft overwrote the zero padding
+                for gap in gaps:
+                    rows[:, gap] = 0.0
                 for run, part in runs:
                     np.multiply(phase[:, part], c[part], out=rows[:, run])
-                v = np.abs(np.fft.ifft(rows, axis=1) * (_SQRT2PI / dx))
-                v2 = v ** 2
-                for r in norms_r:
-                    norms_r[r][lo:hi] = (np.sum(v ** r, axis=1) * dx) ** (1.0 / r)
-                l2_t[lo:hi] = np.sqrt(np.sum(v2, axis=1) * dx)
-                np.maximum(sup_x, v.max(axis=0), out=sup_x)
-                l2t_x += weights[lo:hi] @ v2
-                l2t_x_half += (2.0 * weights[lo:hi][half]) @ v2[half]
+                np.fft.ifft(rows, axis=1, out=rows)
+                # v^2 / s2 = re^2 + im^2 of the ifft, squared in place
+                flat = rows.view(np.float64)
+                np.multiply(flat, flat, out=flat)
+                np.add(flat[:, 0::2], flat[:, 1::2], out=sq)
+                for r, sums in sums_r.items():
+                    sums[lo:hi] = np.einsum(",".join(["ij"] * int(r // 2)) + "->i",
+                                            *[sq] * int(r // 2))
+                np.maximum(sup2_x, sq.max(axis=0), out=sup2_x)
+                l2t_x += wts @ sq
         per_trial = {key: [] for key in results}
         per_trial_half = {key: [] for key in results}
-        for norms_r, l2_t, sup_x, l2t_x, l2t_x_half in accs:
+        for sums_r, sup2_x, l2t_x in accs:
             for q, r in qr_pairs:
                 key = f"Lt{q}Lx{r}"
+                g = (sums_r[r] * (s2 ** (r / 2.0) * dx)) ** (1.0 / r)
                 if q == np.inf:
-                    val = float(np.max(l2_t))
-                    half_val = float(np.max(l2_t[::2]))
+                    val = float(np.max(g))
+                    half_val = float(np.max(g[::2]))
                 else:
-                    g = norms_r[r] if r != 2 else l2_t
                     val = float(np.sum(weights * g ** q) ** (1.0 / q))
                     half_val = float(
                         np.sum(2.0 * weights[::2] * g[::2] ** q) ** (1.0 / q)
@@ -456,18 +471,16 @@ def linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid=None, n_times=1
                 scale = 2.0 ** (-3.0 * k / q) if q != np.inf else 1.0
                 per_trial[key].append(val / scale)
                 per_trial_half[key].append(half_val / scale)
+            sup2 = sup2_x * s2
             per_trial["maximal_Lx4"].append(
-                float((np.sum(sup_x ** 4) * dx) ** 0.25) / 2.0 ** (k / 4.0)
+                float((np.sum(sup2 * sup2) * dx) ** 0.25) / 2.0 ** (k / 4.0)
             )
             per_trial["maximal_Lx2"].append(
-                float(np.sqrt(np.sum(sup_x ** 2) * dx)) / 2.0 ** (1.25 * k)
+                float(np.sqrt(np.sum(sup2) * dx)) / 2.0 ** (1.25 * k)
             )
-            per_trial["smoothing"].append(
-                float(np.sqrt(np.max(l2t_x))) / 2.0 ** (-2.0 * k)
-            )
-            per_trial_half["smoothing"].append(
-                float(np.sqrt(np.max(l2t_x_half))) / 2.0 ** (-2.0 * k)
-            )
+            smooth, smooth_half = np.sqrt(np.max(l2t_x, axis=1) * s2)
+            per_trial["smoothing"].append(float(smooth) / 2.0 ** (-2.0 * k))
+            per_trial_half["smoothing"].append(float(smooth_half) / 2.0 ** (-2.0 * k))
         for key in results:
             results[key][k] = float(np.mean(per_trial[key]))
         fine = np.array(per_trial[f"Lt{qr_pairs[0][0]}Lx{qr_pairs[0][1]}"])

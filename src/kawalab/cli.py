@@ -127,11 +127,17 @@ def parse_config(command, defaults, file_path=None, flag_values=None, sections=N
 
 
 def _parallel_map(fn, units, workers):
-    if workers <= 1 or len(units) <= 1:
+    """``[fn(u) for u in units]`` on K = min(workers, len(units)) processes:
+    the parent is one of them and runs ``units[::K]`` itself while a pool of
+    K - 1 forked workers runs the rest; the results come back in unit order."""
+    k = min(workers, len(units))
+    if k <= 1:
         return [fn(u) for u in units]
-    # the pool starts all its workers at once; never more than there is work
-    with ProcessPoolExecutor(max_workers=min(workers, len(units))) as pool:
-        return list(pool.map(fn, units))
+    with ProcessPoolExecutor(max_workers=k - 1) as pool:
+        # map submits every unit before the parent starts on its own share
+        forked = pool.map(fn, [u for i, u in enumerate(units) if i % k])
+        own = [fn(u) for u in units[::k]]
+        return [own[i // k] if i % k == 0 else next(forked) for i in range(len(units))]
 
 
 # -- command implementations --------------------------------------------
@@ -494,8 +500,7 @@ def _cmd_duhamel(cfg, seed, workers):
     amp = cfg["amplitude"]
     phi = SpectralField.from_mode_dict(grid, {m0: amp, -m0: amp})
     times = uniform_times(-2.0, 2.0, cfg["n_times"])
-    _, cu = free_trajectory(phi, disp, times)
-    res = duhamel_bilinear(grid, times, cu, cu, disp)
+    res = duhamel_bilinear(phi, phi, disp, times)
     # closed-form check at t inside the window plateau: the doubled mode
     # grows like the integrated phase-difference quotient
     xi0 = m0 * grid.dxi
@@ -650,14 +655,21 @@ def _write(out, artifacts, gates, fmt):
 
 def run(command, resolved, out_dir, seed, workers, enforce_gates=True,
         fmt="both"):
-    manifest = {**resolved, "seed": seed, "format": fmt}
-    _write(out_dir, {"manifest.txt": (command, manifest)}, {}, fmt)
+    """Run ``command`` and write its artifacts, the manifest first, into
+    ``out_dir``; nothing is written if a runner rejects a value. Returns the
+    exit status: 1 if an enforced gate failed, else 0."""
     _, runner = COMMANDS[command]
-    artifacts, gates = runner(resolved, seed, workers)
+    try:
+        artifacts, gates = runner(resolved, seed, workers)
+    except ValueError as err:
+        # the library's own checks (NaN, out-of-range values) reject what
+        # the key parser let through
+        raise ConfigError(str(err)) from err
+    manifest = {**resolved, "seed": seed, "format": fmt}
     failed = sorted(name for name, ok in gates.items() if not ok)
     if failed:
         artifacts["failures.json"] = {"command": command, "failed_gates": failed}
-    _write(out_dir, artifacts, gates, fmt)
+    _write(out_dir, {"manifest.txt": (command, manifest), **artifacts}, gates, fmt)
     return 1 if enforce_gates and failed else 0
 
 
@@ -697,8 +709,12 @@ def main(argv=None):
     out_dir = args.out or os.environ.get(OUT_ENV) or os.path.join(
         "runs", f"{args.command}-seed{seed}"
     )
-    return run(args.command, resolved, out_dir, seed, args.workers,
-               enforce_gates=not args.no_gate, fmt=args.format)
+    try:
+        return run(args.command, resolved, out_dir, seed, args.workers,
+                   enforce_gates=not args.no_gate, fmt=args.format)
+    except ConfigError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

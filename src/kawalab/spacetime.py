@@ -198,16 +198,29 @@ def fbar_norm(grid, times, coeffs, s, disp, F=None, profiles=None):
     return float(np.sqrt(total))
 
 
-def duhamel_bilinear(grid, times, coeffs_u, coeffs_v, disp):
-    """``B(u, v)(t) = psi(t/4) int_0^t W(t-s) d/dx (psi^2(s) u v)(s) ds``.
+def duhamel_bilinear(u0, v0, disp, times):
+    """``B(u, v)(t) = psi(t/4) int_0^t W(t-s) d/dx (psi^2(s) u v)(s) ds`` for
+    the free flows ``u(s) = W(s) u0`` and ``v(s) = W(s) v0`` of two real
+    fields.
 
     Composite trapezoid in the integration variable with the linear flow
-    applied exactly on real samples (one row of ``coeffs_u``/``coeffs_v`` per
-    time); returns the output coefficients on the input time grid plus
-    a self-convergence estimate from the stride-2 subgrid (which must
-    change the output L^2 norm by < 0.5% for a trustworthy quadrature).
-    The product is dealiased as in the solver, at ``solver.DEALIAS_FRACTION``.
+    applied exactly; returns the output coefficients on the uniform time
+    grid ``times`` (which holds t = 0) plus a self-convergence estimate from
+    the stride-2 subgrid (which must change the output L^2 norm by < 0.5%
+    for a trustworthy quadrature). The product is dealiased as in the
+    solver, at ``solver.DEALIAS_FRACTION``.
+
+    Two sweeps outward from t = 0, forward and backward, take ``_BLOCK``
+    samples at a time: each block evaluates ``exp(i w s)`` once, for both
+    flows, the integrand phase and the output factor, and carries the
+    running trapezoid sums of both grids to the next. No flow, phase or
+    integrand lattice is held beyond a block.
     """
+    if not (u0.real and v0.real):
+        raise ValueError("the Duhamel operator takes real-flagged fields only")
+    if u0.grid != v0.grid:
+        raise ValueError("the two data live on different grids")
+    grid = u0.grid
     times = np.asarray(times, dtype=np.float64)
     if times.size < 9:
         raise ValueError("time grid too coarse for the Duhamel quadrature")
@@ -219,45 +232,55 @@ def duhamel_bilinear(grid, times, coeffs_u, coeffs_v, disp):
         raise ValueError("time grid must contain t = 0")
     w = omega(grid.xi[:grid.size // 2 + 1], disp)
     ixi_mask = 1j * grid.xi * dealias_mask(grid)
-    # integrand W(-s) d/dx (psi^2 u v)(s) on every sample, in blocks (the
-    # mirrored phase zeroes the Nyquist mode); the half-spectrum phases
-    # exp(i w s) are kept for the output factor, and exp(-i w s) is their
-    # conjugate bit for bit
-    integrand = np.empty((times.size, grid.size), dtype=np.complex128)
-    phases = np.empty((times.size, w.size), dtype=np.complex128)
-    for lo in range(0, times.size, _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
-        ts = times[rows]
-        phases[rows] = phasor(w, ts[:, None])
-        prod = (eta0(ts) ** 2)[:, None] * _physical_rows(grid, coeffs_u[rows])
-        prod *= _physical_rows(grid, coeffs_v[rows])
-        q = np.fft.fft(prod, axis=1) * (grid.dx / _SQRT2PI) * ixi_mask
-        integrand[rows] = q * _full_spectrum(np.conj(phases[rows]))
+    h = 0.5 * (times[1] - times[0])
+    h_sub = 0.5 * (times[i0 % 2 + 2] - times[i0 % 2])
+    coeffs = np.empty((times.size, grid.size), dtype=np.complex128)
 
-    def integrate(a, ts, j0, out):
-        # trapezoid sums from t = 0, forward above it and backward below it;
-        # ``out`` may be ``a`` itself: row j0 is read by both halves, then zeroed
-        h = 0.5 * (ts[1] - ts[0])
-        np.multiply(a[j0:-1] + a[j0 + 1:], h, out=out[j0 + 1:])
-        np.multiply(a[:j0] + a[1:j0 + 1], -h, out=out[:j0])
-        out[j0] = 0.0
-        np.cumsum(out[j0 + 1:], axis=0, out=out[j0 + 1:])
-        np.cumsum(out[:j0][::-1], axis=0, out=out[:j0][::-1])
-        return out
+    def sweep(out, ts, sign):
+        # rows of ``out`` and ``ts`` run outward from t = 0, where the
+        # trapezoid sums of both grids start at 0; the stride-2 rows are the
+        # even ones. ``a`` holds a block's integrand rows after the last two
+        # rows of the block before. Returns the squared L^2 norms, over the
+        # stride-2 rows, of the output and of its change on the stride-2 grid.
+        a = np.zeros((_BLOCK + 2, grid.size), dtype=np.complex128)
+        norms = np.zeros(2)
+        for lo in range(0, ts.size, _BLOCK):
+            tb = ts[lo:lo + _BLOCK]
+            m = tb.size
+            rows = out[lo:lo + m]
+            phase = _full_spectrum(phasor(w, tb[:, None]))
+            pu = _physical_rows(grid, u0.coeffs * phase)
+            prod = (eta0(tb) ** 2)[:, None] * pu
+            prod *= pu if v0 is u0 else _physical_rows(grid, v0.coeffs * phase)
+            q = np.fft.fft(prod, axis=1) * (grid.dx / _SQRT2PI) * ixi_mask
+            np.multiply(q, np.conj(phase), out=a[2:m + 2])
+            np.add(a[1:m + 1], a[2:m + 2], out=rows)
+            rows *= sign * h
+            coarse = (a[0:m:2] + a[2:m + 2:2]) * (sign * h_sub)
+            if lo == 0:
+                rows[0] = coarse[0] = 0.0
+            else:
+                rows[0] += carry
+                coarse[0] += carry_sub
+            np.cumsum(rows, axis=0, out=rows)
+            np.cumsum(coarse, axis=0, out=coarse)
+            carry, carry_sub = rows[-1].copy(), coarse[-1].copy()
+            a[:2] = a[m:m + 2]
+            factor = eta0(tb[:, None] / 4.0) * phase
+            rows *= factor
+            coarse *= factor[::2]
+            coarse -= rows[::2]
+            norms += [_squared_norm(rows[::2]), _squared_norm(coarse)]
+        return norms
 
-    # the stride-2 subgrid first, so the full grid can integrate in place
-    sub = slice(i0 % 2, None, 2)
-    coarse = integrate(integrand[sub], times[sub], i0 // 2, np.empty_like(integrand[sub]))
-    full = integrate(integrand, times, i0, integrand)
-    # psi(t/4) W(t) on both grids, from the phases of each full-grid row
-    # (_BLOCK is even, so a block's subgrid rows start at coarse row lo // 2)
-    for lo in range(0, times.size, _BLOCK):
-        tb = times[lo:lo + _BLOCK, None]
-        factor = eta0(tb / 4.0) * _full_spectrum(phases[lo:lo + _BLOCK])
-        full[lo:lo + _BLOCK] *= factor
-        coarse[lo // 2:lo // 2 + len(factor[sub])] *= factor[sub]
-    require_hermitian(coarse)
-    require_hermitian(full)
-    den = np.linalg.norm(full[sub])
-    rel_change = np.linalg.norm(full[sub] - coarse) / den if den > 0 else 0.0
-    return {"times": times, "coeffs": full, "quadrature_change": float(rel_change)}
+    # t = 0 is the first row of both sweeps; its output is 0
+    full_sq, change_sq = sweep(coeffs[i0:], times[i0:], 1.0) + sweep(
+        coeffs[i0::-1], times[i0::-1], -1.0)
+    require_hermitian(coeffs)
+    rel_change = np.sqrt(change_sq / full_sq) if full_sq > 0 else 0.0
+    return {"times": times, "coeffs": coeffs, "quadrature_change": float(rel_change)}
+
+
+def _squared_norm(z):
+    """``sum |z|^2`` by ufunc sums, which never reach a threaded BLAS."""
+    return np.sum(z.real ** 2) + np.sum(z.imag ** 2)

@@ -32,15 +32,21 @@ from kawalab.dispersion import omega, phasor
 from kawalab.multipliers import EnergyMultipliers
 
 
-def reference_linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid, n_times=1024):
+def reference_linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid, n_times=1024,
+                                    squares=True):
     """The per-trial loop over the full spectrum: one packet, then every
     block of 128 samples of ``exp(i omega t)`` on all modes, on the window
-    ``[0, 4 * 2^(-4k)]``."""
+    ``[0, 4 * 2^(-4k)]``. With ``squares`` every norm comes from
+    ``re^2 + im^2`` of the unscaled ifft, as in the library; without, from
+    ``|v|^r`` of the scaled ifft."""
     for q, r in qr_pairs:
         _check_admissible(q, r)
     rng = np.random.default_rng(seed)
     w_all = omega(grid.xi, disp)
     dx = grid.dx
+    s2 = (_SQRT2PI / dx) ** 2
+    rs = sorted({r for _, r in qr_pairs})
+    products = {2.0: "ij->i", 4.0: "ij,ij->i", 6.0: "ij,ij,ij->i"}
     results = {f"Lt{q}Lx{r}": {} for q, r in qr_pairs}
     results["maximal_Lx4"] = {}
     results["maximal_Lx2"] = {}
@@ -53,29 +59,41 @@ def reference_linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid, n_ti
         per_trial_half = {key: [] for key in results}
         for _ in range(trials):
             c = _packet(grid, k, rng)
-            norms_r = {r: np.zeros(times.size) for _, r in qr_pairs if r != 2}
-            l2_t = np.zeros(times.size)
+            norms_r = {r: np.zeros(times.size) for r in rs}
             sup_x = np.zeros(grid.size)
             l2t_x = np.zeros(grid.size)
             l2t_x_half = np.zeros(grid.size)
+            l2t = np.zeros((2, grid.size))
             for lo in range(0, times.size, 128):
                 hi = min(lo + 128, times.size)
                 block = phasor(w_all, times[lo:hi, None]) * c[None, :]
-                v = np.abs(np.fft.ifft(block, axis=1) * (_SQRT2PI / dx))
-                for r in norms_r:
-                    norms_r[r][lo:hi] = (np.sum(v ** r, axis=1) * dx) ** (1.0 / r)
-                l2_t[lo:hi] = np.sqrt(np.sum(v ** 2, axis=1) * dx)
-                np.maximum(sup_x, v.max(axis=0), out=sup_x)
-                l2t_x += weights[lo:hi] @ (v ** 2)
                 half = np.arange(lo, hi) % 2 == 0
-                l2t_x_half += (2.0 * weights[lo:hi][half]) @ (v[half] ** 2)
+                if squares:
+                    f = np.fft.ifft(block, axis=1)
+                    sq = f.real * f.real + f.imag * f.imag
+                    for r in rs:
+                        norms_r[r][lo:hi] = np.einsum(products[r], *[sq] * int(r // 2))
+                    np.maximum(sup_x, sq.max(axis=0), out=sup_x)
+                    l2t += np.stack((weights[lo:hi],
+                                     np.where(half, 2.0 * weights[lo:hi], 0.0))) @ sq
+                else:
+                    v = np.abs(np.fft.ifft(block, axis=1) * (_SQRT2PI / dx))
+                    for r in rs:
+                        norms_r[r][lo:hi] = (np.sum(v ** r, axis=1) * dx) ** (1.0 / r)
+                    np.maximum(sup_x, v.max(axis=0), out=sup_x)
+                    l2t_x += weights[lo:hi] @ (v ** 2)
+                    l2t_x_half += (2.0 * weights[lo:hi][half]) @ (v[half] ** 2)
+            if squares:
+                for r in rs:
+                    norms_r[r] = (norms_r[r] * (s2 ** (r / 2.0) * dx)) ** (1.0 / r)
+                l2t_x, l2t_x_half = l2t * s2
             for q, r in qr_pairs:
                 key = f"Lt{q}Lx{r}"
+                g = norms_r[r]
                 if q == np.inf:
-                    val = float(np.max(l2_t))
-                    half_val = float(np.max(l2_t[::2]))
+                    val = float(np.max(g))
+                    half_val = float(np.max(g[::2]))
                 else:
-                    g = norms_r[r] if r != 2 else l2_t
                     val = float(np.sum(weights * g ** q) ** (1.0 / q))
                     half_val = float(
                         np.sum(2.0 * weights[::2] * g[::2] ** q) ** (1.0 / q)
@@ -83,11 +101,12 @@ def reference_linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid, n_ti
                 scale = 2.0 ** (-3.0 * k / q) if q != np.inf else 1.0
                 per_trial[key].append(val / scale)
                 per_trial_half[key].append(half_val / scale)
+            sup2 = sup_x * s2 if squares else sup_x ** 2
             per_trial["maximal_Lx4"].append(
-                float((np.sum(sup_x ** 4) * dx) ** 0.25) / 2.0 ** (k / 4.0)
+                float((np.sum(sup2 * sup2) * dx) ** 0.25) / 2.0 ** (k / 4.0)
             )
             per_trial["maximal_Lx2"].append(
-                float(np.sqrt(np.sum(sup_x ** 2) * dx)) / 2.0 ** (1.25 * k)
+                float(np.sqrt(np.sum(sup2) * dx)) / 2.0 ** (1.25 * k)
             )
             per_trial["smoothing"].append(
                 float(np.sqrt(np.max(l2t_x))) / 2.0 ** (-2.0 * k)
@@ -390,11 +409,18 @@ class TestLinearEstimates:
         new = linear_estimate_audit(*args, **kwargs)
         ref = reference_linear_estimate_audit(*args, **kwargs)
         assert json.dumps(new) == json.dumps(ref)
+        # the |v|^r formulas agree to rounding
+        old = reference_linear_estimate_audit(*args, **kwargs, squares=False)
+        for key, table in old["ratios"].items():
+            for k, v in table.items():
+                assert new["ratios"][key][k] == pytest.approx(v, rel=1e-13, abs=0.0)
 
     def test_inadmissible_pair_rejected(self):
         d = DispersionParams(1.0)
-        with pytest.raises(ValueError):
-            linear_estimate_audit(d, [4], [(4.0, 6.0)], 1, 0)
+        # (20/3, 5) is admissible, but an odd r is not a product of v^2
+        for pair in ((4.0, 6.0), (20.0 / 3.0, 5.0)):
+            with pytest.raises(ValueError):
+                linear_estimate_audit(d, [4], [pair], 1, 0)
 
 
 class TestBoundAudits:

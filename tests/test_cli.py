@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import os
 
 import numpy as np
 import pytest
@@ -220,6 +221,24 @@ class TestRuns:
             counts.append(len(made))
         assert counts[0] == counts[1] <= 4
 
+    @pytest.mark.parametrize("command, args", [
+        ("energy-track", ["--N", "nan"]),
+        ("simulate", ["--t_end", "nan"]),
+    ])
+    def test_value_rejected_by_runner_named(self, tmp_path, capsys, command, args):
+        # the library's own checks reject what the key parser lets through
+        out = tmp_path / command
+        assert main(["--out", str(out), command] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_resonance_nan_keeps_mu_sampled(self, tmp_path):
+        out = tmp_path / "res"
+        assert main(["--seed", "3", "--out", str(out), "resonance", "--samples", "2000",
+                     "--budget_factor", "2", "--mu_fixed", "nan"]) == 0
+        assert "mu_fixed = nan" in (out / "manifest.txt").read_text()
+
     def test_failure_record_written(self, tmp_path):
         # an impossible gate: duhamel on a very coarse quadrature
         out = tmp_path / "duh"
@@ -254,14 +273,28 @@ class _RecordingPool:
         return map(fn, units)
 
 
+def _tagged_pid(unit):
+    return unit, os.getpid()
+
+
 class TestParallelMap:
     def test_pool_capped_at_unit_count(self, monkeypatch):
+        # the parent is one of the K processes, so the pool forks K - 1
         monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         assert cli._parallel_map(abs, [-1, -2, -3], 5000) == [1, 2, 3]
         assert cli._parallel_map(abs, [-1, -2, -3], 2) == [1, 2, 3]
         assert cli._parallel_map(abs, [-1], 5000) == [1]
-        assert _RecordingPool.sizes == [3, 2]
+        assert _RecordingPool.sizes == [2, 1]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_parent_runs_every_kth_unit_in_order(self, workers):
+        units = list(range(7))
+        out = cli._parallel_map(_tagged_pid, units, workers)
+        assert [unit for unit, _ in out] == units
+        own = [unit for unit, pid in out if pid == os.getpid()]
+        assert own == units[::workers]
+        assert len({pid for _, pid in out}) == workers
 
 
 def _compare_dirs(a, b):
@@ -294,6 +327,24 @@ class TestDeterminism:
             outs.append(out)
         names = _compare_dirs(*outs)
         assert {"bounds.json", "bounds.txt"} <= set(names)
+
+    @pytest.mark.parametrize("command, args", [
+        ("strichartz", ["--k_lo", "4", "--k_hi", "6", "--trials", "1", "--n", "1024",
+                        "--n_times", "64"]),
+        ("illposed", ["--n_exp_lo", "7", "--n_exp_hi", "10", "--quad_points", "8",
+                      "--out_points", "8"]),
+        ("duhamel", ["--n", "64", "--L", repr(8 * np.pi), "--mode", "2",
+                     "--n_times", "128"]),
+    ])
+    def test_small_runs_match_for_1_2_3_workers(self, tmp_path, command, args):
+        outs = []
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"w{workers}"
+            main(["--seed", "5", "--workers", workers, "--no-gate",
+                  "--out", str(out), command] + args)
+            outs.append(out)
+        assert _records(_compare_dirs(outs[0], outs[1]))
+        _compare_dirs(outs[0], outs[2])
 
 
 def _records(names):

@@ -1,5 +1,7 @@
 """Space-time norms and the Duhamel bilinear operator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,8 +129,8 @@ class TestTrajectoryArrays:
             free_trajectory(phi, D, uniform_times(-1.0, 1.0, 8))
 
     def test_outputs_checked_whole(self, monkeypatch):
-        # one Hermitian check of the whole trajectory, and one each of the
-        # Duhamel output on the full and on the stride-2 grid
+        # one Hermitian check of the whole trajectory, and one of the whole
+        # Duhamel output
         shapes = []
         check = spacetime.require_hermitian
 
@@ -139,10 +141,11 @@ class TestTrajectoryArrays:
         monkeypatch.setattr(spacetime, "require_hermitian", recorded)
         g = Grid(16 * np.pi, 128)
         times = uniform_times(-2.0, 2.0, 96)
-        _, cu = free_trajectory(SpectralField.from_mode_dict(g, {5: 0.1, -5: 0.1}), D, times)
+        u0 = SpectralField.from_mode_dict(g, {5: 0.1, -5: 0.1})
+        free_trajectory(u0, D, times)
         assert shapes == [(96, 128)]
-        duhamel_bilinear(g, times, cu, cu, D)
-        assert sorted(shapes[1:]) == [(48, 128), (96, 128)]
+        duhamel_bilinear(u0, u0, D, times)
+        assert shapes[1:] == [(96, 128)]
 
     def test_first_shell_at_shell_edges(self):
         j = np.arange(60, dtype=float)
@@ -254,9 +257,7 @@ class TestDuhamel:
     def test_zero_input(self):
         g = Grid(16 * np.pi, 128)
         times = uniform_times(-2.0, 2.0, 64)
-        _, cu = free_trajectory(self._mode_pair(g, 5, 0.1), D, times)
-        _, cz = free_trajectory(SpectralField.zero(g), D, times)
-        out = duhamel_bilinear(g, times, cz, cu, D)
+        out = duhamel_bilinear(SpectralField.zero(g), self._mode_pair(g, 5, 0.1), D, times)
         assert np.max(np.abs(out["coeffs"])) == 0.0
 
     def test_symmetry(self):
@@ -265,10 +266,8 @@ class TestDuhamel:
         rng = np.random.default_rng(4)
         u0 = SpectralField.random_real(g, rng, support=6)
         v0 = SpectralField.random_real(g, rng, support=6)
-        _, cu = free_trajectory(u0, D, times)
-        _, cv = free_trajectory(v0, D, times)
-        a = duhamel_bilinear(g, times, cu, cv, D)
-        b = duhamel_bilinear(g, times, cv, cu, D)
+        a = duhamel_bilinear(u0, v0, D, times)
+        b = duhamel_bilinear(v0, u0, D, times)
         for ra, rb in zip(a["coeffs"], b["coeffs"]):
             assert np.max(np.abs(ra - rb)) <= 1e-14
 
@@ -276,8 +275,8 @@ class TestDuhamel:
         g = Grid(16 * np.pi, 256)
         m0, amp = 8, 0.1
         times = uniform_times(-2.0, 2.0, 1024)
-        _, cu = free_trajectory(self._mode_pair(g, m0, amp), D, times)
-        res = duhamel_bilinear(g, times, cu, cu, D)
+        u0 = self._mode_pair(g, m0, amp)
+        res = duhamel_bilinear(u0, u0, D, times)
         assert res["quadrature_change"] < 0.005
         xi0 = m0 * g.dxi
         idx = int(np.argmin(np.abs(res["times"] - 1.0)))
@@ -300,31 +299,58 @@ class TestDuhamel:
         # difference is not Hermitian to the relative 1e-10 of a real field
         g = Grid(8 * np.pi, 128)
         times = uniform_times(-2.0, 2.0, 1024)
-        _, cu = free_trajectory(self._mode_pair(g, 4, 0.1), D, times)
-        res = duhamel_bilinear(g, times, cu, cu, D)
+        u0 = self._mode_pair(g, 4, 0.1)
+        res = duhamel_bilinear(u0, u0, D, times)
         assert 0.0 < res["quadrature_change"] < 0.005
 
-    @pytest.mark.parametrize("lead", [16, 15])
+    @pytest.mark.parametrize("lead", [16, 15, 200, 131])
     def test_batched_matches_per_sample_loop(self, lead):
         # t = 0 sits `lead` samples from the left end, so both trapezoid
-        # branches run, and the stride-2 subgrid starts at index 0 or 1
+        # sweeps run, one of them over several blocks with a partial last
+        # one, and the stride-2 subgrid starts at index 0 or 1
         g = Grid(16 * np.pi, 128)
         dt = 1.0 / 32.0
         times = uniform_times(-lead * dt, (256 - lead) * dt, 256)
         assert times[lead] == 0.0
         rng = np.random.default_rng(8)
-        _, cu = free_trajectory(SpectralField.random_real(g, rng, support=6), D, times)
-        _, cv = free_trajectory(SpectralField.random_real(g, rng, support=9), D, times)
-        res = duhamel_bilinear(g, times, cu, cv, D)
+        u0 = SpectralField.random_real(g, rng, support=6)
+        v0 = SpectralField.random_real(g, rng, support=9)
+        res = duhamel_bilinear(u0, v0, D, times)
+        _, cu = free_trajectory(u0, D, times)
+        _, cv = free_trajectory(v0, D, times)
         full, change = reference_duhamel(g, times, cu, cv, D)
         got = res["coeffs"]
         assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full))
         assert res["quadrature_change"] == pytest.approx(change, rel=1e-13)
         assert all(SpectralField(g, c).hermitian_defect() <= 1e-10 for c in got)
 
+    def test_holds_no_sample_lattice_but_the_output(self):
+        # the flows, phases and integrand live one block at a time: the
+        # peak above entry is the output plus block-sized temporaries
+        g = Grid(16 * np.pi, 256)
+        u0 = self._mode_pair(g, 8, 0.1)
+        times = uniform_times(-2.0, 2.0, 2048)
+        tracemalloc.start()
+        try:
+            res = duhamel_bilinear(u0, u0, D, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * res["coeffs"].nbytes
+
+    def test_refuses_complex_or_mismatched_data(self):
+        g = Grid(16 * np.pi, 128)
+        times = uniform_times(-2.0, 2.0, 64)
+        u0 = self._mode_pair(g, 5, 0.1)
+        flagged = SpectralField.from_mode_dict(g, {5: 0.1, -5: 0.1}, real=False)
+        with pytest.raises(ValueError, match="real-flagged"):
+            duhamel_bilinear(u0, flagged, D, times)
+        with pytest.raises(ValueError, match="different grids"):
+            duhamel_bilinear(u0, self._mode_pair(Grid(8 * np.pi, 128), 5, 0.1), D, times)
+
     def test_coarse_grid_rejected(self):
         g = Grid(16 * np.pi, 128)
         times = uniform_times(-2.0, 2.0, 4)
-        c = np.zeros((times.size, g.size), dtype=np.complex128)
+        u0 = SpectralField.zero(g)
         with pytest.raises(ValueError):
-            duhamel_bilinear(g, times, c, c, D)
+            duhamel_bilinear(u0, u0, D, times)

@@ -69,6 +69,32 @@ def test_claim_met_rule(change, met):
     assert all(row["claim_met"] is met for row in rows.values())
 
 
+@pytest.mark.parametrize("change", [0.30, 0.50 * 1.1 + 0.001, 0.50 * 1.25 + 0.001])
+def test_worse_flag_uses_relative_bound(change):
+    # every end-to-end metric is better lower; its bound is a fraction of
+    # the parent's median (0.1 for peak_rss_mb, 0.2 or 0.25 for the times)
+    bp = load_bench_pairs()
+    assert set(bp.BETTER.values()) == {"lower"}
+    rows = bp.compare(_side(bp, [0.50] * 5), _side(bp, [change] * 5))
+    assert {name: row["worse"] for name, row in rows.items()} == {
+        name: change > 0.50 * (1.0 + bp.BOUND[name]) for name in bp.METRICS}
+
+
+def test_job_medians_read_run_lines():
+    lines = [
+        "perfbench lab seed=1 seconds=3 trace=0",
+        "  cli_illposed                     wall     0.091 s  cpu     0.142 s  ok",
+        "  cli_duhamel                      wall     0.034 s  cpu     0.034 s  ok",
+        "  cli_illposed                     wall     0.068 s  cpu     0.103 s  ok",
+        "  cli_illposed                     wall     0.070 s  cpu     0.100 s  FAILED x: y",
+        "  wall_s                                   0.35 s",
+    ]
+    assert load_bench_pairs().job_medians(lines) == {
+        "cli_illposed": {"wall_s": 0.070, "cpu_s": 0.103},
+        "cli_duhamel": {"wall_s": 0.034, "cpu_s": 0.034},
+    }
+
+
 def load_tracer():
     spec = importlib.util.spec_from_file_location(
         "tracer", os.path.join(ROOT, "perfbench", "tracer.py"))

@@ -17,9 +17,14 @@ The output has the layout of the earlier BENCH files: machine facts,
 then per workload the seeds and, per side, ``attempted`` and ``failed``
 job counts per run and ``runs``/``median``/``q1``/``q3`` per metric
 (inclusive quartiles), plus ``change_vs_parent`` (median ratio, pairs in
-which the change is lower, the parent's interquartile range, and
+which the change is lower, the parent's interquartile range,
 ``claim_met``: the change is better in at least 9/10 of the pairs and its
-median beats the parent's by more than that range).
+median beats the parent's by more than that range, and ``worse``: the
+change's median is worse than the parent's by more than the metric's
+``BENCHMARK.json`` bound, a fraction of the parent's median). Each side
+also carries ``jobs``: per job, the median over runs of the job's median
+wall and CPU seconds within a run, read from run.py's per-job lines
+(unscaled by the host-speed probe).
 
 ``--junit PATH`` adds ``acceptance_s``: the time of each acceptance
 criterion (``test_aNN_*``) read from a ``pytest --junitxml`` file, such
@@ -45,6 +50,7 @@ with open(os.path.join(ROOT, "BENCHMARK.json")) as _fh:
     SPEC = json.load(_fh)
 METRICS = [m["name"] for m in SPEC["end_to_end"]]
 BETTER = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
+BOUND = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 SECONDS = SPEC["run_seconds"]
 
@@ -79,6 +85,23 @@ def machine():
             "numpy": numpy.__version__, "system": platform.system()}
 
 
+# run.py prints one line per job repeat: "  <job>  wall <s> s  cpu <s> s  <status>"
+JOB_LINE = re.compile(r"\s+(\S+)\s+wall\s+(\S+) s\s+cpu\s+(\S+) s\s")
+
+
+def job_medians(lines):
+    """``{job: {"wall_s": median, "cpu_s": median}}`` over the job lines."""
+    times = {}
+    for line in lines:
+        match = JOB_LINE.match(line)
+        if match:
+            walls, cpus = times.setdefault(match[1], ([], []))
+            walls.append(float(match[2]))
+            cpus.append(float(match[3]))
+    return {job: {"wall_s": statistics.median(walls), "cpu_s": statistics.median(cpus)}
+            for job, (walls, cpus) in times.items()}
+
+
 def run_once(tree, workload, seed):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", f"{SECONDS:g}", "--trace", "0"]
@@ -87,7 +110,7 @@ def run_once(tree, workload, seed):
     if proc.returncode != 0 or not lines:
         sys.exit(f"bench_pairs: {' '.join(cmd)} in {tree} failed "
                  f"(exit {proc.returncode}):\n{proc.stderr}")
-    return json.loads(lines[-1])
+    return {**json.loads(lines[-1]), "jobs": job_medians(lines)}
 
 
 def summary(values):
@@ -101,14 +124,20 @@ def side(results):
            "failed": [r["failed"] for r in results]}
     for name in METRICS:
         out[name] = summary([r["metrics"][name]["value"] for r in results])
+    out["jobs"] = {
+        job: {key: round(statistics.median(r["jobs"][job][key] for r in results), 5)
+              for key in ("wall_s", "cpu_s")}
+        for job in results[0]["jobs"]}
     return out
 
 
 def compare(parent, change):
     """Per metric: median ratio, pairs in which the change is lower, the
-    parent's interquartile range, and ``claim_met``: the change is better in
+    parent's interquartile range, ``claim_met``: the change is better in
     at least nine tenths of the pairs (ties count for neither side) and the
-    medians differ in its favour by more than the parent's IQR."""
+    medians differ in its favour by more than the parent's IQR, and
+    ``worse``: the change's median is worse than the parent's by more than
+    the metric's bound times the parent's median."""
     out = {}
     for name in METRICS:
         p, c = parent[name], change[name]
@@ -122,6 +151,7 @@ def compare(parent, change):
             "pairs": pairs,
             "parent_iqr": round(iqr, 5),
             "claim_met": 10 * wins >= 9 * pairs and sign * (p["median"] - c["median"]) > iqr,
+            "worse": sign * (c["median"] - p["median"]) > BOUND[name] * p["median"],
         }
     return out
 
@@ -138,8 +168,12 @@ def bench_workload(trees, workload, pairs, first_seed):
                   f"{res['metrics']['wall_s']['value']:.4f} correct {res['correct']}",
                   flush=True)
     parent, change = side(results["parent"]), side(results["change"])
-    return {"seeds": seeds, "parent": parent, "change": change,
-            "change_vs_parent": compare(parent, change)}
+    rows = compare(parent, change)
+    for name, row in rows.items():
+        if row["worse"]:
+            print(f"{workload} {name}: the change's median is worse than the parent's "
+                  f"by more than the bound {BOUND[name]:g}", flush=True)
+    return {"seeds": seeds, "parent": parent, "change": change, "change_vs_parent": rows}
 
 
 def acceptance_times(path):
