@@ -83,6 +83,28 @@ class BoundCheckReport:
 # -- resonance size ----------------------------------------------------
 
 
+def _resonance_ratio(x1, x2, mus):
+    """``(keep, ratio)``: ``keep`` marks the admissible pairs
+    (``max(|x1|, |x2|, |x1+x2|) >= 10``, no zero frequency) and ``ratio`` is
+    ``|Omega| / (|xi|_max^4 |xi|_min)`` on every pair, meaningful where
+    ``keep`` holds; ``mus`` is each pair's third-order coefficient. Callers
+    mask the ratio, because a boolean gather of the inputs costs more than
+    this arithmetic on all of them."""
+    x3 = x1 + x2
+    a1, a2, a3 = np.abs(x1), np.abs(x2), np.abs(x3)
+    amax = np.maximum(a1, np.maximum(a2, a3))
+    amin = np.minimum(a1, np.minimum(a2, a3))
+    keep = (amax >= 10.0) & (amin > 0.0)
+    # explicit products, as in dispersion.omega: numpy's pow takes a slow
+    # per-element path on negative bases, and products are exactly odd
+    s1, s2, s3 = x1 * x1, x2 * x2, x3 * x3
+    c1, c2, c3 = s1 * x1, s2 * x2, s3 * x3
+    om = mus * c1 - c1 * s1 + mus * c2 - c2 * s2 - (mus * c3 - c3 * s3)
+    q = amax * amax
+    with np.errstate(divide="ignore", invalid="ignore"):  # amin == 0 is not kept
+        return keep, np.abs(om) / (q * q * amin)
+
+
 def resonance_size_audit(n_samples, seed, mu=None):
     """Ratio ``|Omega(x1, x2)| / (|xi|_max^4 |xi|_min)`` over random pairs.
 
@@ -111,20 +133,13 @@ def resonance_size_audit(n_samples, seed, mu=None):
             x1[:4] = (10.0, -10.0, 10.0, -10.0)
             x2[:4] = (10.0, -10.0, -20.0, 20.0)
             first = False
-        x3 = x1 + x2
-        amax = np.maximum(np.abs(x1), np.maximum(np.abs(x2), np.abs(x3)))
-        amin = np.minimum(np.abs(x1), np.minimum(np.abs(x2), np.abs(x3)))
-        keep = (amax >= 10.0) & (amin > 0.0)
-        if not np.any(keep):
+        keep, ratio = _resonance_ratio(x1, x2, mus)
+        kept = int(np.count_nonzero(keep))
+        if kept == 0:
             continue
-        x1, x2, mus = x1[keep], x2[keep], mus[keep]
-        amax, amin = amax[keep], amin[keep]
-        om = mus * x1 ** 3 - x1 ** 5 + mus * x2 ** 3 - x2 ** 5 \
-            - (mus * (x1 + x2) ** 3 - (x1 + x2) ** 5)
-        ratio = np.abs(om) / (amax ** 4 * amin)
-        accepted += ratio.size
-        i_hi = int(np.argmax(ratio))
-        i_lo = int(np.argmin(ratio))
+        accepted += kept
+        i_hi = int(np.argmax(np.where(keep, ratio, -np.inf)))
+        i_lo = int(np.argmin(np.where(keep, ratio, np.inf)))
         if ratio[i_hi] > best_max:
             best_max = float(ratio[i_hi])
             arg_max = (float(x1[i_hi]), float(x2[i_hi]), float(mus[i_hi]))

@@ -9,6 +9,7 @@ command-line flags override file values. Each command's runner returns
 """
 
 import argparse
+import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -673,7 +674,10 @@ def run(command, resolved, out_dir, seed, workers, enforce_gates=True,
     return 1 if enforce_gates and failed else 0
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument tree, built on first use and shared by every ``main``
+    call in the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="kawalab",
         description="Kawahara pseudospectral lab: batch experiments and audits",
@@ -691,7 +695,11 @@ def main(argv=None):
         p = sub.add_parser(name)
         for key in defaults:
             p.add_argument(f"--{key}", default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     defaults, _ = COMMANDS[args.command]
     flag_values = {key: getattr(args, key) for key in defaults}

@@ -51,9 +51,13 @@ def h_v_eval(freqs, disp):
 
     ``freqs`` has the tuple on its last axis.
     """
+    # explicit products, as in dispersion.omega: numpy's pow takes a slow
+    # per-element path on negative bases, and products are exactly odd
     x = np.asarray(freqs, dtype=np.float64)
-    h = 1j * disp.mu * np.sum(x ** 3, axis=-1)
-    v = 1j * np.sum(x ** 5, axis=-1)
+    x2 = x * x
+    x3 = x2 * x
+    h = 1j * disp.mu * np.sum(x3, axis=-1)
+    v = 1j * np.sum(x3 * x2, axis=-1)
     return h, v
 
 
@@ -74,9 +78,13 @@ def power_sum_identity_check(freqs):
     """
     x = np.asarray(freqs, dtype=np.float64)
     k = x.shape[-1]
-    cubes = np.sum(x ** 3, axis=-1)
-    quints = np.sum(x ** 5, axis=-1)
-    squares = np.sum(x ** 2, axis=-1)
+    # explicit products: exactly odd, and off numpy's slow negative-base pow
+    x2 = x * x
+    x3 = x2 * x
+    x5 = x3 * x2
+    cubes = np.sum(x3, axis=-1)
+    quints = np.sum(x5, axis=-1)
+    squares = np.sum(x2, axis=-1)
     if k == 3:
         prod = x[..., 0] * x[..., 1] * x[..., 2]
         fc = 3.0 * prod
@@ -88,8 +96,8 @@ def power_sum_identity_check(freqs):
         fq = -2.5 * prod * squares
     else:
         raise ValueError("factored forms exist for k = 3 and k = 4 only")
-    scale_c = np.maximum(np.abs(cubes), np.abs(fc)) + np.sum(np.abs(x) ** 3, axis=-1)
-    scale_q = np.maximum(np.abs(quints), np.abs(fq)) + np.sum(np.abs(x) ** 5, axis=-1)
+    scale_c = np.maximum(np.abs(cubes), np.abs(fc)) + np.sum(np.abs(x3), axis=-1)
+    scale_q = np.maximum(np.abs(quints), np.abs(fq)) + np.sum(np.abs(x5), axis=-1)
     rel_c = np.abs(cubes - fc) / scale_c
     rel_q = np.abs(quints - fq) / scale_q
     return float(np.max(np.maximum(rel_c, rel_q)))

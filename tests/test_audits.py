@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -324,6 +325,45 @@ class TestResonance:
         a = resonance_size_audit(10 ** 4, seed=9)
         b = resonance_size_audit(10 ** 4, seed=9)
         assert a.max_ratio == b.max_ratio and a.min_ratio == b.min_ratio
+
+    @staticmethod
+    def exact_ratio(x1, x2, mu):
+        """The ratio in rationals (every double is one exactly), and the
+        rounding scale ``sum |terms| / (|xi|_max^4 |xi|_min)``."""
+        a, b, mu = Fraction(x1), Fraction(x2), Fraction(mu)
+        c = a + b
+        terms = (mu * a ** 3, -a ** 5, mu * b ** 3, -b ** 5, -mu * c ** 3, c ** 5)
+        mags = (abs(a), abs(b), abs(c))
+        den = max(mags) ** 4 * min(mags)
+        return abs(sum(terms)) / den, sum(abs(t) for t in terms) / den
+
+    def assert_exact(self, ratio, x1, x2, mu):
+        exact, scale = self.exact_ratio(x1, x2, mu)
+        # the float Omega sums six products of at most four roundings
+        assert abs(Fraction(ratio) - exact) <= 16 * np.finfo(float).eps * scale
+
+    def test_ratio_matches_exact_rationals(self):
+        rng = np.random.default_rng(21)
+        count = 200
+        mags = np.exp(rng.uniform(np.log(1e-2), np.log(1e4), (2, count)))
+        # every sign pattern, so the cubes and fifth powers see negative bases
+        x1 = mags[0] * np.tile([1.0, 1.0, -1.0, -1.0], count // 4)
+        x2 = mags[1] * np.tile([1.0, -1.0, 1.0, -1.0], count // 4)
+        mus = rng.uniform(-1.0, 1.0, count)
+        keep, ratio = audits._resonance_ratio(x1, x2, mus)
+        assert keep.sum() > count // 2
+        for r, a, b, mu in zip(ratio[keep], x1[keep], x2[keep], mus[keep]):
+            self.assert_exact(r, a, b, mu)
+
+    def test_reported_extremes_match_exact_rationals(self):
+        rep = resonance_size_audit(10 ** 5, seed=1)
+        self.assert_exact(rep.max_ratio, *rep.argmax)
+        self.assert_exact(rep.min_ratio, *rep.extras["argmin"])
+
+    def test_worked_point_exact(self):
+        x = np.array([10.0, -10.0])
+        keep, ratio = audits._resonance_ratio(x, x, np.zeros(2))
+        assert keep.all() and ratio.tolist() == [1.875, 1.875]
 
 
 class TestJFunctional:

@@ -3,6 +3,8 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -327,6 +329,26 @@ class TestDeterminism:
             outs.append(out)
         names = _compare_dirs(*outs)
         assert {"bounds.json", "bounds.txt"} <= set(names)
+
+    def test_parser_reuse_matches_fresh_processes(self, tmp_path, capsys):
+        runs = {"res": ["resonance", "--samples", "2000", "--budget_factor", "2"],
+                "ids": ["identities", "--tuples", "500"]}
+        assert main(["--seed", "3", "--out", str(tmp_path / "res")] + runs["res"]) == 0
+        # a key of the previous command, which identities does not take
+        with pytest.raises(SystemExit) as rejected:
+            main(["--seed", "3", "--out", str(tmp_path / "bad"), "identities",
+                  "--samples", "1"])
+        assert rejected.value.code == 2 and "error:" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+        assert main(["--seed", "3", "--out", str(tmp_path / "ids")] + runs["ids"]) == 0
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        for tag, args in runs.items():
+            fresh = tmp_path / f"fresh-{tag}"
+            subprocess.run([sys.executable, "-m", "kawalab.cli", "--seed", "3",
+                            "--out", str(fresh)] + args, env=env, check=True, timeout=120)
+            assert _records(_compare_dirs(tmp_path / tag, fresh))
 
     @pytest.mark.parametrize("command, args", [
         ("strichartz", ["--k_lo", "4", "--k_hi", "6", "--trials", "1", "--n", "1024",

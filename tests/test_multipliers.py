@@ -1,6 +1,7 @@
 """Tuple kernels: power sums, cancellation, symmetry, singular limits."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,6 +41,60 @@ class TestPowerSums:
         rng = np.random.default_rng(0)
         assert power_sum_identity_check(zero_sum_tuples(rng, 10000, 3)) < 1e-11
         assert power_sum_identity_check(zero_sum_tuples(rng, 10000, 4)) < 1e-11
+
+    @staticmethod
+    def signed_tuples(k):
+        """Rows of length ``k``: all-negative ones, then mixed signs."""
+        rng = np.random.default_rng(17 + k)
+        x = rng.uniform(1e-2, 1e3, (60, k))
+        x[30:] *= rng.choice([-1.0, 1.0], (30, k))
+        x[30:, 0], x[30:, 1] = -np.abs(x[30:, 0]), np.abs(x[30:, 1])
+        return x
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_h_v_match_exact_power_sums(self, k):
+        eps = np.finfo(float).eps
+        x = self.signed_tuples(k)
+        h, v = h_v_eval(x, D)
+        assert not h.real.any() and not v.real.any()
+        for row, cubes, quints in zip(x, h.imag, v.imag):
+            exact = [Fraction(float(xi)) for xi in row]
+            # at most three roundings per power and k - 1 per sum
+            for got, p in ((cubes, 3), (quints, 5)):
+                total = sum(xi ** p for xi in exact)
+                scale = sum(abs(xi) ** p for xi in exact)
+                assert abs(Fraction(float(got)) - total) <= 4 * eps * scale
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_identity_gap_matches_exact_rationals(self, k):
+        # off the hyperplane the identities fail at order one, so each row's
+        # gap reads its power sums
+        eps = np.finfo(float).eps
+        for row in self.signed_tuples(k):
+            e = [Fraction(float(xi)) for xi in row]
+            squares = sum(xi * xi for xi in e)
+            if k == 3:
+                prod = e[0] * e[1] * e[2]
+                fc, fq = 3 * prod, Fraction(5, 2) * prod * squares
+            else:
+                prod = (e[0] + e[1]) * (e[0] + e[2]) * (e[1] + e[2])
+                fc, fq = -3 * prod, -Fraction(5, 2) * prod * squares
+            gaps = []
+            for p, f in ((3, fc), (5, fq)):
+                total = sum(xi ** p for xi in e)
+                scale = max(abs(total), abs(f)) + sum(abs(xi) ** p for xi in e)
+                gaps.append(abs(total - f) / scale)
+            got = power_sum_identity_check(row[None])
+            assert abs(Fraction(got) - max(gaps)) <= 32 * eps
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_integer_hyperplane_gap_is_zero(self, k):
+        # entries below 500: every power, product and sum is an exact double
+        rng = np.random.default_rng(k)
+        x = rng.integers(-150, 151, (1000, k - 1)).astype(np.float64)
+        x = np.column_stack([x, -x.sum(axis=1)])
+        assert (x < 0).any(axis=1).all()
+        assert power_sum_identity_check(x) == 0.0
 
     def test_rejects_other_lengths(self):
         with pytest.raises(ValueError):
