@@ -272,6 +272,7 @@ def _cmd_gwp(cfg, seed, workers):
         "lam": result.lam, "eps0": result.eps0, "threshold": result.threshold,
         "times": result.times, "e2": result.e2, "e4": result.e4,
         "growth_norm": result.growth_norm, "passed": result.passed,
+        "steps": result.steps, "dt": result.dt, "peak_growth": result.peak_growth,
         "first_failure": result.first_failure,
         "growth_exponent": result.growth_exponent,
         "growth_reference": result.growth_reference,

@@ -441,6 +441,11 @@ class GwpConfig:
 
 @dataclass
 class GwpResult:
+    """The experiment's records: ``times``, ``e2``, ``growth_norm`` and
+    ``passed`` hold one entry for the datum and one per unit step (``e4``
+    too when tracked); ``steps``, ``dt`` and ``peak_growth`` hold one entry
+    per unit step, the counters of that step's trajectory."""
+
     lam: float
     eps0: float
     threshold: float
@@ -449,6 +454,9 @@ class GwpResult:
     e4: list = dc_field(default_factory=list)
     growth_norm: list = dc_field(default_factory=list)
     passed: list = dc_field(default_factory=list)
+    steps: list = dc_field(default_factory=list)
+    dt: list = dc_field(default_factory=list)
+    peak_growth: list = dc_field(default_factory=list)
     first_failure: int = -1
     growth_exponent: float = float("nan")
     growth_reference: float = 7.0 / 15.0
@@ -458,12 +466,27 @@ class GwpResult:
         return all(self.passed)
 
 
-def _solve_lambda(datum, mult, eps0):
-    """Largest lam in (0, 1] with ||I rescale(datum, lam)|| ~= eps0."""
+def _rescaled_I_norm(datum, mult):
+    """``lam -> apply_I(rescale_datum(datum, lam), mult).l2_norm()``, bit for
+    bit: the same operands in the same order, but no fields, so no Hermitian
+    re-checks (scaling a Hermitian datum by lam**3 and by the even m keeps it
+    Hermitian)."""
+    grid = datum.grid
+    modes, nyquist = grid.modes, grid.nyquist_index
 
     def norm_at(lam):
-        return apply_I(rescale_datum(datum, lam), mult).l2_norm()
+        dxi = 2.0 * np.pi / (grid.length / lam)
+        c = datum.coeffs * lam ** 3
+        c *= mult.m(modes * dxi)
+        c[nyquist] = 0.0
+        return float(np.sqrt(np.sum(np.abs(c) ** 2) * dxi))
 
+    return norm_at
+
+
+def _solve_lambda(datum, mult, eps0):
+    """Largest lam in (0, 1] with ||I rescale(datum, lam)|| ~= eps0."""
+    norm_at = _rescaled_I_norm(datum, mult)
     if norm_at(1.0) <= eps0:
         return 1.0
     lo, hi = 1e-8, 1.0
@@ -576,6 +599,9 @@ def gwp_experiment(config, datum, disp):
         cfg = SolverConfig(grid, disp, dt=dt, t_end=1.0, monitor_stride=10 ** 9)
         traj = simulate(current, cfg)
         current = traj.fields[-1]
+        result.steps.append(traj.steps)
+        result.dt.append(traj.dt)
+        result.peak_growth.append(traj.peak_growth)
         record(j, current)
 
     tau = np.asarray(result.times, dtype=np.float64)

@@ -64,17 +64,25 @@ class SolverConfig:
     monitor_stride: int = 1
 
     def __post_init__(self):
-        if not (0.0 < self.dt < np.inf and 0.0 <= self.t_end < np.inf):
-            raise ValueError("dt must be positive and t_end nonnegative, both finite")
+        if not (0.0 <= self.t_end < np.inf):
+            raise ValueError("t_end must be nonnegative and finite")
         if not (0.5 < self.dealias_fraction < 1.0):
             raise ValueError("dealias_fraction must lie in (1/2, 1)")
         if self.monitor_stride < 1:
             raise ValueError("monitor_stride must be at least 1")
-        wmax = float(np.max(np.abs(omega(self.grid.xi, self.disp))))
-        if self.dt * wmax > PHASE_GUARD:
-            raise ValueError(
-                f"phase-accuracy guard violated: dt*max|omega| = {self.dt * wmax:.3e} > 1e6"
-            )
+        _check_dt(self.grid, self.disp, self.dt)
+
+
+def _check_dt(grid, disp, dt):
+    """Raise ValueError unless ``0 < dt < inf`` and ``dt*max|omega|`` over
+    the whole grid is at most ``PHASE_GUARD``."""
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    wmax = float(np.max(np.abs(omega(grid.xi, disp))))
+    if dt * wmax > PHASE_GUARD:
+        raise ValueError(
+            f"phase-accuracy guard violated: dt*max|omega| = {dt * wmax:.3e} > 1e6"
+        )
 
 
 @dataclass
@@ -128,15 +136,13 @@ def nonlinear_rhs(u, dealias_fraction=DEALIAS_FRACTION):
     return u.with_coeffs(_full_spectrum(mult * _square(u.coeffs[:band], u.grid.size)))
 
 
-def _square(c, n, v=None, spec=None):
+def _square(c, n):
     """``rfft(v*v)`` for ``v = irfft(c, n)``, unscaled (modes missing from a
     short ``c`` count as zero); for unitary coefficients the half spectrum
-    of ``F[u^2]`` is this times ``sqrt(2 pi)/dx``. Given buffers ``v`` (n
-    reals) and ``spec`` (n/2+1 complex), it writes into them instead of
-    allocating its outputs."""
-    v = np.fft.irfft(c, n, out=v)
+    of ``F[u^2]`` is this times ``sqrt(2 pi)/dx``."""
+    v = np.fft.irfft(c, n)
     np.multiply(v, v, out=v)
-    return np.fft.rfft(v, out=spec)
+    return np.fft.rfft(v)
 
 
 def _band_field(u, c):
@@ -174,25 +180,35 @@ class _Stepper:
     guard has passed."""
 
     def __init__(self, grid, disp, dt, dealias_fraction):
-        self.n = grid.size
-        self.dt = dt
+        n = self.n = grid.size
         band, mult = _rhs_multiplier(grid, dealias_fraction)
-        self.band, self.mult = band, mult[:band]
+        # the inverse transform runs unscaled (norm="forward"), which leaves
+        # the square n**2 times larger; n is a power of two, so folding
+        # 1/n**2 into the multiplier keeps every bit
+        self.band, self.mult = band, mult[:band] * (1.0 / (n * n))
         eh = phasor(omega(np.arange(band) * grid.dxi, disp), 0.5 * dt)
         self.e_half, self.e_full = eh, eh * eh
         # the array factors of dt*eh*k3 and 2.0*eh*(k2+k3), which evaluate
         # left to right, so precomputing them keeps every bit
         self.dt_eh, self.two_eh = dt * eh, 2.0 * eh
+        # the scalar factors dt/2 and dt/6 as 0-d complex arrays: a float
+        # operand is cast to exactly this complex value on every call, so
+        # casting once keeps every bit and skips the per-call conversion
+        self.h, self.dt6 = np.array(0.5 * dt + 0j), np.array(dt / 6.0 + 0j)
         self.peak = 0.0
-        self._v = np.empty(self.n)
-        self._spec = np.empty(self.n // 2 + 1, dtype=np.complex128)
+        self._v = np.empty(n)
+        self._spec = np.empty(n // 2 + 1, dtype=np.complex128)
+        self._spec_band = self._spec[:band]
         self._k = tuple(np.empty((4, band), dtype=np.complex128))
         self._s, self._t, self._efc = np.empty((3, band), dtype=np.complex128)
         self._abs = np.empty(band)
+        self._abs_tail = self._abs[1:]  # never empty: band >= 3 since n >= 8
 
     def _rhs(self, c, k):
-        spec = _square(c, self.n, self._v, self._spec)
-        np.multiply(self.mult, spec[:self.band], out=k)
+        v = np.fft.irfft(c, self.n, out=self._v, norm="forward")
+        np.multiply(v, v, out=v)
+        np.fft.rfft(v, out=self._spec)
+        np.multiply(self.mult, self._spec_band, out=k)
 
     def step(self, c):
         """One step from band coefficients ``c``, which are left unchanged.
@@ -201,7 +217,7 @@ class _Stepper:
         and order of ``ef*c + (dt/6)*(ef*k1 + 2*eh*(k2+k3) + k4)`` with
         ``k2 = rhs(eh*(c + dt/2*k1))``, ``k3 = rhs(eh*c + dt/2*k2)`` and
         ``k4 = rhs(ef*c + dt*eh*k3)``."""
-        eh, ef, h = self.e_half, self.e_full, 0.5 * self.dt
+        eh, ef, h = self.e_half, self.e_full, self.h
         k1, k2, k3, k4 = self._k
         s, t, efc = self._s, self._t, self._efc
         self._rhs(c, k1)
@@ -222,13 +238,14 @@ class _Stepper:
         np.multiply(self.two_eh, k2, out=k2)
         np.add(k1, k2, out=k1)
         np.add(k1, k4, out=k1)
-        out = np.multiply(self.dt / 6.0, k1)
+        out = np.multiply(self.dt6, k1)
         np.add(efc, out, out=out)
-        mags = np.abs(out, out=self._abs)
-        peak = mags[1:].max(initial=0.0)
+        np.abs(out, out=self._abs)
+        # maximum.reduce propagates NaN as max() does
+        peak = np.maximum.reduce(self._abs_tail)
         # negated test: NaN compares false and must count as divergence; the
         # mean mode stays out of the peak but not out of the guard
-        if not (peak <= DIVERGENCE_THRESHOLD and mags[0] <= DIVERGENCE_THRESHOLD):
+        if not (peak <= DIVERGENCE_THRESHOLD and self._abs[0] <= DIVERGENCE_THRESHOLD):
             return None
         self.peak = max(self.peak, peak)
         return out
@@ -236,7 +253,10 @@ class _Stepper:
 
 def step(u, dt, config):
     """One integrating-factor RK4 step of size ``dt`` for a real field. As in
-    ``simulate``, the datum is projected into the dealias band first."""
+    ``simulate``, the datum is projected into the dealias band first. ``dt``
+    obeys ``SolverConfig``'s rule (positive, finite and within the phase
+    guard on ``config.grid``), else ValueError."""
+    _check_dt(config.grid, config.disp, dt)
     stepper = _Stepper(config.grid, config.disp, dt, config.dealias_fraction)
     c = stepper.step(_half_spectrum(u, config.grid)[:stepper.band])
     if c is None:
@@ -247,11 +267,13 @@ def step(u, dt, config):
 def simulate(u0, config, t0=0.0):
     """Integrate from ``t0`` to ``t0 + t_end``, sampling every
     ``monitor_stride`` steps. The datum is projected into the dealias band
-    first, so the computed dynamics are an exact Galerkin system."""
+    first, so the computed dynamics are an exact Galerkin system. With
+    ``t_end = 0`` no step is taken: the trajectory is the datum's sample
+    alone, with ``steps``, ``dt`` and ``peak_growth`` all 0."""
     grid = config.grid
     half = _half_spectrum(u0, grid)
-    n_steps = max(1, int(round(config.t_end / config.dt)))
-    dt = config.t_end / n_steps
+    n_steps = max(1, int(round(config.t_end / config.dt))) if config.t_end > 0.0 else 0
+    dt = config.t_end / max(n_steps, 1)
     stepper = _Stepper(grid, config.disp, dt, config.dealias_fraction)
 
     traj = Trajectory(dealias_cutoff=dealias_cutoff_index(grid, config.dealias_fraction) * grid.dxi,

@@ -157,6 +157,29 @@ class TestRuns:
             # 0.02 / 0.0005 steps on the preset
             assert summary["steps"] == 40 and summary["dt"] == 0.0005
 
+    def test_simulate_zero_end_time(self, tmp_path):
+        out = tmp_path / "sim"
+        assert main(["--seed", "1", "--out", str(out), "simulate",
+                     *DETERMINISM_PRESETS["simulate"], "--t_end", "0"]) == 0
+        rows = (out / "trajectory.csv").read_text().strip().splitlines()
+        assert len(rows) == 2 and float(rows[1].split(",")[0]) == 0.0
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["samples"], summary["steps"], summary["dt"],
+                summary["peak_growth"]) == (1, 0, 0.0, 0.0)
+
+    def test_gwp_carries_unit_step_counters(self, tmp_path):
+        out = tmp_path / "gwp"
+        assert main(["--seed", "77", "--out", str(out), "gwp", "--steps", "2",
+                     "--n", "256", "--N", "16"]) == 0
+        record = json.loads((out / "gwp.json").read_text())
+        assert len(record["times"]) == 3
+        # one entry per unit step, each from that step's trajectory
+        steps, dts, peaks = record["steps"], record["dt"], record["peak_growth"]
+        assert len(steps) == len(dts) == len(peaks) == 2
+        assert all(isinstance(k, int) and k > 0 for k in steps)
+        assert all(dt == 1.0 / k for k, dt in zip(steps, dts))
+        assert all(0.5 < p < 2.0 for p in peaks)
+
     def test_simulate_unusable_datum_named(self, tmp_path, capsys):
         complex_field = tmp_path / "complex.txt"
         save_field(SpectralField.from_mode_dict(Grid(4 * np.pi, 64), {1: 0.1}, real=False),

@@ -14,6 +14,7 @@ from kawalab import (
     energy_derivative_audit,
     lambda_k,
     modified_energies,
+    rescale_datum,
     simulate,
 )
 from kawalab import imethod, multipliers
@@ -295,3 +296,96 @@ class TestGwpConfig:
     def test_rejects_nonfinite_parameters(self, eps0, threshold):
         with pytest.raises(ValueError):
             GwpConfig(threshold=threshold, eps0=eps0)
+
+
+class _CountingMultiplier:
+    """An IMultiplier that counts its ``m`` evaluations."""
+
+    def __init__(self, mult):
+        self.mult, self.calls = mult, 0
+
+    def m(self, xi):
+        self.calls += 1
+        return self.mult.m(xi)
+
+
+def _reference_solve_lambda(datum, mult, eps0):
+    """The bisection over ``apply_I(rescale_datum(d, lam), m).l2_norm()``,
+    through fields; returns ``(lam, norm evaluations)``."""
+    evals = 0
+
+    def norm_at(lam):
+        nonlocal evals
+        evals += 1
+        return apply_I(rescale_datum(datum, lam), mult).l2_norm()
+
+    if norm_at(1.0) <= eps0:
+        return 1.0, evals
+    lo, hi = 1e-8, 1.0
+    for _ in range(200):
+        mid = np.sqrt(lo * hi)
+        if norm_at(mid) > eps0:
+            hi = mid
+        else:
+            lo = mid
+        if hi / lo < 1.0 + 1e-12:
+            break
+    return lo, evals
+
+
+class TestSolveLambda:
+    @pytest.mark.parametrize("real", [True, False])
+    def test_norm_matches_fields_bitwise(self, real):
+        g = Grid(2 * np.pi / 16.0, 256)
+        datum = random_field(g, seed=9, envelope=lambda a: (1.0 + a ** 2) ** 0.625)
+        if not real:
+            datum = datum.with_coeffs(datum.coeffs + 0.3j * datum.coeffs[::-1], real=False)
+        mult = IMultiplier(16.0)
+        norm_at = imethod._rescaled_I_norm(datum, mult)
+        for lam in np.geomspace(1e-8, 1.0, 97):
+            ref = apply_I(rescale_datum(datum, lam), mult).l2_norm()
+            assert np.float64(norm_at(lam)).tobytes() == np.float64(ref).tobytes()
+
+    @pytest.mark.parametrize("n, N", [(64, 8.0), (512, 64.0)])
+    @pytest.mark.parametrize("scale", [1e-8, 0.1, 0.37, 5.0])
+    def test_matches_field_bisection_bitwise(self, n, N, scale):
+        g = Grid(2 * np.pi / N, n)
+        datum = random_field(g, seed=n, support=n // 3 - 2,
+                             envelope=lambda a: (1.0 + a ** 2) ** 0.625)
+        datum = datum * (scale / apply_I(rescale_datum(datum, 1.0 / N),
+                                         IMultiplier(N)).l2_norm())
+        mult = IMultiplier(N)
+        counted = _CountingMultiplier(mult)
+        lam = imethod._solve_lambda(datum, counted, 0.1)
+        ref, evals = _reference_solve_lambda(datum, mult, 0.1)
+        assert np.float64(lam).tobytes() == np.float64(ref).tobytes()
+        assert counted.calls == evals
+        if scale == 1e-8:
+            assert lam == 1.0 and evals == 1
+        else:
+            assert 0.0 < lam < 1.0 and evals > 2
+
+
+class TestGwpCounters:
+    def test_unit_step_counters_match_their_trajectories(self, monkeypatch):
+        n, N = 128, 8.0
+        g = Grid(2 * np.pi / N, n)
+        datum = random_field(g, seed=3, support=n // 3 - 2,
+                             envelope=lambda a: (1.0 + a ** 2) ** 0.625)
+        datum = datum * (0.1 / apply_I(rescale_datum(datum, 1.0 / N),
+                                       IMultiplier(N)).l2_norm())
+        trajectories = []
+
+        def recording(u0, config, t0=0.0):
+            trajectories.append(simulate(u0, config, t0))
+            return trajectories[-1]
+
+        monkeypatch.setattr(imethod, "simulate", recording)
+        result = imethod.gwp_experiment(GwpConfig(threshold=N, steps=2), datum, D)
+        assert len(trajectories) == 2
+        assert result.steps == [t.steps for t in trajectories]
+        assert result.dt == [t.dt for t in trajectories]
+        assert result.peak_growth == [t.peak_growth for t in trajectories]
+        assert all(s * dt == pytest.approx(1.0) for s, dt in zip(result.steps, result.dt))
+        assert all(0.5 < p < 2.0 for p in result.peak_growth)
+        assert len(result.times) == len(result.e2) == 3

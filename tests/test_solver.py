@@ -126,6 +126,28 @@ class TestStep:
         order = np.log2(err1 / err2)
         assert 3.5 <= order <= 5.5
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dt", [1e3, np.nan, np.inf, -np.inf, 0.0, -1e-4])
+    def test_rejects_dt_outside_config_rule(self, dt):
+        # the SolverConfig rule: 0 < dt < inf and dt*max|omega| <= PHASE_GUARD
+        g = Grid(2 * np.pi, 64)
+        cfg = SolverConfig(g, D1, dt=1e-4, t_end=1.0)
+        u = smooth_datum(g, seed=1)
+        with pytest.raises(ValueError, match="dt"):
+            step(u, dt, cfg)
+
+    def test_phase_guard_matches_config(self):
+        g = Grid(2 * np.pi, 64)
+        wmax = float(np.max(np.abs(omega(g.xi, D1))))
+        cfg = SolverConfig(g, D1, dt=1e-4, t_end=1.0)
+        inside, outside = 0.999 * PHASE_GUARD / wmax, 1.001 * PHASE_GUARD / wmax
+        SolverConfig(g, D1, dt=inside, t_end=1.0)
+        step(SpectralField.zero(g), inside, cfg)
+        with pytest.raises(ValueError, match="phase-accuracy guard"):
+            SolverConfig(g, D1, dt=outside, t_end=1.0)
+        with pytest.raises(ValueError, match="phase-accuracy guard"):
+            step(SpectralField.zero(g), outside, cfg)
+
     def test_divergence_signal(self):
         g = Grid(2 * np.pi, 64)
         cfg = SolverConfig(g, D1, dt=1e-4, t_end=1.0)
@@ -228,10 +250,12 @@ class TestBandStepper:
     """The stepper keeps only the dealias band and reuses its buffers; the
     result must equal the whole-half-spectrum formula bit for bit."""
 
-    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("n", [32, 64, 256, 512, 4096])
     @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.9])
     def test_matches_reference_step_bitwise(self, n, fraction):
-        g = Grid(8 * np.pi, n)
+        # past n = 256 the box grows with n, so the spectral extent, and
+        # with it dt*max|omega|, stays that of n = 256, inside the guard
+        g = Grid(8 * np.pi * max(1, n // 256), n)
         dt, steps = 1e-3, 200
         # strong enough that a reordered rounding in one stage reaches the state
         u0 = smooth_datum(g, seed=n, amplitude=30.0, decay=2.0)
@@ -324,6 +348,18 @@ class TestBandStepper:
 
 
 class TestSimulate:
+    def test_zero_end_time_takes_no_step(self):
+        g = Grid(8 * np.pi, 256)
+        u0 = smooth_datum(g, seed=6, amplitude=2.0)
+        cfg = SolverConfig(g, D1, dt=1e-3, t_end=0.0)
+        traj = simulate(u0, cfg, t0=0.25)
+        assert traj.times == [0.25]
+        assert (traj.steps, traj.dt, traj.peak_growth) == (0, 0.0, 0.0)
+        # the one sample is the band-projected datum
+        above = dealias_mask(g) == 0.0
+        assert np.array_equal(traj.fields[0].coeffs,
+                              np.where(above, 0.0, u0.coeffs))
+
     def test_zero_datum(self):
         g = Grid(2 * np.pi, 64)
         cfg = SolverConfig(g, D1, dt=1e-3, t_end=0.1, monitor_stride=10)
