@@ -13,6 +13,7 @@ import numpy as np
 
 from .dispersion import DispersionParams, omega, phasor, resonance
 from .dyadic import eta_k
+from .grid import Grid
 from .multipliers import EnergyMultipliers
 
 __all__ = [
@@ -410,8 +411,6 @@ def linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid=None, n_times=1
     buffer that is transformed in place; each trial's sums of powers of
     ``v^2`` accumulate block by block. The exponents r must be even.
     """
-    from .grid import Grid
-
     for q, r in qr_pairs:
         _check_admissible(q, r)
     # sum_x v^r is taken from v^2 by products, so r must be even
@@ -502,14 +501,17 @@ def linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid=None, n_times=1
         halfv = np.array(per_trial_half[f"Lt{qr_pairs[0][0]}Lx{qr_pairs[0][1]}"])
         stability[k] = float(np.max(np.abs(fine - halfv) / fine))
 
-    slopes = {}
-    karr = np.asarray(list(ks), dtype=np.float64)
-    if karr.size >= 2:
-        for key, table in results.items():
-            vals = np.array([table[k] for k in ks])
-            slopes[key] = float(np.polyfit(karr, np.log2(vals), 1)[0])
+    slopes = _log2_slopes(ks, results) if len(ks) >= 2 else {}
     return {"ratios": results, "slopes": slopes, "halving_change": stability,
             "seed": seed}
+
+
+def _log2_slopes(ks, ratios):
+    """Least-squares slope of ``log2(table[k])`` against the shell ``k``,
+    for each table of ``ratios`` (a dict of ``{k: ratio}`` tables)."""
+    karr = np.asarray(ks, dtype=np.float64)
+    return {key: float(np.polyfit(karr, np.log2([table[k] for k in ks]), 1)[0])
+            for key, table in ratios.items()}
 
 
 # -- pointwise multiplier-bound audits -----------------------------------

@@ -9,6 +9,7 @@ command-line flags override file values. Each command's runner returns
 """
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -17,9 +18,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import io as kio
-from .audits import (KnappConfig, bound_report, bound_shell, knapp_sharpness,
-                     linear_estimate_audit, resonance_size_audit)
-from .dispersion import DispersionParams, omega, resonance
+from .audits import (KnappConfig, _log2_slopes, bound_report, bound_shell,
+                     knapp_sharpness, linear_estimate_audit, resonance_size_audit)
+from .dispersion import DispersionParams, resonance
 from .dyadic import eta0, eta_k
 from .grid import Grid, SpectralField, load_field, rescale_datum, save_field
 from .illposed import IllposedConfig, growth_fit, illposed_sweep, theta_identity_gap
@@ -27,9 +28,11 @@ from .imethod import (GwpConfig, energy_derivative_audit, gwp_experiment,
                       suggest_audit_stride)
 from .imultiplier import IMultiplier, apply_I
 from .multipliers import EnergyMultipliers, power_sum_identity_check
-from .solver import SolverConfig, dealias_cutoff_index, simulate, trajectory_to_rows
-from .spacetime import (SpaceTimeField, duhamel_bilinear, fbar_norm, free_trajectory,
-                        modulation_profiles, uniform_times, xk_norm, xsb_norm)
+from .solver import (SolverConfig, dealias_cutoff_index, guarded_dt, simulate,
+                     trajectory_to_rows)
+from .spacetime import (SpaceTimeField, _modulation, duhamel_bilinear, fbar_norm,
+                        free_trajectory, modulation_profiles, uniform_times, xk_norm,
+                        xsb_norm)
 
 __all__ = ["main", "parse_config", "run", "ConfigError"]
 
@@ -213,10 +216,8 @@ def _cmd_energy_track(cfg, seed, workers):
     mult = IMultiplier(cfg["N"], cfg["s"])
     u0 = _random_datum(grid, seed, cfg["amplitude"], cfg["decay"], cfg["support"])
     if cfg["pre_time"] > 0:
-        wmax = float(np.max(np.abs(omega(grid.xi, disp))))
-        dt_pre = min(2e-5, 0.5e6 / wmax)
-        pre = SolverConfig(grid, disp, dt=dt_pre, t_end=cfg["pre_time"],
-                           monitor_stride=10 ** 9)
+        pre = SolverConfig(grid, disp, dt=min(2e-5, guarded_dt(grid, disp, 0.5)),
+                           t_end=cfg["pre_time"], monitor_stride=10 ** 9)
         u0 = simulate(u0, pre).fields[-1]
     stride = suggest_audit_stride(u0, safety=cfg["audit_safety"])
     sc = SolverConfig(grid, disp, dt=stride, t_end=cfg["audit_steps"] * stride,
@@ -268,15 +269,7 @@ def _cmd_gwp(cfg, seed, workers):
                    sobolev_s=cfg["s"], track_e4=cfg["track_e4"])
     result = gwp_experiment(gc, datum, disp)
     gates = {"bootstrap_bound": result.all_passed}
-    return {"gwp.json": {
-        "lam": result.lam, "eps0": result.eps0, "threshold": result.threshold,
-        "times": result.times, "e2": result.e2, "e4": result.e4,
-        "growth_norm": result.growth_norm, "passed": result.passed,
-        "steps": result.steps, "dt": result.dt, "peak_growth": result.peak_growth,
-        "first_failure": result.first_failure,
-        "growth_exponent": result.growth_exponent,
-        "growth_reference": result.growth_reference,
-    }}, gates
+    return {"gwp.json": dataclasses.asdict(result)}, gates
 
 
 BOUNDS_DEFAULTS = {
@@ -287,26 +280,24 @@ BOUNDS_DEFAULTS = {
 BOUNDS = ("sigma3", "sigma4", "m5")
 
 
-def _bounds_unit(args):
-    name, mult_args, mu, shell, caps, samples, seed = args
-    return bound_shell(name, IMultiplier(*mult_args), DispersionParams(mu), shell, caps,
-                       samples, seed)
+def _bounds_unit(unit):
+    return bound_shell(*unit)
 
 
 def _cmd_verify_bounds(cfg, seed, workers):
     caps = (cfg["cap_lo"], cfg["cap_hi"])
-    mult_args = (cfg["N"], cfg["s"])
+    mult = IMultiplier(cfg["N"], cfg["s"])
+    disp = DispersionParams(cfg["mu"])
     # one unit per (bound, dyadic shell), evaluated once for every cap that
     # holds the shell; heaviest first: an m5 shell costs several times a
     # sigma3 or sigma4 shell, and higher shells keep more tuples above N
     units = sorted(
-        ((name, mult_args, cfg["mu"], shell, tuple(c for c in caps if c >= shell),
+        ((name, mult, disp, shell, tuple(c for c in caps if c >= shell),
           cfg["samples"], seed)
          for shell in range(max(caps) + 1) for name in BOUNDS),
         key=lambda u: (u[0] != "m5", -u[3]))
     shells = {(u[0], u[3]): part
               for u, part in zip(units, _parallel_map(_bounds_unit, units, workers))}
-    mult = IMultiplier(*mult_args)
     reports = {
         (name, cap): bound_report(name, mult, [shells[name, e] for e in range(cap + 1)],
                                   cap, seed).as_dict()
@@ -401,10 +392,8 @@ STRICHARTZ_DEFAULTS = {
 }
 
 
-def _strichartz_unit(args):
-    (mu, k, trials, n, L, n_times, seed) = args
-    disp = DispersionParams(mu)
-    grid = Grid(L, n)
+def _strichartz_unit(unit):
+    disp, k, trials, grid, n_times, seed = unit
     return linear_estimate_audit(
         disp, [k], [(6.0, 6.0), (8.0, 4.0), (np.inf, 2.0)], trials, seed,
         grid=grid, n_times=n_times,
@@ -413,18 +402,14 @@ def _strichartz_unit(args):
 
 def _cmd_strichartz(cfg, seed, workers):
     ks = list(range(cfg["k_lo"], cfg["k_hi"] + 1))
-    units = [(cfg["mu"], k, cfg["trials"], cfg["n"], cfg["L"], cfg["n_times"],
-              seed + i) for i, k in enumerate(ks)]
-    partial = _parallel_map(_strichartz_unit, units, workers)
+    disp, grid = DispersionParams(cfg["mu"]), Grid(cfg["L"], cfg["n"])
+    units = [(disp, k, cfg["trials"], grid, cfg["n_times"], seed + i)
+             for i, k in enumerate(ks)]
     ratios = {}
-    for res in partial:
+    for res in _parallel_map(_strichartz_unit, units, workers):
         for key, table in res["ratios"].items():
             ratios.setdefault(key, {}).update(table)
-    karr = np.asarray(ks, dtype=np.float64)
-    slopes = {}
-    for key, table in ratios.items():
-        vals = np.array([table[k] for k in ks])
-        slopes[key] = float(np.polyfit(karr, np.log2(vals), 1)[0])
+    slopes = _log2_slopes(ks, ratios)
     unit_ratio = next(t for key, t in ratios.items() if key.startswith("Ltinf"))
     gates = {
         "Lt6Lx6_flat": abs(slopes["Lt6.0Lx6.0"]) <= cfg["slope_tol"],
@@ -476,7 +461,7 @@ def _cmd_xnorms(cfg, seed, workers):
     xk = xk_norm(F, k, disp, profiles)
     fb = fbar_norm(grid, times, coeffs, cfg["s"], disp, F=F, profiles=profiles)
     # modulation concentration: shells j <= 2 of the windowed free flow
-    mod = F.tau[:, None] - omega(grid.xi, disp)[None, :]
+    mod = _modulation(F, disp)
     mag2 = np.abs(F.coeffs2d) ** 2
     low = float(np.sum(mag2 * (eta0(mod / 4.0))) / np.sum(mag2))
     gates = {
@@ -533,18 +518,17 @@ ILLPOSED_DEFAULTS = {
 }
 
 
-def _illposed_unit(args):
-    cfg_kw, N = args
-    config = IllposedConfig(n_list=(N,), **cfg_kw)
+def _illposed_unit(config):
     return illposed_sweep(config)[0]
 
 
 def _cmd_illposed(cfg, seed, workers):
     n_list = tuple(2 ** e for e in range(cfg["n_exp_lo"], cfg["n_exp_hi"] + 1))
-    kw = {"sobolev_s": cfg["s"], "t_eval": cfg["t_eval"], "mu": cfg["mu"],
-          "quad_points": cfg["quad_points"], "out_points": cfg["out_points"]}
-    rows = _parallel_map(_illposed_unit, [(kw, N) for N in n_list], workers)
-    config = IllposedConfig(n_list=n_list, **kw)
+    config = IllposedConfig(sobolev_s=cfg["s"], n_list=n_list, t_eval=cfg["t_eval"],
+                            mu=cfg["mu"], quad_points=cfg["quad_points"],
+                            out_points=cfg["out_points"])
+    units = [dataclasses.replace(config, n_list=(N,)) for N in n_list]
+    rows = _parallel_map(_illposed_unit, units, workers)
     fit = growth_fit(config, rows=rows)
     gates = {"growth_exponent": fit["gap"] <= cfg["slope_tol"]}
     return {

@@ -31,9 +31,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import sobolev_norm, rescale_datum
-from .imultiplier import apply_I
+from .imultiplier import IMultiplier, apply_I
 from .multipliers import EnergyMultipliers
-from .solver import SolverConfig, simulate
+from .solver import SolverConfig, guarded_dt, simulate
 from .summation import ordered_sum
 
 __all__ = [
@@ -57,10 +57,10 @@ _CHUNK = 1 << 16
 # dealias cutoff, raise energy_derivative_audit's dealias warning
 _CUTOFF_ENERGY_TOL = 1e-8
 
-# dt * max|omega| of the I-method's own trajectories: just under the
-# solver's phase-accuracy guard (the linear part is exact); gwp_experiment
-# also caps dt at _GWP_DT_MAX
-_GUARDED_PHASE = 0.98e6
+# the I-method's own trajectories step just under the solver's
+# phase-accuracy guard (the linear part is exact): guarded_dt with this
+# share; gwp_experiment also caps dt at _GWP_DT_MAX
+_GUARD_SHARE = 0.98
 _GWP_DT_MAX = 2e-3
 
 # distinct orderings of a sorted triple i <= j <= k, indexed by the count
@@ -510,13 +510,8 @@ def almost_conservation_sweep(u0, disp, thresholds, sobolev_s=-1.75):
     fitted log2-log2 slope, the numerical counterpart of the N^(-35/4)
     envelope of the almost-conservation law.
     """
-    from .dispersion import omega as _omega
-    from .imultiplier import IMultiplier
-
-    grid = u0.grid
-    wmax = float(np.max(np.abs(_omega(grid.xi, disp))))
-    cfg = SolverConfig(grid, disp, dt=_GUARDED_PHASE / max(wmax, 1.0), t_end=1.0,
-                       monitor_stride=10 ** 9)
+    cfg = SolverConfig(u0.grid, disp, dt=guarded_dt(u0.grid, disp, _GUARD_SHARE),
+                       t_end=1.0, monitor_stride=10 ** 9)
     traj = simulate(u0, cfg)
     start, end = traj.fields[0], traj.fields[-1]
     # the Galerkin flow conserves the plain mass exactly, so its measured
@@ -555,8 +550,6 @@ def gwp_experiment(config, datum, disp):
     directly per step when ``track_e4`` is set (affordable only for
     compactly supported spectra).
     """
-    from .imultiplier import IMultiplier
-
     mult = IMultiplier(config.threshold, config.sobolev_s)
     lam = _solve_lambda(datum, mult, config.eps0)
     u = rescale_datum(datum, lam)
@@ -566,11 +559,7 @@ def gwp_experiment(config, datum, disp):
             f"rescaled datum too large: ||I u0|| = {start_norm:.3e} > 2*eps0"
         )
     grid = u.grid
-
-    from .dispersion import omega as _omega
-
-    wmax = float(np.max(np.abs(_omega(grid.xi, disp))))
-    dt = min(_GWP_DT_MAX, _GUARDED_PHASE / max(wmax, 1.0))
+    dt = min(_GWP_DT_MAX, guarded_dt(grid, disp, _GUARD_SHARE))
     steps_per_unit = max(1, int(np.ceil(1.0 / dt)))
     dt = 1.0 / steps_per_unit
 

@@ -23,6 +23,7 @@ __all__ = [
     "PetviashviliError",
     "dealias_cutoff_index",
     "dealias_mask",
+    "guarded_dt",
     "nonlinear_rhs",
     "step",
     "simulate",
@@ -73,12 +74,25 @@ class SolverConfig:
         _check_dt(self.grid, self.disp, self.dt)
 
 
+def _max_omega(grid, disp):
+    """max|omega| over the whole grid: the scope of the phase guard."""
+    return float(np.max(np.abs(omega(grid.xi, disp))))
+
+
+def guarded_dt(grid, disp, share):
+    """The step that spends ``share`` of the phase guard on ``grid``:
+    ``share * PHASE_GUARD / max|omega|``, the maximum taken as at least 1.
+    ``SolverConfig`` accepts it for ``share < 1``; at ``share = 1`` the
+    rounded ``dt*max|omega|`` can land one ulp over the guard."""
+    return share * PHASE_GUARD / max(_max_omega(grid, disp), 1.0)
+
+
 def _check_dt(grid, disp, dt):
     """Raise ValueError unless ``0 < dt < inf`` and ``dt*max|omega|`` over
     the whole grid is at most ``PHASE_GUARD``."""
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    wmax = float(np.max(np.abs(omega(grid.xi, disp))))
+    wmax = _max_omega(grid, disp)
     if dt * wmax > PHASE_GUARD:
         raise ValueError(
             f"phase-accuracy guard violated: dt*max|omega| = {dt * wmax:.3e} > 1e6"
@@ -269,11 +283,18 @@ def simulate(u0, config, t0=0.0):
     ``monitor_stride`` steps. The datum is projected into the dealias band
     first, so the computed dynamics are an exact Galerkin system. With
     ``t_end = 0`` no step is taken: the trajectory is the datum's sample
-    alone, with ``steps``, ``dt`` and ``peak_growth`` all 0."""
+    alone, with ``steps``, ``dt`` and ``peak_growth`` all 0. The step run
+    is ``t_end`` over ``round(t_end/dt)`` steps, or over ``ceil(t_end/dt)``
+    where the rounded count would break the phase guard."""
     grid = config.grid
     half = _half_spectrum(u0, grid)
     n_steps = max(1, int(round(config.t_end / config.dt))) if config.t_end > 0.0 else 0
     dt = config.t_end / max(n_steps, 1)
+    # rounding the count down stretches the step past config.dt, which may
+    # then break the phase guard config.dt obeys; only then round it up
+    if dt > config.dt and dt * _max_omega(grid, config.disp) > PHASE_GUARD:
+        n_steps = int(np.ceil(config.t_end / config.dt))
+        dt = config.t_end / n_steps
     stepper = _Stepper(grid, config.disp, dt, config.dealias_fraction)
 
     traj = Trajectory(dealias_cutoff=dealias_cutoff_index(grid, config.dealias_fraction) * grid.dxi,

@@ -15,6 +15,7 @@ from kawalab import (
     simulate,
     step,
 )
+from kawalab import solver as solver_module
 from kawalab.dispersion import omega, phasor
 from kawalab.solver import (
     DIVERGENCE_THRESHOLD,
@@ -22,10 +23,18 @@ from kawalab.solver import (
     _Stepper,
     dealias_cutoff_index,
     dealias_mask,
+    guarded_dt,
     trajectory_to_rows,
 )
 
 D1 = DispersionParams(1.0)
+
+# the a05 and a07 boxes and the a08 box (the rescaled global-iteration box)
+GUARD_BOXES = {
+    "a05": Grid(4 * np.pi, 256),
+    "a07": Grid(2 * np.pi, 256),
+    "a08": Grid(2 * np.pi / (1.5 * 64.0 / dealias_cutoff_index(Grid(2 * np.pi, 512))), 512),
+}
 
 
 def reference_stepper(g, disp, dt, fraction):
@@ -178,6 +187,35 @@ class TestStep:
             SolverConfig(g, D1, dt=1e-3, t_end=1.0)
 
 
+class TestGuardedDt:
+    @pytest.mark.parametrize("box", GUARD_BOXES)
+    def test_matches_inline_rules_bitwise(self, box):
+        # the closed forms of the I-method's step and of energy-track's
+        # pre-run step
+        g = GUARD_BOXES[box]
+        wmax = float(np.max(np.abs(omega(g.xi, D1))))
+        assert guarded_dt(g, D1, 0.98) == 0.98e6 / max(wmax, 1.0)
+        assert min(2e-5, guarded_dt(g, D1, 0.5)) == min(2e-5, 0.5e6 / wmax)
+
+    @pytest.mark.parametrize("share", [0.5, 0.98, 1.0])
+    @pytest.mark.parametrize("box", GUARD_BOXES)
+    def test_config_accepts_it(self, box, share):
+        g = GUARD_BOXES[box]
+        SolverConfig(g, D1, dt=guarded_dt(g, D1, share), t_end=1.0)
+
+    def test_one_omega_call(self, monkeypatch):
+        calls = []
+
+        def counted(xi, disp):
+            calls.append(np.size(xi))
+            return omega(xi, disp)
+
+        monkeypatch.setattr(solver_module, "omega", counted)
+        g = GUARD_BOXES["a07"]
+        guarded_dt(g, D1, 0.98)
+        assert calls == [g.size]
+
+
 class TestHermitianByConstruction:
     """Real fields are stepped as half spectra (modes 0..n/2), so Hermitian
     symmetry holds by construction rather than by a re-symmetrising step.
@@ -193,8 +231,7 @@ class TestHermitianByConstruction:
 
     @staticmethod
     def _box():
-        n, N = 512, 64.0
-        g = Grid(2 * np.pi / (1.5 * N / dealias_cutoff_index(Grid(2 * np.pi, n))), n)
+        g = GUARD_BOXES["a08"]
         wmax = float(np.max(np.abs(omega(g.xi, D1))))
         return g, 0.98 * PHASE_GUARD / wmax
 
@@ -359,6 +396,25 @@ class TestSimulate:
         above = dealias_mask(g) == 0.0
         assert np.array_equal(traj.fields[0].coeffs,
                               np.where(above, 0.0, u0.coeffs))
+
+    def test_rounded_step_count_keeps_the_phase_guard(self):
+        # 1.49 configured steps round to one step of 1.49*dt, which would
+        # run at dt*max|omega| = 1.475e6; the count is rounded up instead
+        g = Grid(2 * np.pi, 64)
+        wmax = float(np.max(np.abs(omega(g.xi, D1))))
+        dt = 0.99e6 / wmax
+        traj = simulate(smooth_datum(g, seed=1, amplitude=0.1),
+                        SolverConfig(g, D1, dt=dt, t_end=1.49 * dt))
+        assert traj.steps == 2
+        assert traj.dt * wmax <= PHASE_GUARD
+
+    def test_rounded_step_count_kept_inside_the_guard(self):
+        # a stretched step that still obeys the guard keeps the rounded count
+        g = Grid(2 * np.pi, 64)
+        dt = 0.5e6 / float(np.max(np.abs(omega(g.xi, D1))))
+        traj = simulate(smooth_datum(g, seed=1, amplitude=0.1),
+                        SolverConfig(g, D1, dt=dt, t_end=1.49 * dt))
+        assert (traj.steps, traj.dt) == (1, 1.49 * dt)
 
     def test_zero_datum(self):
         g = Grid(2 * np.pi, 64)
