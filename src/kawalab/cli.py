@@ -127,14 +127,31 @@ def parse_config(command, defaults, file_path=None, flag_values=None, sections=N
     if "cap_lo" in resolved and not 0 <= resolved["cap_lo"] < resolved["cap_hi"]:
         raise ConfigError(f"caps need 0 <= cap_lo < cap_hi, got cap_lo = "
                           f"{resolved['cap_lo']}, cap_hi = {resolved['cap_hi']}")
+    if "k_lo" in resolved and not resolved["k_lo"] < resolved["k_hi"]:
+        raise ConfigError(f"shells need k_lo < k_hi, got k_lo = "
+                          f"{resolved['k_lo']}, k_hi = {resolved['k_hi']}")
     return resolved
 
 
-def _parallel_map(fn, units, workers):
-    """``[fn(u) for u in units]`` on K = min(workers, len(units)) processes:
-    the parent is one of them and runs ``units[::K]`` itself while a pool of
-    K - 1 forked workers runs the rest; the results come back in unit order."""
-    k = min(workers, len(units))
+# Estimated single-process milliseconds per unit of each pooled command's
+# size proxy (1 BLAS thread, 2-core Xeon, numpy 2.4.6; CHANGES.md has the
+# break-even table they come from).
+_MS_PER_BOUND_SAMPLE = 1.0e-3  # verify-bounds: samples x (cap_hi + 1)
+_MS_PER_ILLPOSED_NODE = 3.0e-3  # illposed: N values x out_points x quad_points^2
+_MS_PER_STRICHARTZ_POINT = 1.5e-5  # strichartz: trials x n x n_times x shells
+# A pool's fork, pickling and hand-offs cost more than a second process
+# saves on maps estimated below this many milliseconds.
+_FORK_MIN_WORK = 100.0
+
+
+def _parallel_map(fn, units, workers, work):
+    """``[fn(u) for u in units]`` on at most ``workers`` processes. ``work``
+    is the map's estimated single-process time in milliseconds: below
+    ``_FORK_MIN_WORK`` the parent runs every unit itself and builds no pool.
+    Otherwise K = min(workers, len(units)) processes share the units: the
+    parent runs ``units[::K]`` itself while a pool of K - 1 forked workers
+    runs the rest. Either way the results come back in unit order."""
+    k = min(workers, len(units)) if work >= _FORK_MIN_WORK else 1
     if k <= 1:
         return [fn(u) for u in units]
     with ProcessPoolExecutor(max_workers=k - 1) as pool:
@@ -296,8 +313,9 @@ def _cmd_verify_bounds(cfg, seed, workers):
           cfg["samples"], seed)
          for shell in range(max(caps) + 1) for name in BOUNDS),
         key=lambda u: (u[0] != "m5", -u[3]))
-    shells = {(u[0], u[3]): part
-              for u, part in zip(units, _parallel_map(_bounds_unit, units, workers))}
+    work = cfg["samples"] * (cfg["cap_hi"] + 1) * _MS_PER_BOUND_SAMPLE
+    parts = _parallel_map(_bounds_unit, units, workers, work)
+    shells = {(u[0], u[3]): part for u, part in zip(units, parts)}
     reports = {
         (name, cap): bound_report(name, mult, [shells[name, e] for e in range(cap + 1)],
                                   cap, seed).as_dict()
@@ -405,8 +423,10 @@ def _cmd_strichartz(cfg, seed, workers):
     disp, grid = DispersionParams(cfg["mu"]), Grid(cfg["L"], cfg["n"])
     units = [(disp, k, cfg["trials"], grid, cfg["n_times"], seed + i)
              for i, k in enumerate(ks)]
+    work = (cfg["trials"] * cfg["n"] * cfg["n_times"] * len(ks)
+            * _MS_PER_STRICHARTZ_POINT)
     ratios = {}
-    for res in _parallel_map(_strichartz_unit, units, workers):
+    for res in _parallel_map(_strichartz_unit, units, workers, work):
         for key, table in res["ratios"].items():
             ratios.setdefault(key, {}).update(table)
     slopes = _log2_slopes(ks, ratios)
@@ -528,7 +548,9 @@ def _cmd_illposed(cfg, seed, workers):
                             mu=cfg["mu"], quad_points=cfg["quad_points"],
                             out_points=cfg["out_points"])
     units = [dataclasses.replace(config, n_list=(N,)) for N in n_list]
-    rows = _parallel_map(_illposed_unit, units, workers)
+    work = (len(n_list) * cfg["out_points"] * cfg["quad_points"] ** 2
+            * _MS_PER_ILLPOSED_NODE)
+    rows = _parallel_map(_illposed_unit, units, workers, work)
     fit = growth_fit(config, rows=rows)
     gates = {"growth_exponent": fit["gap"] <= cfg["slope_tol"]}
     return {

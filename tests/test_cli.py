@@ -103,6 +103,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="cap_lo"):
             parse_config("verify-bounds", COMMANDS["verify-bounds"][0], str(path))
 
+    @pytest.mark.parametrize("shells", [("5", "4"), ("4", "4")])
+    def test_strichartz_shells_validated(self, tmp_path, capsys, shells):
+        # swapped shells ran no unit (StopIteration); equal shells fitted a
+        # slope through one point and passed the *_flat gates on it
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "strichartz", "--trials", "1", "--n", "2048",
+                     "--n_times", "64", "--k_lo", shells[0], "--k_hi", shells[1]]) == 2
+        err = capsys.readouterr().err
+        assert "k_lo < k_hi" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.cfg"
         path.write_text("[common]\nseed = -3\n")
@@ -307,19 +318,39 @@ class TestParallelMap:
         # the parent is one of the K processes, so the pool forks K - 1
         monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
-        assert cli._parallel_map(abs, [-1, -2, -3], 5000) == [1, 2, 3]
-        assert cli._parallel_map(abs, [-1, -2, -3], 2) == [1, 2, 3]
-        assert cli._parallel_map(abs, [-1], 5000) == [1]
+        work = cli._FORK_MIN_WORK
+        assert cli._parallel_map(abs, [-1, -2, -3], 5000, work) == [1, 2, 3]
+        assert cli._parallel_map(abs, [-1, -2, -3], 2, work) == [1, 2, 3]
+        assert cli._parallel_map(abs, [-1], 5000, work) == [1]
+        # below the work gate the parent runs every unit and builds no pool
+        below = np.nextafter(work, 0.0)
+        assert cli._parallel_map(abs, [-1, -2, -3], 5000, below) == [1, 2, 3]
         assert _RecordingPool.sizes == [2, 1]
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_parent_runs_every_kth_unit_in_order(self, workers):
         units = list(range(7))
-        out = cli._parallel_map(_tagged_pid, units, workers)
+        out = cli._parallel_map(_tagged_pid, units, workers, cli._FORK_MIN_WORK)
         assert [unit for unit, _ in out] == units
         own = [unit for unit, pid in out if pid == os.getpid()]
         assert own == units[::workers]
         assert len({pid for _, pid in out}) == workers
+
+    @pytest.mark.parametrize("command, args, sizes", [
+        ("illposed", ["--quad_points", "16", "--out_points", "16"], []),
+        ("strichartz", ["--k_lo", "4", "--k_hi", "5", "--trials", "2", "--n", "2048",
+                        "--n_times", "256"], []),
+        ("verify-bounds", ["--samples", "20000"], [1]),
+    ])
+    def test_commands_fork_only_above_the_work_gate(self, tmp_path, monkeypatch,
+                                                    command, args, sizes):
+        # the first two at the benchmark's lab sizes take tens of
+        # milliseconds, which a fork costs more than it saves
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        main(["--seed", "112", "--workers", "2", "--no-gate", "--out", str(tmp_path),
+              command] + args)
+        assert _RecordingPool.sizes == sizes
 
 
 def _compare_dirs(a, b):
@@ -341,7 +372,9 @@ class TestDeterminism:
             outs.append(out)
         _compare_dirs(*outs)
 
-    def test_worker_count_invariance(self, tmp_path):
+    def test_worker_count_invariance(self, tmp_path, monkeypatch):
+        # open the work gate, so that four workers really fork
+        monkeypatch.setattr(cli, "_FORK_MIN_WORK", 0.0)
         args = ["verify-bounds", "--samples", "4000",
                 "--cap_lo", "5", "--cap_hi", "6"]
         outs = []
@@ -380,8 +413,12 @@ class TestDeterminism:
                       "--out_points", "8"]),
         ("duhamel", ["--n", "64", "--L", repr(8 * np.pi), "--mode", "2",
                      "--n_times", "128"]),
+        ("illposed", DETERMINISM_PRESETS["illposed"]),
     ])
-    def test_small_runs_match_for_1_2_3_workers(self, tmp_path, command, args):
+    def test_small_runs_match_for_1_2_3_workers(self, tmp_path, monkeypatch,
+                                                command, args):
+        # open the work gate, so that two and three workers really fork
+        monkeypatch.setattr(cli, "_FORK_MIN_WORK", 0.0)
         outs = []
         for workers in ("1", "2", "3"):
             out = tmp_path / f"w{workers}"
