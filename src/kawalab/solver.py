@@ -12,6 +12,7 @@ monitor samples.
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
 
 from .dispersion import omega, phasor
 from .grid import SpectralField, _full_spectrum, sobolev_norm
@@ -32,6 +33,16 @@ __all__ = [
 ]
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
+
+# The real transforms call pocketfft's gufuncs, the kernels np.fft.irfft and
+# np.fft.rfft end in, without the wrapper's per-call dispatch and checks;
+# numpy >= 2.0 ships them. _irfft(c, fct, out=v) fills the real v of length
+# n from the half spectrum c (modes missing from a short c count as zero) and
+# _rfft(v, fct, out=spec) fills spec of length n/2+1; both scale by fct. As
+# np.fft does, the forward rfft and the stepper's unscaled inverse (the
+# wrapper's norm="forward") run at fct = 1.0 and _square's default-normalised
+# inverse at 1/n. rfft_n_even is valid for every Grid: n is a power of two
+# >= 8.
 
 DIVERGENCE_THRESHOLD = 1e15
 PHASE_GUARD = 1e6
@@ -69,8 +80,10 @@ class SolverConfig:
             raise ValueError("t_end must be nonnegative and finite")
         if not (0.5 < self.dealias_fraction < 1.0):
             raise ValueError("dealias_fraction must lie in (1/2, 1)")
-        if self.monitor_stride < 1:
-            raise ValueError("monitor_stride must be at least 1")
+        # an integer type first: NaN and Inf compare false against 1, and a
+        # fractional stride would sample wherever i % stride happens to be 0
+        if not (isinstance(self.monitor_stride, (int, np.integer)) and self.monitor_stride >= 1):
+            raise ValueError(f"monitor_stride must be an integer >= 1, got {self.monitor_stride!r}")
         _check_dt(self.grid, self.disp, self.dt)
 
 
@@ -119,6 +132,9 @@ class Trajectory:
     peak_growth: float = 0.0
 
     def append(self, t, u):
+        # NaN would pass the strict-increase test below, which compares false
+        if not np.isfinite(t):
+            raise ValueError(f"trajectory times must be finite, got {t!r}")
         if self.times and t <= self.times[-1]:
             raise ValueError("trajectory times must increase strictly")
         self.times.append(float(t))
@@ -154,9 +170,9 @@ def _square(c, n):
     """``rfft(v*v)`` for ``v = irfft(c, n)``, unscaled (modes missing from a
     short ``c`` count as zero); for unitary coefficients the half spectrum
     of ``F[u^2]`` is this times ``sqrt(2 pi)/dx``."""
-    v = np.fft.irfft(c, n)
+    v = _irfft(c, 1.0 / n, out=np.empty(n))
     np.multiply(v, v, out=v)
-    return np.fft.rfft(v)
+    return _rfft(v, 1.0, out=np.empty(n // 2 + 1, dtype=np.complex128))
 
 
 def _band_field(u, c):
@@ -194,9 +210,9 @@ class _Stepper:
     guard has passed."""
 
     def __init__(self, grid, disp, dt, dealias_fraction):
-        n = self.n = grid.size
+        n = grid.size
         band, mult = _rhs_multiplier(grid, dealias_fraction)
-        # the inverse transform runs unscaled (norm="forward"), which leaves
+        # the inverse transform runs unscaled (fct = 1.0), which leaves
         # the square n**2 times larger; n is a power of two, so folding
         # 1/n**2 into the multiplier keeps every bit
         self.band, self.mult = band, mult[:band] * (1.0 / (n * n))
@@ -219,9 +235,9 @@ class _Stepper:
         self._abs_tail = self._abs[1:]  # never empty: band >= 3 since n >= 8
 
     def _rhs(self, c, k):
-        v = np.fft.irfft(c, self.n, out=self._v, norm="forward")
+        v = _irfft(c, 1.0, out=self._v)
         np.multiply(v, v, out=v)
-        np.fft.rfft(v, out=self._spec)
+        _rfft(v, 1.0, out=self._spec)
         np.multiply(self.mult, self._spec_band, out=k)
 
     def step(self, c):
@@ -280,8 +296,9 @@ def step(u, dt, config):
 
 def simulate(u0, config, t0=0.0):
     """Integrate from ``t0`` to ``t0 + t_end``, sampling every
-    ``monitor_stride`` steps. The datum is projected into the dealias band
-    first, so the computed dynamics are an exact Galerkin system. With
+    ``monitor_stride`` steps; a non-finite ``t0`` raises ValueError. The
+    datum is projected into the dealias band first, so the computed
+    dynamics are an exact Galerkin system. With
     ``t_end = 0`` no step is taken: the trajectory is the datum's sample
     alone, with ``steps``, ``dt`` and ``peak_growth`` all 0. The step run
     is ``t_end`` over ``round(t_end/dt)`` steps, or over ``ceil(t_end/dt)``

@@ -99,6 +99,19 @@ class TestNonlinearRHS:
         assert out.coeffs[0] == 0.0
         assert abs(np.mean(out.to_physical())) <= 1e-14
 
+    @pytest.mark.parametrize("n", [8, 64, 512])
+    def test_matches_public_fft_bitwise(self, n):
+        # the solver calls pocketfft's gufuncs directly; np.fft is the reference
+        g = Grid(2 * np.pi, n)
+        u = smooth_datum(g, seed=n, amplitude=5.0, decay=2.0)
+        band = dealias_cutoff_index(g) + 1
+        mult = np.zeros(n // 2 + 1, dtype=np.complex128)
+        mult[:band] = (-0.5j * np.sqrt(2.0 * np.pi) / g.dx) * (np.arange(band) * g.dxi)
+        v = np.fft.irfft(u.coeffs[:band], n)
+        half = mult * np.fft.rfft(v * v)
+        expect = np.concatenate((half[:-1], [0.0], np.conj(half[-2:0:-1])))
+        assert np.array_equal(nonlinear_rhs(u).coeffs, expect)
+
 
 class TestStep:
     def test_zero_and_constant_fixed_points(self):
@@ -180,6 +193,13 @@ class TestStep:
     def test_rejects_nonfinite_times(self, dt, t_end):
         with pytest.raises(ValueError):
             SolverConfig(Grid(2 * np.pi, 64), D1, dt=dt, t_end=t_end)
+
+    @pytest.mark.parametrize("stride", [np.nan, np.inf, 2.5])
+    def test_rejects_non_integer_monitor_stride(self, stride):
+        # NaN and Inf would sample only the endpoints, 2.5 every 5th step
+        with pytest.raises(ValueError, match="monitor_stride"):
+            SolverConfig(Grid(2 * np.pi, 64), D1, dt=1e-4, t_end=1e-3,
+                         monitor_stride=stride)
 
     def test_phase_guard(self):
         g = Grid(2 * np.pi, 1024)  # xi_max = 512, max omega ~ 3.4e13
@@ -287,7 +307,7 @@ class TestBandStepper:
     """The stepper keeps only the dealias band and reuses its buffers; the
     result must equal the whole-half-spectrum formula bit for bit."""
 
-    @pytest.mark.parametrize("n", [32, 64, 256, 512, 4096])
+    @pytest.mark.parametrize("n", [8, 32, 64, 256, 512, 4096])
     @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.9])
     def test_matches_reference_step_bitwise(self, n, fraction):
         # past n = 256 the box grows with n, so the spectral extent, and
@@ -415,6 +435,13 @@ class TestSimulate:
         traj = simulate(smooth_datum(g, seed=1, amplitude=0.1),
                         SolverConfig(g, D1, dt=dt, t_end=1.49 * dt))
         assert (traj.steps, traj.dt) == (1, 1.49 * dt)
+
+    @pytest.mark.parametrize("t0", [np.nan, np.inf])
+    def test_rejects_nonfinite_start_time(self, t0):
+        g = Grid(2 * np.pi, 64)
+        cfg = SolverConfig(g, D1, dt=1e-3, t_end=2e-3)
+        with pytest.raises(ValueError, match="finite"):
+            simulate(smooth_datum(g, seed=1, amplitude=0.1), cfg, t0=t0)
 
     def test_zero_datum(self):
         g = Grid(2 * np.pi, 64)
