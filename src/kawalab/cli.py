@@ -178,7 +178,7 @@ def _random_datum(grid, seed, amplitude, decay, support=None):
 
 SIMULATE_DEFAULTS = {
     "L": 256.0 * np.pi, "n": 1024, "mu": 1.0,
-    "dt": 1e-3, "t_end": 1.0, "dealias_fraction": 2.0 / 3.0, "monitor_stride": 50,
+    "dt": 1e-3, "t_end": 1.0, "monitor_stride": 50,
     "amplitude": 0.5, "decay": 8.0, "s_norm": 0.0, "datum": "", "save_fields": False,
 }
 
@@ -197,7 +197,6 @@ def _cmd_simulate(cfg, seed, workers):
     else:
         u0 = _random_datum(grid, seed, cfg["amplitude"], cfg["decay"])
     sc = SolverConfig(grid, disp, dt=cfg["dt"], t_end=cfg["t_end"],
-                      dealias_fraction=cfg["dealias_fraction"],
                       monitor_stride=cfg["monitor_stride"])
     traj = simulate(u0, sc)
     rows = trajectory_to_rows(traj, s=cfg["s_norm"])

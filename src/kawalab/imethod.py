@@ -17,11 +17,11 @@ band cutoff.
 ``Lambda_4(sigma4)`` and the product-structure ``Lambda_5(M5)`` share one
 quartic pair-table engine. Its summand is symmetric in the first three
 slots, so it visits only the sorted support triples i <= j <= k, each
-weighted by its 6, 3 or 1 distinct orderings; the removable singularities
-of sigma4 are resolved in one batch per quartic sum. The limit is taken
-at the sorted 4-tuple (see :mod:`kawalab.multipliers`), so each ordering
-of a singular tuple has the same value bit for bit and the weights agree
-with the direct sum over all orderings.
+weighted by its 6, 3 or 1 distinct orderings; the removable
+singularities of sigma4 are resolved in one batch per block of triples.
+The limit is taken at the sorted 4-tuple (see :mod:`kawalab.multipliers`),
+so each ordering of a singular tuple has the same value bit for bit and
+the weights agree with the direct sum over all orderings.
 """
 
 import functools
@@ -132,30 +132,6 @@ def lambda3_kernel(u, kernel):
     return lambda_k(kernel, [u, u, u])
 
 
-class _SigmaTables:
-    """Support-indexed tables for the quartic/quintic lattice sums."""
-
-    def __init__(self, u, kernels):
-        self.kernels = kernels
-        self.ms, self.cs = _support(u)
-        self.n = u.grid.size
-        self.dxi = u.grid.dxi
-        self.pos_by_mode = self.positions_of(self.ms)
-        self.t_table = self.pair_table(self.ms)
-
-    def positions_of(self, modes):
-        """Dense mode -> position-in-``modes`` table, -1 off ``modes``."""
-        pos = np.full(self.n, -1, dtype=np.int64)
-        pos[modes + self.n // 2] = np.arange(modes.size)
-        return pos
-
-    def pair_table(self, modes):
-        """``T[a, b] = sigma3(xa, xb, -(xa+xb)) (xa+xb)``, band-masked, for
-        support row a against column b of ``modes``."""
-        XA, XB = np.meshgrid(self.ms * self.dxi, modes * self.dxi, indexing="ij")
-        return self.kernels._t_pair(XA, XB)
-
-
 def _triple_blocks(size):
     """The triples i <= j <= k of ``range(size)`` in blocks of whole rows i,
     at most ``_CHUNK`` triples per block (at least one row).
@@ -178,57 +154,50 @@ def _triple_blocks(size):
         r = stop
 
 
-def _quartic_sum(tab, kernels, pos4, c4, t4, weigh):
+def _quartic_sum(u, kernels, weigh, fourth=None):
     """``sum weigh(sigma4(xi, xj, xk, xl), xl) * (ci cj ck c4_l)`` over the
-    ordered support triples (i, j, k) of ``tab``, with ``l = -(i+j+k)``.
+    ordered triples (i, j, k) of u's support, with ``l = -(i+j+k)``; None
+    when u has no support. The fourth slot runs over ``fourth = (modes,
+    coeffs)``, or over u's own support when it is None.
 
     The summand is symmetric in (i, j, k), so only the sorted triples
     i <= j <= k are visited, each weighted by its number of distinct
     orderings: 6, 3 or 1. They are taken in blocks of whole rows i
     (``_triple_blocks``) and the block partials combined with
-    ``ordered_sum``.
-
-    The fourth slot is given by tables over its own support: ``pos4`` maps
-    a mode (offset by n/2) to its column, -1 off the support; ``c4`` holds
-    the column coefficients and ``t4`` the pair terms ``T[a, col]`` against
-    the rows of ``tab``. Pair-sum zeros are removable singularities: a
-    first pass collects those of every block and resolves them in one
-    ``sigma4`` call, and the second pass computes each block and takes its
-    slice of the limits in block order. Only one block is held at a time.
+    ``ordered_sum``. Each block resolves its live pair-sum zeros, the
+    removable singularities, in one ``sigma4`` call.
     """
-    ms, cs, dxi, n = tab.ms, tab.cs, tab.dxi, tab.n
+    ms, cs = _support(u)
+    if ms.size == 0:
+        return None
+    n, dxi = u.grid.size, u.grid.dxi
     mu = kernels.disp.mu
-    T = tab.t_table.ravel()
+    size = ms.size
+    xs = ms * dxi
+    # pair terms T[a, b] = sigma3(xa, xb, -(xa+xb)) (xa+xb), band-masked,
+    # of support row a against column b of the fourth slot
+    T = kernels._t_pair(*np.meshgrid(xs, xs, indexing="ij"))
+    if fourth is None:
+        modes4, c4, t4 = ms, cs, T
+    else:
+        modes4, c4 = fourth
+        t4 = kernels._t_pair(*np.meshgrid(xs, modes4 * dxi, indexing="ij"))
+    T = T.ravel()
     t4_flat = t4.ravel()
     cols4 = t4.shape[1]
-    size = ms.size
+    # mode + 3n/2 -> fourth-slot column, -1 off its modes; covers every l
+    pos4 = np.full(3 * n + 1, -1, dtype=np.int64)
+    pos4[modes4 + 3 * n // 2] = np.arange(modes4.size)
     J, K = np.triu_indices(size)
-    xs = ms * dxi
 
-    def block(i, pair):
+    partials = []
+    for i, pair in _triple_blocks(size):
         j, k = J[pair], K[pair]
         mi, mj, mk = ms[i], ms[j], ms[k]
         ml = -mi - mj - mk
-        valid = (ml >= -(n // 2)) & (ml < n // 2)
-        pl = np.where(valid, pos4[np.where(valid, ml, 0) + n // 2], -1)
+        pl = pos4[ml + 3 * n // 2]
         live = pl >= 0
         singular = (mi + mj == 0) | (mi + mk == 0) | (mj + mk == 0)
-        return j, k, ml, pl, live, singular
-
-    limit_args = ([], [], [], [])
-    for i, pair in _triple_blocks(size):
-        j, k, ml, _, live, singular = block(i, pair)
-        sing = singular & live
-        for dest, col in zip(limit_args, (xs[i], xs[j], xs[k], ml * dxi)):
-            dest.append(col[sing])
-    limits = np.concatenate(limit_args[0])
-    if limits.size:
-        limits = kernels.sigma4(*[np.concatenate(c) for c in limit_args])
-
-    partials = []
-    done = 0
-    for i, pair in _triple_blocks(size):
-        j, k, ml, pl, live, singular = block(i, pair)
         plc = np.where(live, pl, 0)
         cl = np.where(live, c4[plc], 0.0)
         xi, xj, xk = xs[i], xs[j], xs[k]
@@ -242,9 +211,8 @@ def _quartic_sum(tab, kernels, pos4, c4, t4, weigh):
         with np.errstate(divide="ignore", invalid="ignore"):
             s4 = np.where(singular | ~live, 0.0, -m4 / np.where(hv4 == 0, 1.0, hv4))
         sing = singular & live
-        count = np.count_nonzero(sing)
-        s4[sing] = limits[done:done + count]
-        done += count
+        if sing.any():
+            s4[sing] = kernels.sigma4(xi[sing], xj[sing], xk[sing], xl[sing])
         weight = _ORDERINGS[(i == j).astype(np.intp) + (j == k)]
         vals = weigh(s4, xl) * (cs[i] * (cs[j] * cs[k]) * cl) * weight
         partials.append(vals.sum())
@@ -257,14 +225,12 @@ def lambda4_sigma4(u, kernels):
     On the zero-sum hyperplane the six-pair form of M4 reduces to six
     lookups of ``T[a,b] = sigma3(xa, xb, -(xa+xb)) (xa+xb)``, which turns
     the O(S^3) sum into gathers plus the factored denominator; the
-    singular limit is resolved in one batch for the whole sum.
+    singular limit is resolved in one batch per block of triples.
     """
-    tab = _SigmaTables(u, kernels)
-    if tab.ms.size == 0:
+    total = _quartic_sum(u, kernels, lambda s4, xl: s4)
+    if total is None:
         return 0.0 + 0.0j
-    total = _quartic_sum(tab, kernels, tab.pos_by_mode, tab.cs, tab.t_table,
-                         lambda s4, xl: s4)
-    return complex(total * _hyperplane_weight(4, tab.dxi))
+    return complex(total * _hyperplane_weight(4, u.grid.dxi))
 
 
 def _squared_field_coeffs(u, cutoff_index=None):
@@ -292,24 +258,16 @@ def lambda5_m5(u, kernels):
     slot eta runs over the nonzero modes of ``F[u^2]`` with weight
     ``xi_eta * band(xi_eta)``.
     """
-    tab = _SigmaTables(u, kernels)
-    if tab.ms.size == 0:
-        return 0.0 + 0.0j
     grid = u.grid
-    n = grid.size
-    cutoff_index = None
-    if kernels.band_cutoff is not None:
-        cutoff_index = int(round(kernels.band_cutoff / tab.dxi))
-    qhat = _squared_field_coeffs(u, cutoff_index)
-    modes = np.arange(-(n // 2), n // 2)
-    q_by_mode = qhat[grid.index_of_mode(modes)]
-    eta = modes[q_by_mode != 0.0]
+    cutoff = kernels.band_cutoff
+    qhat = _squared_field_coeffs(u, None if cutoff is None else int(round(cutoff / grid.dxi)))
+    eta = qhat != 0.0
     band = kernels._band
-    total = _quartic_sum(
-        tab, kernels, tab.positions_of(eta), q_by_mode[eta + n // 2], tab.pair_table(eta),
-        lambda s4, xe: s4 * xe * band(xe),
-    )
-    total = total * tab.dxi ** 3 / (2.0 * np.pi)
+    total = _quartic_sum(u, kernels, lambda s4, xe: s4 * xe * band(xe),
+                         (grid.modes[eta], qhat[eta]))
+    if total is None:
+        return 0.0 + 0.0j
+    total = total * grid.dxi ** 3 / (2.0 * np.pi)
     return complex(-2j * total)
 
 

@@ -21,8 +21,9 @@ ordering of a singular point gets the same value bit for bit, as the
 sorted-triple sums of :mod:`kawalab.imethod` require. Each point carries
 its own direction and step, and the four displaced copies of the whole
 singular set go through one call of the regular kernel, so the quartic
-lattice sums of :mod:`kawalab.imethod` resolve all their singular tuples
-in one ``sigma4`` call per sum and one regular-kernel call per limit.
+lattice sums of :mod:`kawalab.imethod` resolve the singular tuples of each
+block of triples in one ``sigma4`` call and one regular-kernel call, and
+a point's value does not depend on which block holds it.
 
 M5 evaluates ``m^2 x`` once per distinct argument: the five frequencies,
 the ten pair sums and the thirty triple sums ``x_c + s_ab`` that its
@@ -126,14 +127,22 @@ def _richardson(f, cols, direction, step):
 class EnergyMultipliers:
     """Kernel family for a fixed smoothing multiplier and dispersion.
 
-    ``band_cutoff`` (a frequency, or None) activates the Galerkin-exact
-    variant described in the module docstring. The removable-singularity
-    limit displaces by ``_LIMIT_STEP``, in frequency units.
+    ``band_cutoff`` (a positive finite frequency, or None) activates the
+    Galerkin-exact variant described in the module docstring; any other
+    value raises ValueError. The removable-singularity limit displaces by
+    ``_LIMIT_STEP``, in frequency units.
     """
 
     mult: object
     disp: object
     band_cutoff: float = None
+
+    def __post_init__(self):
+        # NaN and a nonpositive cutoff would silently mask every pair sum
+        # out of M4 and M5, and lambda5_m5 cannot index an infinite one
+        if not (self.band_cutoff is None or 0.0 < self.band_cutoff < np.inf):
+            raise ValueError(f"band_cutoff must be None or positive and finite, "
+                             f"got {self.band_cutoff!r}")
 
     # -- helpers -------------------------------------------------------
 

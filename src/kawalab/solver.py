@@ -46,7 +46,8 @@ _SQRT2PI = np.sqrt(2.0 * np.pi)
 
 DIVERGENCE_THRESHOLD = 1e15
 PHASE_GUARD = 1e6
-# share of the half spectrum the nonlinearity keeps: the 2/3 rule
+# share of the half spectrum the nonlinearity keeps: the 2/3 rule, fixed, as
+# the widest band in which the quadratic product does not alias
 DEALIAS_FRACTION = 2.0 / 3.0
 
 
@@ -72,14 +73,11 @@ class SolverConfig:
     disp: object
     dt: float
     t_end: float
-    dealias_fraction: float = DEALIAS_FRACTION
     monitor_stride: int = 1
 
     def __post_init__(self):
         if not (0.0 <= self.t_end < np.inf):
             raise ValueError("t_end must be nonnegative and finite")
-        if not (0.5 < self.dealias_fraction < 1.0):
-            raise ValueError("dealias_fraction must lie in (1/2, 1)")
         # an integer type first: NaN and Inf compare false against 1, and a
         # fractional stride would sample wherever i % stride happens to be 0
         if not (isinstance(self.monitor_stride, (int, np.integer)) and self.monitor_stride >= 1):
@@ -146,23 +144,23 @@ class Trajectory:
         return len(self.times)
 
 
-def dealias_cutoff_index(grid, fraction=DEALIAS_FRACTION):
-    """Largest retained mode index: ``floor(fraction * n/2)``."""
-    return int(np.floor(fraction * (grid.size // 2)))
+def dealias_cutoff_index(grid):
+    """Largest retained mode index: ``floor(DEALIAS_FRACTION * n/2)``."""
+    return int(np.floor(DEALIAS_FRACTION * (grid.size // 2)))
 
 
-def dealias_mask(grid, fraction=DEALIAS_FRACTION):
-    return (np.abs(grid.modes) <= dealias_cutoff_index(grid, fraction)).astype(np.float64)
+def dealias_mask(grid):
+    return (np.abs(grid.modes) <= dealias_cutoff_index(grid)).astype(np.float64)
 
 
-def nonlinear_rhs(u, dealias_fraction=DEALIAS_FRACTION):
+def nonlinear_rhs(u):
     """Dealiased ``-(1/2) d/dx (u^2)`` by transform-square-transform.
 
     Masking before and after the pointwise square makes the retained band
     alias-free for the quadratic product; the output is an exact spatial
     derivative, so its mean vanishes identically.
     """
-    band, mult = _rhs_multiplier(u.grid, dealias_fraction)
+    band, mult = _rhs_multiplier(u.grid)
     return u.with_coeffs(_full_spectrum(mult * _square(u.coeffs[:band], u.grid.size)))
 
 
@@ -182,11 +180,11 @@ def _band_field(u, c):
     return u.with_coeffs(_full_spectrum(half))
 
 
-def _rhs_multiplier(grid, dealias_fraction):
+def _rhs_multiplier(grid):
     """``(band, mult)``: the retained modes ``0..band-1`` and the multiplier
     folding the dealias mask, ``-(1/2) d/dx`` and both transform scales, so
     ``mult * _square(c[:band], n)`` is the half-spectrum nonlinear term."""
-    band = dealias_cutoff_index(grid, dealias_fraction) + 1
+    band = dealias_cutoff_index(grid) + 1
     mult = np.zeros(grid.size // 2 + 1, dtype=np.complex128)
     mult[:band] = (-0.5j * _SQRT2PI / grid.dx) * (np.arange(band) * grid.dxi)
     return band, mult
@@ -209,9 +207,9 @@ class _Stepper:
     fresh array. ``peak`` is the largest max|c| over modes 1..band-1 the
     guard has passed."""
 
-    def __init__(self, grid, disp, dt, dealias_fraction):
+    def __init__(self, grid, disp, dt):
         n = grid.size
-        band, mult = _rhs_multiplier(grid, dealias_fraction)
+        band, mult = _rhs_multiplier(grid)
         # the inverse transform runs unscaled (fct = 1.0), which leaves
         # the square n**2 times larger; n is a power of two, so folding
         # 1/n**2 into the multiplier keeps every bit
@@ -287,7 +285,7 @@ def step(u, dt, config):
     obeys ``SolverConfig``'s rule (positive, finite and within the phase
     guard on ``config.grid``), else ValueError."""
     _check_dt(config.grid, config.disp, dt)
-    stepper = _Stepper(config.grid, config.disp, dt, config.dealias_fraction)
+    stepper = _Stepper(config.grid, config.disp, dt)
     c = stepper.step(_half_spectrum(u, config.grid)[:stepper.band])
     if c is None:
         raise SolverDivergenceError(dt)
@@ -312,9 +310,9 @@ def simulate(u0, config, t0=0.0):
     if dt > config.dt and dt * _max_omega(grid, config.disp) > PHASE_GUARD:
         n_steps = int(np.ceil(config.t_end / config.dt))
         dt = config.t_end / n_steps
-    stepper = _Stepper(grid, config.disp, dt, config.dealias_fraction)
+    stepper = _Stepper(grid, config.disp, dt)
 
-    traj = Trajectory(dealias_cutoff=dealias_cutoff_index(grid, config.dealias_fraction) * grid.dxi,
+    traj = Trajectory(dealias_cutoff=dealias_cutoff_index(grid) * grid.dxi,
                       steps=n_steps, dt=dt)
     c = half[:stepper.band]
     traj.append(t0, _band_field(u0, c))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -87,6 +88,15 @@ class TestParseConfig:
         assert main(["--config", str(path), "--out", str(out),
                      "identities", "--tuples", "500"]) == 2
         assert "unknown key 'sed' in section [common]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dealias_fraction_is_not_a_key(self, tmp_path, capsys):
+        # the solver's 2/3 rule is fixed: a wider band aliases the product
+        path = tmp_path / "wide.cfg"
+        path.write_text("[simulate]\ndealias_fraction = 0.7\n")
+        out = tmp_path / "run"
+        assert main(["--config", str(path), "--out", str(out), "simulate"]) == 2
+        assert "unknown key 'dealias_fraction' in section [simulate]" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("caps", [("-1", "7"), ("3", "2"), ("2", "2")])
@@ -310,6 +320,9 @@ class _RecordingPool:
 
 
 def _tagged_pid(unit):
+    # long enough that no pool worker drains the queue before the others
+    # have started; an instant unit leaves the pid set to the scheduler
+    time.sleep(0.05)
     return unit, os.getpid()
 
 

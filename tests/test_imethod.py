@@ -142,7 +142,8 @@ class TestFastPaths:
 
 
 class TestSingularLimitBatch:
-    """Each quartic sum resolves its whole singular set in one sigma4 call."""
+    """Each quartic sum makes one sigma4 call per block that holds singular
+    tuples; at the default block size this field's sums are one block."""
 
     def _counting(self, monkeypatch):
         calls = []
@@ -209,6 +210,46 @@ class TestSingularLimitBatch:
         assert len(regular) == 1
         assert f_calls and all(len(calls) == 1 for calls in f_calls)
         assert [regular[0]] in f_calls  # four displaced copies of the set
+
+    @pytest.mark.parametrize("chunk", [31, 257])
+    @pytest.mark.parametrize("functional", [lambda4_sigma4, lambda5_m5],
+                             ids=["lambda4", "lambda5"])
+    def test_one_call_per_block_with_singular_tuples(self, monkeypatch, functional, chunk):
+        u, kern = self._case()
+        calls, owners, blocks = [], [], []
+        inner_sigma4 = EnergyMultipliers.sigma4
+        inner_blocks = imethod._triple_blocks
+
+        def recorded(self, *cols):
+            out = inner_sigma4(self, *cols)
+            calls.append((np.stack(cols), out))
+            owners.append(len(blocks))
+            return out
+
+        def counted_blocks(size):
+            for block in inner_blocks(size):
+                blocks.append(block)
+                yield block
+
+        with monkeypatch.context() as m:
+            m.setattr(imethod, "_CHUNK", chunk)
+            plain = functional(u, kern)
+        monkeypatch.setattr(EnergyMultipliers, "sigma4", recorded)
+        functional(u, kern)
+        ((every, limits),) = calls
+        calls.clear()
+        owners.clear()
+        monkeypatch.setattr(imethod, "_CHUNK", chunk)
+        monkeypatch.setattr(imethod, "_triple_blocks", counted_blocks)
+        assert repr(functional(u, kern)) == repr(plain)
+        # at most one call per block, none of them empty, and together
+        # they carry the whole singular set in block order, each limit
+        # bit for bit what the single call of one block gives it
+        assert len(calls) > 1
+        assert all(a < b for a, b in zip(owners, owners[1:]))
+        assert all(cols.shape[1] > 0 for cols, _ in calls)
+        assert np.array_equal(np.concatenate([cols for cols, _ in calls], axis=1), every)
+        assert np.array_equal(np.concatenate([out for _, out in calls]), limits)
 
 
 class TestModifiedEnergies:

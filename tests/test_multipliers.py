@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kawalab import DispersionParams, EnergyMultipliers, IMultiplier, h_v_eval
+from kawalab import (DispersionParams, EnergyMultipliers, Grid, IMultiplier, SpectralField,
+                     h_v_eval, modified_energies)
 from kawalab.multipliers import power_sum_identity_check
 
 D = DispersionParams(1.0)
@@ -362,3 +363,15 @@ class TestM5SharedPairs:
         got = kern.m5(*x.T)
         assert np.array_equal(got, reference_m5(kern, *x.T))
         assert np.all(np.isfinite(got)) and np.count_nonzero(got) > 2000
+
+
+@pytest.mark.parametrize("cutoff", [np.nan, -5.0, 0.0, np.inf],
+                         ids=["nan", "negative", "zero", "inf"])
+def test_invalid_band_cutoff_rejected(cutoff):
+    # NaN and nonpositive cutoffs used to zero corr4 silently, and
+    # lambda5_m5 failed on them with unrelated errors
+    with pytest.raises(ValueError, match="band_cutoff"):
+        EnergyMultipliers(M, D, band_cutoff=cutoff)
+    u = SpectralField.random_real(Grid(2 * np.pi, 64), np.random.default_rng(1), support=8)
+    with pytest.raises(ValueError, match="band_cutoff"):
+        modified_energies(u, IMultiplier(8.0), D, band_cutoff=cutoff)

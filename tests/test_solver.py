@@ -18,6 +18,7 @@ from kawalab import (
 from kawalab import solver as solver_module
 from kawalab.dispersion import omega, phasor
 from kawalab.solver import (
+    DEALIAS_FRACTION,
     DIVERGENCE_THRESHOLD,
     PHASE_GUARD,
     _Stepper,
@@ -42,7 +43,7 @@ def reference_stepper(g, disp, dt, fraction):
     the whole half spectrum (modes 0..n/2), one temporary per operation.
     Returns ``step(c) -> c`` on length n/2+1 arrays, None on divergence."""
     n = g.size
-    band = dealias_cutoff_index(g, fraction) + 1
+    band = int(np.floor(fraction * (n // 2))) + 1
     mult = np.zeros(n // 2 + 1, dtype=np.complex128)
     mult[:band] = (-0.5j * np.sqrt(2.0 * np.pi) / g.dx) * (np.arange(band) * g.dxi)
     eh = phasor(omega(np.arange(n // 2 + 1) * g.dxi, disp), 0.5 * dt)
@@ -68,7 +69,7 @@ def reference_stepper(g, disp, dt, fraction):
 def reference_start(u, fraction):
     """Half spectrum of ``u`` projected into the dealias band."""
     n = u.grid.size
-    band = dealias_cutoff_index(u.grid, fraction) + 1
+    band = int(np.floor(fraction * (n // 2))) + 1
     return np.pad(u.coeffs[:band], (0, n // 2 + 1 - band))
 
 
@@ -257,7 +258,7 @@ class TestHermitianByConstruction:
 
     def test_half_phasors_match_full_spectrum_phasor(self):
         g, dt = self._box()
-        st = _Stepper(g, D1, dt, 2.0 / 3.0)
+        st = _Stepper(g, D1, dt)
         full = self._full_phasor(g, 0.5 * dt)
         # FFT-order indices 0..band-1 hold the stepped modes m >= 0
         assert st.e_half.shape == st.e_full.shape == (st.band,)
@@ -308,7 +309,8 @@ class TestBandStepper:
     result must equal the whole-half-spectrum formula bit for bit."""
 
     @pytest.mark.parametrize("n", [8, 32, 64, 256, 512, 4096])
-    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.9])
+    # the reference takes the band share explicitly; the solver's is fixed
+    @pytest.mark.parametrize("fraction", [DEALIAS_FRACTION])
     def test_matches_reference_step_bitwise(self, n, fraction):
         # past n = 256 the box grows with n, so the spectral extent, and
         # with it dt*max|omega|, stays that of n = 256, inside the guard
@@ -316,8 +318,7 @@ class TestBandStepper:
         dt, steps = 1e-3, 200
         # strong enough that a reordered rounding in one stage reaches the state
         u0 = smooth_datum(g, seed=n, amplitude=30.0, decay=2.0)
-        cfg = SolverConfig(g, D1, dt=dt, t_end=steps * dt, monitor_stride=50,
-                           dealias_fraction=fraction)
+        cfg = SolverConfig(g, D1, dt=dt, t_end=steps * dt, monitor_stride=50)
         traj = simulate(u0, cfg)
         ref = reference_stepper(g, D1, dt, fraction)
         c = reference_start(u0, fraction)
@@ -327,7 +328,7 @@ class TestBandStepper:
             if i % 50 == 0:
                 expect.append(c)
         assert len(traj) == len(expect) == 5
-        above = dealias_mask(g, fraction) == 0.0
+        above = dealias_mask(g) == 0.0
         for u, half in zip(traj.fields, expect):
             assert np.array_equal(u.coeffs[:n // 2 + 1], np.concatenate((half[:-1], [0.0])))
             assert np.all(u.coeffs[above] == 0.0)
@@ -340,7 +341,7 @@ class TestBandStepper:
         for a, b in zip(traj.fields, traj.fields[1:]):
             assert not np.shares_memory(a.coeffs, b.coeffs)
         # the states the stepper returns own their memory as well
-        st = _Stepper(g, D1, 1e-3, 2.0 / 3.0)
+        st = _Stepper(g, D1, 1e-3)
         buffers = [st._v, st._spec, *st._k, st._s, st._t, st._efc, st._abs]
         states = [traj.fields[0].coeffs[:st.band]]
         for _ in range(3):
@@ -362,8 +363,8 @@ class TestBandStepper:
         u0 = SpectralField.from_physical(g, 30.0 * np.cos(g.x))
         t0, cfg = 0.5, SolverConfig(g, D1, dt=3e-3, t_end=0.3)
         dt = cfg.t_end / 100
-        ref = reference_stepper(g, D1, dt, cfg.dealias_fraction)
-        c, fail = reference_start(u0, cfg.dealias_fraction), None
+        ref = reference_stepper(g, D1, dt, DEALIAS_FRACTION)
+        c, fail = reference_start(u0, DEALIAS_FRACTION), None
         for i in range(1, 101):
             c = ref(c)
             if c is None:
