@@ -50,6 +50,9 @@ _KNAPP_GAMMA = 40.0
 _WINDOW_FACTOR = 4.0
 _STRETCH_POWER = 3.0
 _TIME_BLOCK = 128
+# linear_estimate_audit's (q, r) pairs: each satisfies 2/q = 1/2 - 1/r, and
+# each r is even, as sum_x v^r is taken from v^2 by products
+_QR_PAIRS = ((6.0, 6.0), (8.0, 4.0), (np.inf, 2.0))
 # the sigma3 bound audit's finite-difference step (1/128)
 _LATTICE_STEP = 2.0 * np.pi / (256.0 * np.pi)
 # the sigma4 and m5 bound audits leave out tuples with a pair sum below this
@@ -381,14 +384,7 @@ def _runs(mask):
     return pairs
 
 
-def _check_admissible(q, r):
-    if q == np.inf and r == 2:
-        return
-    if abs(2.0 / q - (0.5 - 1.0 / r)) > 1e-12:
-        raise ValueError(f"inadmissible exponent pair (q, r) = ({q}, {r})")
-
-
-def linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid=None, n_times=1024):
+def linear_estimate_audit(disp, ks, trials, seed, grid=None, n_times=1024):
     """Mixed-norm ratios of the free flow on shell-localized packets.
 
     For each shell the time samples live on the dispersive accrual window
@@ -397,7 +393,8 @@ def linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid=None, n_times=1
     box, later times are dominated by wrap-around recurrence which the
     whole-line decay estimates do not describe. Tabulates, per shell:
 
-    * ``L_t^q L_x^r`` ratios against ``2^(-3k/q)`` for admissible (q, r);
+    * ``L_t^q L_x^r`` ratios against ``2^(-3k/q)`` for the admissible pairs
+      (q, r) = (6, 6), (8, 4), (inf, 2);
     * the ``L_x^4 L_t^inf`` maximal ratio against ``2^(k/4)``;
     * the ``L_x^2 L_t^inf`` low-frequency maximal ratio against ``2^(5k/4)``;
     * the ``L_x^inf L_t^2`` smoothing ratio against ``2^(-2k)``.
@@ -409,25 +406,19 @@ def linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid=None, n_times=1
     block of ``_TIME_BLOCK`` samples evaluates ``exp(i omega t)`` there only,
     once for all trials, and scatters ``phase * c`` into one zero-padded
     buffer that is transformed in place; each trial's sums of powers of
-    ``v^2`` accumulate block by block. The exponents r must be even.
+    ``v^2`` accumulate block by block.
     """
-    for q, r in qr_pairs:
-        _check_admissible(q, r)
-    # sum_x v^r is taken from v^2 by products, so r must be even
-    rs = sorted({r for _, r in qr_pairs})
-    if any(r % 2 for r in rs):
-        raise ValueError("the audit takes even exponents r only")
+    rs = sorted({r for _, r in _QR_PAIRS})
     if grid is None:
         grid = Grid(4.0 * np.pi, 8192)
     rng = np.random.default_rng(seed)
     w_all = omega(grid.xi, disp)
     dx = grid.dx
     s2 = (_SQRT2PI / dx) ** 2  # v^2 over the squared unscaled ifft
-    results = {f"Lt{q}Lx{r}": {} for q, r in qr_pairs}
+    results = {f"Lt{q}Lx{r}": {} for q, r in _QR_PAIRS}
     results["maximal_Lx4"] = {}
     results["maximal_Lx2"] = {}
     results["smoothing"] = {}
-    stability = {}
 
     for k in ks:
         t_max = min(1.0, _WINDOW_FACTOR * 2.0 ** (-4.0 * k))
@@ -439,18 +430,15 @@ def linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid=None, n_times=1
         w_supp = w_all[supp]
         packets = [_packet(grid, k, rng)[supp] for _ in range(trials)]
         # per trial: sum_x v^r per sample for each even r (r = 2 included),
-        # sup over t of v^2, and the two weighted L_t^2 sums of v^2 (all
-        # samples, and even samples at twice the weight) per point
+        # sup over t of v^2, and the weighted L_t^2 sum of v^2 per point
         accs = [({r: np.zeros(times.size) for r in rs}, np.zeros(grid.size),
-                 np.zeros((2, grid.size))) for _ in packets]
+                 np.zeros(grid.size)) for _ in packets]
         m = min(_TIME_BLOCK, times.size)
         buf = np.empty((m, grid.size), dtype=np.complex128)
         v2 = np.empty((m, grid.size))
         for lo in range(0, times.size, _TIME_BLOCK):
             hi = min(lo + _TIME_BLOCK, times.size)
             phase = phasor(w_supp, times[lo:hi, None])
-            even = np.arange(lo, hi) % 2 == 0
-            wts = np.stack((weights[lo:hi], np.where(even, 2.0 * weights[lo:hi], 0.0)))
             rows, sq = buf[:hi - lo], v2[:hi - lo]
             for c, (sums_r, sup2_x, l2t_x) in zip(packets, accs):
                 # the previous ifft overwrote the zero padding
@@ -467,24 +455,17 @@ def linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid=None, n_times=1
                     sums[lo:hi] = np.einsum(",".join(["ij"] * int(r // 2)) + "->i",
                                             *[sq] * int(r // 2))
                 np.maximum(sup2_x, sq.max(axis=0), out=sup2_x)
-                l2t_x += wts @ sq
+                l2t_x += weights[lo:hi] @ sq
         per_trial = {key: [] for key in results}
-        per_trial_half = {key: [] for key in results}
         for sums_r, sup2_x, l2t_x in accs:
-            for q, r in qr_pairs:
-                key = f"Lt{q}Lx{r}"
+            for q, r in _QR_PAIRS:
                 g = (sums_r[r] * (s2 ** (r / 2.0) * dx)) ** (1.0 / r)
                 if q == np.inf:
                     val = float(np.max(g))
-                    half_val = float(np.max(g[::2]))
                 else:
                     val = float(np.sum(weights * g ** q) ** (1.0 / q))
-                    half_val = float(
-                        np.sum(2.0 * weights[::2] * g[::2] ** q) ** (1.0 / q)
-                    )
                 scale = 2.0 ** (-3.0 * k / q) if q != np.inf else 1.0
-                per_trial[key].append(val / scale)
-                per_trial_half[key].append(half_val / scale)
+                per_trial[f"Lt{q}Lx{r}"].append(val / scale)
             sup2 = sup2_x * s2
             per_trial["maximal_Lx4"].append(
                 float((np.sum(sup2 * sup2) * dx) ** 0.25) / 2.0 ** (k / 4.0)
@@ -492,18 +473,13 @@ def linear_estimate_audit(disp, ks, qr_pairs, trials, seed, grid=None, n_times=1
             per_trial["maximal_Lx2"].append(
                 float(np.sqrt(np.sum(sup2) * dx)) / 2.0 ** (1.25 * k)
             )
-            smooth, smooth_half = np.sqrt(np.max(l2t_x, axis=1) * s2)
+            smooth = np.sqrt(np.max(l2t_x) * s2)
             per_trial["smoothing"].append(float(smooth) / 2.0 ** (-2.0 * k))
-            per_trial_half["smoothing"].append(float(smooth_half) / 2.0 ** (-2.0 * k))
         for key in results:
             results[key][k] = float(np.mean(per_trial[key]))
-        fine = np.array(per_trial[f"Lt{qr_pairs[0][0]}Lx{qr_pairs[0][1]}"])
-        halfv = np.array(per_trial_half[f"Lt{qr_pairs[0][0]}Lx{qr_pairs[0][1]}"])
-        stability[k] = float(np.max(np.abs(fine - halfv) / fine))
 
     slopes = _log2_slopes(ks, results) if len(ks) >= 2 else {}
-    return {"ratios": results, "slopes": slopes, "halving_change": stability,
-            "seed": seed}
+    return {"ratios": results, "slopes": slopes, "seed": seed}
 
 
 def _log2_slopes(ks, ratios):

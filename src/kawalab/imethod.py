@@ -171,7 +171,6 @@ def _quartic_sum(u, kernels, weigh, fourth=None):
     if ms.size == 0:
         return None
     n, dxi = u.grid.size, u.grid.dxi
-    mu = kernels.disp.mu
     size = ms.size
     xs = ms * dxi
     # pair terms T[a, b] = sigma3(xa, xb, -(xa+xb)) (xa+xb), band-masked,
@@ -206,8 +205,7 @@ def _quartic_sum(u, kernels, weigh, fourth=None):
             T[i * size + j] + T[i * size + k] + T[j * size + k]
             + t4_flat[i * cols4 + plc] + t4_flat[j * cols4 + plc] + t4_flat[k * cols4 + plc]
         )
-        squares = xi * xi + xj * xj + xk * xk + xl * xl
-        hv4 = 1j * (xi + xj) * (xi + xk) * (xj + xk) * (2.5 * squares - 3.0 * mu)
+        hv4 = kernels.hv4(xi, xj, xk, xl)
         with np.errstate(divide="ignore", invalid="ignore"):
             s4 = np.where(singular | ~live, 0.0, -m4 / np.where(hv4 == 0, 1.0, hv4))
         sing = singular & live

@@ -1,6 +1,7 @@
 """Atomic, deterministic artifact emission (CSV, JSON, manifests)."""
 
 import json
+import math
 import os
 import tempfile
 
@@ -25,6 +26,7 @@ def atomic_write_text(path, text):
 
 
 def _jsonify(obj):
+    """Plain JSON values; a non-finite float becomes None (``null``)."""
     import numpy as np
 
     if isinstance(obj, dict):
@@ -33,8 +35,8 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
     if isinstance(obj, (np.bool_,)):
@@ -45,7 +47,8 @@ def _jsonify(obj):
 def write_json(path, payload):
     body = dict(payload)
     body.setdefault("schema_version", SCHEMA_VERSION)
-    atomic_write_text(path, json.dumps(_jsonify(body), indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json.dumps(_jsonify(body), indent=2, sort_keys=True,
+                                        allow_nan=False) + "\n")
 
 
 def _format_cell(v):

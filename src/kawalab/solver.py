@@ -118,13 +118,14 @@ class Trajectory:
     ``peak_growth`` is the largest max|c| over all steps divided by the
     band-projected datum's max|c|, both taken over the modes other than
     the mean, which the solver conserves to the bit (0.0 for a datum with
-    no such mode); ``simulate`` sets all three."""
+    no such mode); ``simulate`` sets all three. ``dealias_cutoff`` is the
+    frequency at which the solver's band ends; it has no default."""
 
+    dealias_cutoff: float
     times: list = dc_field(default_factory=list)
     fields: list = dc_field(default_factory=list)
     means: list = dc_field(default_factory=list)
     l2_masses: list = dc_field(default_factory=list)
-    dealias_cutoff: float = np.inf
     steps: int = 0
     dt: float = 0.0
     peak_growth: float = 0.0

@@ -14,6 +14,7 @@ from kawalab import Grid, SpectralField
 from kawalab import cli
 from kawalab.cli import COMMANDS, ConfigError, main, parse_config
 from kawalab.grid import save_field
+from kawalab.io import write_json
 from test_acceptance import DETERMINISM_PRESETS
 
 
@@ -462,3 +463,14 @@ def test_format_selects_artifacts(tmp_path, command):
     assert _records(written["json"]) and not _tables(written["json"])
     assert not _records(written["csv"])
     assert written["both"] == written["json"] | written["csv"]
+
+
+def test_write_json_is_strict(tmp_path):
+    path = tmp_path / "nonfinite.json"
+    write_json(path, {"values": [np.nan, np.inf, -np.inf, 1.5], "ratio": float("nan")})
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    body = json.loads(path.read_text(), parse_constant=reject)
+    assert body["values"] == [None, None, None, 1.5] and body["ratio"] is None

@@ -25,6 +25,7 @@ from kawalab.imethod import (
     lambda5_m5,
     suggest_audit_stride,
 )
+from kawalab.solver import Trajectory, dealias_cutoff_index
 
 D = DispersionParams(1.0)
 
@@ -328,6 +329,18 @@ class TestDerivativeIdentities:
             # cubic functional of a size-eps field
             assert abs(r["lambda3_m3"]) <= 10 * eps ** 3
             assert abs(r["de2_dt"] - r["lambda3_m3"]) <= eps ** 2.5
+
+    def test_hand_built_trajectory_takes_a_cutoff(self):
+        with pytest.raises(TypeError):
+            Trajectory()
+        g = Grid(2 * np.pi, 64)
+        u = random_field(g, 4, support=12, envelope=lambda a: (1 + a) ** -1)
+        traj = Trajectory(dealias_cutoff=dealias_cutoff_index(g) * g.dxi)
+        for t in (0.0, 1e-4, 2e-4):
+            traj.append(t, u)
+        rows = energy_derivative_audit(traj, IMultiplier(4.0), D)["rows"]
+        assert len(rows) == 1
+        assert np.isfinite(rows[0]["resid3"]) and np.isfinite(rows[0]["resid5"])
 
 
 class TestGwpConfig:
