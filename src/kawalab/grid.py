@@ -10,8 +10,8 @@ Conventions used throughout the package:
   side and ``L/n`` in space, so the discrete Plancherel identity
   ``sum |u_hat|^2 * (2*pi/L) == sum |u|^2 * (L/n)`` holds exactly.
 
-The Nyquist mode has no negative partner, so real-valued fields keep it
-zero and every multiplier application re-zeroes it.
+Every field is real-valued. The Nyquist mode has no negative partner, so
+fields keep it zero and every multiplier application re-zeroes it.
 """
 
 from dataclasses import dataclass, field
@@ -90,47 +90,42 @@ class Grid:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex frequency coefficients on a :class:`Grid`.
-
-    ``real=True`` flags a field representing a real-valued function; such
-    fields satisfy Hermitian symmetry and carry a zero Nyquist mode.
-    """
+    """Frequency coefficients of a real-valued function on a :class:`Grid`:
+    finite, Hermitian-symmetric, with a zero Nyquist mode."""
 
     grid: Grid
     coeffs: np.ndarray = field(repr=False)
-    real: bool = True
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
         if c.shape != (self.grid.size,):
             raise ValueError("coefficient array does not match the grid")
         c = c.copy()
-        if self.real:
-            c[self.grid.nyquist_index] = 0.0
-            require_hermitian(c)
+        c[self.grid.nyquist_index] = 0.0
+        require_hermitian(c)
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls, grid, real=True):
-        return cls(grid, np.zeros(grid.size, dtype=np.complex128), real=real)
+    def zero(cls, grid):
+        return cls(grid, np.zeros(grid.size, dtype=np.complex128))
 
     @classmethod
     def from_physical(cls, grid, values):
         values = np.asarray(values, dtype=np.float64)
         c = np.fft.fft(values) * (grid.dx / _SQRT2PI)
-        return cls(grid, c, real=True)
+        return cls(grid, c)
 
     @classmethod
-    def from_mode_dict(cls, grid, amplitudes, real=True):
+    def from_mode_dict(cls, grid, amplitudes):
         """Field from ``{mode: coefficient}``; Hermitian partners are the
-        caller's responsibility when ``real`` is set."""
+        caller's responsibility."""
         c = np.zeros(grid.size, dtype=np.complex128)
         for m, a in amplitudes.items():
             c[grid.index_of_mode(int(m))] = a
-        return cls(grid, c, real=real)
+        return cls(grid, c)
 
     @classmethod
     def random_real(cls, grid, rng, envelope=None, support=None):
@@ -148,13 +143,12 @@ class SpectralField:
             c *= envelope(np.abs(grid.xi))
         if support is not None:
             c[np.abs(grid.modes) > support] = 0.0
-        return cls(grid, c, real=True)
+        return cls(grid, c)
 
     # -- basic queries -----------------------------------------------
 
     def to_physical(self):
-        u = np.fft.ifft(self.coeffs) * (_SQRT2PI / self.grid.dx)
-        return u.real if self.real else u
+        return (np.fft.ifft(self.coeffs) * (_SQRT2PI / self.grid.dx)).real
 
     def l2_norm(self):
         return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2) * self.grid.dxi))
@@ -183,16 +177,16 @@ class SpectralField:
 
     # -- arithmetic (new fields; inputs never mutate) ------------------
 
-    def with_coeffs(self, coeffs, real=None):
-        return SpectralField(self.grid, coeffs, real=self.real if real is None else real)
+    def with_coeffs(self, coeffs):
+        return SpectralField(self.grid, coeffs)
 
     def __add__(self, other):
         self._check_mate(other)
-        return self.with_coeffs(self.coeffs + other.coeffs, real=self.real and other.real)
+        return self.with_coeffs(self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         self._check_mate(other)
-        return self.with_coeffs(self.coeffs - other.coeffs, real=self.real and other.real)
+        return self.with_coeffs(self.coeffs - other.coeffs)
 
     def __mul__(self, scalar):
         return self.with_coeffs(self.coeffs * scalar)
@@ -230,14 +224,14 @@ def require_hermitian(c):
         # coefficient makes the defect Inf or NaN, and Inf - Inf is NaN
         ok = defect - 1e-10 * scale <= 0.0
         if np.count_nonzero(ok) < ok.size:
-            raise ValueError("real-flagged field is not finite and Hermitian-symmetric")
+            raise ValueError("field is not finite and Hermitian-symmetric")
 
 
-def apply_multiplier(u, values, real=None):
+def apply_multiplier(u, values):
     """Multiply coefficients by ``values`` (FFT order); Nyquist zeroed."""
     c = u.coeffs * values
     c[u.grid.nyquist_index] = 0.0
-    return u.with_coeffs(c, real=real)
+    return u.with_coeffs(c)
 
 
 def sobolev_norm(u, s):
@@ -265,7 +259,7 @@ def rescale_datum(u, lam):
     if not (0.0 < lam <= 1.0):
         raise ValueError("scaling parameter must lie in (0, 1]")
     stretched = Grid(u.grid.length / lam, u.grid.size)
-    return SpectralField(stretched, u.coeffs * lam ** 3, real=u.real)
+    return SpectralField(stretched, u.coeffs * lam ** 3)
 
 
 # -- serialization ----------------------------------------------------
@@ -274,14 +268,14 @@ _FORMAT_HEADER = "kawalab-field 1"
 
 
 def save_field(u, path):
-    """Text format: header (L, n, real flag) then CSV rows ``m,re,im``."""
+    """Text format: header (L, n, ``real 1``) then CSV rows ``m,re,im``."""
     modes = u.grid.modes
     order = np.argsort(modes)
     lines = [
         _FORMAT_HEADER,
         f"L {u.grid.length!r}",
         f"n {u.grid.size}",
-        f"real {1 if u.real else 0}",
+        "real 1",
         "m,re,im",
     ]
     for idx in order:
@@ -291,6 +285,8 @@ def save_field(u, path):
 
 
 def load_field(path):
+    """Read a :func:`save_field` file; its header must read ``real 1`` and
+    every mode must lie in ``[-n/2, n/2)``."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != _FORMAT_HEADER:
@@ -301,12 +297,17 @@ def load_field(path):
         header[key] = value
     if lines[4] != "m,re,im":
         raise ValueError("missing coefficient table header")
+    if header.get("real") != "1":
+        raise ValueError("header does not read 'real 1': fields are real-valued")
     grid = Grid(float(header["L"]), int(header["n"]))
-    real = bool(int(header["real"]))
+    half = grid.size // 2
     c = np.zeros(grid.size, dtype=np.complex128)
     for ln in lines[5:]:
         if not ln:
             continue
         m_str, re_str, im_str = ln.split(",")
-        c[grid.index_of_mode(int(m_str))] = float(re_str) + 1j * float(im_str)
-    return SpectralField(grid, c, real=real)
+        m = int(m_str)
+        if not -half <= m < half:
+            raise ValueError(f"mode {m} lies outside [-{half}, {half}) of the n = {grid.size} grid")
+        c[grid.index_of_mode(m)] = float(re_str) + 1j * float(im_str)
+    return SpectralField(grid, c)

@@ -291,8 +291,6 @@ class EnergyReport:
 
 def modified_energies(u, mult, disp, band_cutoff=None, t=0.0):
     """E2 = ||Iu||^2 with the cubic and quartic correction terms."""
-    if not u.real:
-        raise ValueError("modified energies are defined for real-flagged fields")
     kernels = EnergyMultipliers(mult, disp, band_cutoff=band_cutoff)
     e2 = apply_I(u, mult).l2_norm() ** 2
     corr3 = lambda3_kernel(u, kernels.sigma3)

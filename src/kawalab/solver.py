@@ -192,9 +192,7 @@ def _rhs_multiplier(grid):
 
 
 def _half_spectrum(u, grid):
-    """Modes 0..n/2 of a real datum that lives on ``grid``."""
-    if not u.real:
-        raise ValueError("the solver steps real-flagged fields only")
+    """Modes 0..n/2 of a datum that lives on ``grid``."""
     if u.grid != grid:
         raise ValueError(f"datum grid {u.grid} does not match the configured grid {grid}")
     return u.coeffs[:grid.size // 2 + 1]
@@ -369,7 +367,7 @@ def petviashvili_wave(c, disp, grid, width=4.0, center=None, tol=1e-12, max_iter
         c_hat = new
         if update < tol:
             residual = _profile_residual(c_hat, Q, grid)
-            return SpectralField(grid, c_hat, real=True), residual, it
+            return SpectralField(grid, c_hat), residual, it
     raise PetviashviliError(update, max_iter)
 
 

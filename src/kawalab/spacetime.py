@@ -42,8 +42,6 @@ def free_trajectory(phi, disp, times):
     """Exact linear evolution of the real field ``phi`` sampled on ``times``
     (any signs): ``(times, coeffs)`` with one row of coefficients per sample,
     each ``free_evolve(phi, t, disp).coeffs``."""
-    if not phi.real:
-        raise ValueError("the free trajectory is sampled for real-flagged fields only")
     times = np.asarray(times, dtype=np.float64)
     w = omega(phi.grid.xi[:phi.grid.size // 2 + 1], disp)
     coeffs = np.empty((times.size, phi.grid.size), dtype=np.complex128)
@@ -216,8 +214,6 @@ def duhamel_bilinear(u0, v0, disp, times):
     running trapezoid sums of both grids to the next. No flow, phase or
     integrand lattice is held beyond a block.
     """
-    if not (u0.real and v0.real):
-        raise ValueError("the Duhamel operator takes real-flagged fields only")
     if u0.grid != v0.grid:
         raise ValueError("the two data live on different grids")
     grid = u0.grid

@@ -49,7 +49,6 @@ def reference_linear_estimate_audit(disp, ks, trials, seed, grid, n_times=1024,
     products = {2.0: "ij->i", 4.0: "ij,ij->i", 6.0: "ij,ij,ij->i"}
     results = {f"Lt{q}Lx{r}": {} for q, r in _QR_PAIRS}
     results["maximal_Lx4"] = {}
-    results["maximal_Lx2"] = {}
     results["smoothing"] = {}
     for k in ks:
         t_max = min(1.0, 4.0 * 2.0 ** (-4.0 * k))
@@ -91,9 +90,6 @@ def reference_linear_estimate_audit(disp, ks, trials, seed, grid, n_times=1024,
             sup2 = sup_x * s2 if squares else sup_x ** 2
             per_trial["maximal_Lx4"].append(
                 float((np.sum(sup2 * sup2) * dx) ** 0.25) / 2.0 ** (k / 4.0)
-            )
-            per_trial["maximal_Lx2"].append(
-                float(np.sqrt(np.sum(sup2) * dx)) / 2.0 ** (1.25 * k)
             )
             per_trial["smoothing"].append(
                 float(np.sqrt(np.max(l2t_x))) / 2.0 ** (-2.0 * k)

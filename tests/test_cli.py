@@ -204,10 +204,15 @@ class TestRuns:
 
     def test_simulate_unusable_datum_named(self, tmp_path, capsys):
         complex_field = tmp_path / "complex.txt"
-        save_field(SpectralField.from_mode_dict(Grid(4 * np.pi, 64), {1: 0.1}, real=False),
-                   complex_field)
+        complex_field.write_text("kawalab-field 1\nL 12.566370614359172\nn 64\nreal 0\n"
+                                 "m,re,im\n1,0.1,0.0\n")
+        # modes +-5 do not exist on an n = 8 grid (they would alias to -+3)
+        aliased = tmp_path / "aliased.txt"
+        aliased.write_text("kawalab-field 1\nL 6.283185307179586\nn 8\nreal 1\n"
+                           "m,re,im\n-5,0.1,0.0\n5,0.1,0.0\n")
         for path, reason in ((tmp_path / "missing.txt", "No such file"),
-                             (complex_field, "not a real-flagged field")):
+                             (complex_field, "header does not read 'real 1'"),
+                             (aliased, "mode -5 lies outside [-4, 4)")):
             assert main(["--out", str(tmp_path / "sim"), "simulate",
                          "--datum", str(path)]) == 2
             err = capsys.readouterr().err
@@ -271,6 +276,10 @@ class TestRuns:
     @pytest.mark.parametrize("command, args", [
         ("energy-track", ["--N", "nan"]),
         ("simulate", ["--t_end", "nan"]),
+        ("resonance", ["--samples", "0"]),
+        ("resonance", ["--budget_factor", "0"]),
+        ("knapp", ["--samples", "0"]),
+        ("strichartz", ["--trials", "0"]),
     ])
     def test_value_rejected_by_runner_named(self, tmp_path, capsys, command, args):
         # the library's own checks reject what the key parser lets through

@@ -49,13 +49,15 @@ class TestLambdaK:
     @pytest.mark.parametrize("slots", [(0, 0, 0), (0, 1, 2)], ids=["same", "distinct"])
     def test_lambda3_brute_force_enumeration(self, slots):
         g = Grid(2 * np.pi, 16)
-        dicts = [
-            {1: 0.3 + 0.1j, -1: 0.3 - 0.1j, 2: -0.2 + 0.05j, -2: -0.2 - 0.05j},
+        halves = [
+            {1: 0.3 + 0.1j, 2: -0.2 + 0.05j},
             {1: 0.7 - 0.2j, 3: -0.4 + 0.3j, -4: 0.1 + 0.6j},
             {-1: 0.5 + 0.5j, -3: 0.2 - 0.1j, 2: -0.3 + 0.2j, 4: 0.9 - 0.4j},
         ]
+        # each field with its conjugate partners, so it is real-valued
+        dicts = [{**h, **{-m: np.conj(a) for m, a in h.items()}} for h in halves]
         coeffs = [dicts[i] for i in slots]
-        fields = [SpectralField.from_mode_dict(g, c, real=False) for c in coeffs]
+        fields = [SpectralField.from_mode_dict(g, c) for c in coeffs]
         # a mode-weighted multiplier tells the three slots apart
         got = lambda_k(lambda a, b, c: 1.0 + a + 2.0 * b * b, fields)
         brute = 0.0
@@ -388,12 +390,9 @@ def _reference_solve_lambda(datum, mult, eps0):
 
 
 class TestSolveLambda:
-    @pytest.mark.parametrize("real", [True, False])
-    def test_norm_matches_fields_bitwise(self, real):
+    def test_norm_matches_fields_bitwise(self):
         g = Grid(2 * np.pi / 16.0, 256)
         datum = random_field(g, seed=9, envelope=lambda a: (1.0 + a ** 2) ** 0.625)
-        if not real:
-            datum = datum.with_coeffs(datum.coeffs + 0.3j * datum.coeffs[::-1], real=False)
         mult = IMultiplier(16.0)
         norm_at = imethod._rescaled_I_norm(datum, mult)
         for lam in np.geomspace(1e-8, 1.0, 97):

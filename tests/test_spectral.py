@@ -79,8 +79,9 @@ class TestGrid:
         u = SpectralField.from_mode_dict(g, {0: 2.0, 3: 1.0 + 2.0j, -3: 1.0 - 2.0j,
                                              31: 0.5j, -31: -0.5j})
         assert u.hermitian_defect() == 0.0
-        assert SpectralField.from_mode_dict(g, {3: 1.0, -3: 0.5},
-                                            real=False).hermitian_defect() == 0.5
+        # a defect inside the 1e-10 tolerance is kept and reported
+        near = SpectralField.from_mode_dict(g, {3: 1.0, -3: 1.0 + 5e-11})
+        assert near.hermitian_defect() == pytest.approx(5e-11, rel=1e-6)
 
     # a coefficient at a mirrored pair, at both partners, and at the zero mode
     NON_FINITE = [({3: np.nan, -3: 1.0}, "nan pair"),
@@ -95,7 +96,9 @@ class TestGrid:
                              ids=[name for _, name in NON_FINITE])
     def test_non_finite_coefficients_rejected(self, amplitudes):
         g = Grid(2 * np.pi, 64)
-        c = SpectralField.from_mode_dict(g, amplitudes, real=False).coeffs
+        c = np.zeros(g.size, dtype=np.complex128)
+        for m, a in amplitudes.items():
+            c[g.index_of_mode(m)] = a
         with pytest.raises(ValueError, match="not finite"):
             require_hermitian(c)
         with pytest.raises(ValueError, match="not finite"):
@@ -122,10 +125,10 @@ class TestSobolevNorms:
 
     def test_single_mode(self):
         g = Grid(4 * np.pi, 64)
-        u = SpectralField.from_mode_dict(g, {3: 1.0}, real=False)
+        u = SpectralField.from_mode_dict(g, {3: 1.0, -3: 1.0})
         xi = 3 * g.dxi
         for s in (-1.75, 0.0):
-            expect = (1 + xi * xi) ** (s / 2) * np.sqrt(g.dxi)
+            expect = (1 + xi * xi) ** (s / 2) * np.sqrt(2.0 * g.dxi)
             assert sobolev_norm(u, s) == pytest.approx(expect, rel=1e-13)
 
     def test_s0_equals_l2(self):
@@ -395,7 +398,6 @@ class TestSerialization:
         save_field(u, path)
         v = load_field(path)
         assert v.grid == u.grid
-        assert v.real == u.real
         assert np.array_equal(v.coeffs, u.coeffs)
 
     def test_overwrite_is_atomic_and_leaves_no_temp_file(self, tmp_path):
@@ -405,9 +407,18 @@ class TestSerialization:
         u = random_field(g, 2)
         save_field(u, path)
         v = load_field(path)
-        assert v.grid == u.grid and v.real == u.real
+        assert v.grid == u.grid
         assert np.array_equal(v.coeffs, u.coeffs)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["field.txt"]
+
+    @pytest.mark.parametrize("mode", [-5, 4, 5])
+    def test_rejects_out_of_range_mode(self, tmp_path, mode):
+        # on n = 8 the modes are -4..3; mode 5 would alias to -3, 4 to -4
+        path = tmp_path / "field.txt"
+        path.write_text("kawalab-field 1\nL 6.283185307179586\nn 8\nreal 1\n"
+                        f"m,re,im\n{mode},0.1,0.0\n{-mode},0.1,0.0\n")
+        with pytest.raises(ValueError, match=f"mode {mode} lies outside"):
+            load_field(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.txt"
