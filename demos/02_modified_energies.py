@@ -32,7 +32,7 @@ stride = suggest_audit_stride(u0, safety=0.05)
 print(f"sampling stride {stride:.2e} (resolves the fastest triple phase)")
 config = SolverConfig(grid, disp, dt=stride, t_end=4 * stride, monitor_stride=1)
 trajectory = simulate(u0, config)
-audit = energy_derivative_audit(trajectory, mult, disp, include_quintic=False)
+audit = energy_derivative_audit(trajectory, mult, disp)
 for row in audit["rows"]:
     print(f"  t={row['t']:.6f}  E2={row['e2']:.6f}  dE2/dt={row['de2_dt']:+.4e}"
           f"  cubic functional={row['lambda3_m3']:+.4e}"

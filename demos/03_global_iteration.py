@@ -1,38 +1,23 @@
 """Rescale-and-iterate: the weighted mass stays inside the bootstrap box.
 
-A rough datum is shrunk by the scaling transform until its smoothed mass
-is eps0; twenty unit-time steps later it has moved by parts in 1e6, far
-inside the 4*eps0^2 bootstrap bound that drives the iteration to large
-times.
+``imethod.bootstrap_datum`` draws a rough datum (seed 108, envelope
+<xi>^1.25) in a box sized for threshold N = 64 and normalises it so that
+the scaling transform shrinks its smoothed mass to eps0 at lam = 1/N;
+twenty unit-time steps later it has moved by parts in 1e6, far inside
+the 4*eps0^2 bootstrap bound that drives the iteration to large times.
+This is acceptance criterion a08 and ``kawalab gwp --seed 108`` at its
+defaults.
 """
 
-import numpy as np
-
-from kawalab import DispersionParams, Grid, IMultiplier, SpectralField, apply_I
-from kawalab.grid import rescale_datum
-from kawalab.imethod import GwpConfig, gwp_experiment
-from kawalab.solver import dealias_cutoff_index
+from kawalab import DispersionParams
+from kawalab.imethod import GwpConfig, bootstrap_datum, gwp_experiment
 
 disp = DispersionParams(1.0)
-n = 512
-threshold = 64.0
-eps0 = 0.1
-
-lam_target = 1.0 / threshold
-dxi_stretched = 1.5 * threshold / dealias_cutoff_index(Grid(2 * np.pi, n))
-grid = Grid(lam_target * 2 * np.pi / dxi_stretched, n)
-rng = np.random.default_rng(108)
-datum = SpectralField.random_real(
-    grid, rng, envelope=lambda a: (1 + a ** 2) ** 0.625,
-    support=dealias_cutoff_index(grid) - 2)
-mult = IMultiplier(threshold)
-probe = apply_I(rescale_datum(datum, lam_target), mult).l2_norm()
-datum = datum * (eps0 / probe)
-
-config = GwpConfig(threshold=threshold, eps0=eps0, steps=20)
+config = GwpConfig(threshold=64.0, eps0=0.1, steps=20)
+datum = bootstrap_datum(config, 512, 108, 1.25)
 result = gwp_experiment(config, datum, disp)
-print(f"scaling parameter lam = {result.lam:.6f} (target {lam_target:.6f})")
-print(f"bootstrap bound 4*eps0^2 = {4 * eps0 ** 2}")
+print(f"scaling parameter lam = {result.lam:.6f} (target {1.0 / config.threshold:.6f})")
+print(f"bootstrap bound 4*eps0^2 = {4 * config.eps0 ** 2}")
 for tau, e2 in zip(result.times, result.e2):
     print(f"  tau={tau:4.0f}  E2={e2:.8f}")
 print(f"all steps inside the bound: {result.all_passed}")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .dispersion import DispersionParams, omega, phasor, resonance
 from .dyadic import eta_k
-from .grid import Grid
+from .grid import _SQRT2PI, Grid
 from .multipliers import EnergyMultipliers
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "bound_shell",
     "bound_report",
 ]
-
-_SQRT2PI = np.sqrt(2.0 * np.pi)
 
 # resonance_size_audit: the magnitude range of its samples, and pairs per draw
 _RESONANCE_MAGNITUDES = (1e-2, 1e4)

@@ -22,14 +22,13 @@ from .audits import (KnappConfig, _log2_slopes, bound_report, bound_shell,
                      knapp_sharpness, linear_estimate_audit, resonance_size_audit)
 from .dispersion import DispersionParams, resonance
 from .dyadic import eta0, eta_k
-from .grid import Grid, SpectralField, load_field, rescale_datum, save_field
+from .grid import Grid, SpectralField, load_field, save_field
 from .illposed import IllposedConfig, growth_fit, illposed_sweep, theta_identity_gap
-from .imethod import (GwpConfig, energy_derivative_audit, gwp_experiment,
-                      suggest_audit_stride)
-from .imultiplier import IMultiplier, apply_I
+from .imethod import (GwpConfig, bootstrap_datum, energy_derivative_audit,
+                      gwp_experiment, suggest_audit_stride)
+from .imultiplier import IMultiplier
 from .multipliers import EnergyMultipliers, power_sum_identity_check
-from .solver import (SolverConfig, dealias_cutoff_index, guarded_dt, simulate,
-                     trajectory_to_rows)
+from .solver import SolverConfig, guarded_dt, simulate, trajectory_to_rows
 from .spacetime import (SpaceTimeField, _modulation, duhamel_bilinear, fbar_norm,
                         free_trajectory, modulation_profiles, uniform_times, xk_norm,
                         xsb_norm)
@@ -237,7 +236,7 @@ def _cmd_energy_track(cfg, seed, workers):
     sc = SolverConfig(grid, disp, dt=stride, t_end=cfg["audit_steps"] * stride,
                       monitor_stride=1)
     traj = simulate(u0, sc, t0=cfg["pre_time"])
-    audit = energy_derivative_audit(traj, mult, disp, include_quintic=False)
+    audit = energy_derivative_audit(traj, mult, disp)
     rows = [(r["t"], r["e2"], r["corr3"], r["corr4"], r["e4"], r["resid3"])
             for r in audit["rows"]]
     worst = max(r["resid3"] for r in audit["rows"])
@@ -257,29 +256,10 @@ GWP_DEFAULTS = {
 
 
 def _cmd_gwp(cfg, seed, workers):
-    # lam lands near 1/N when the datum norm matches eps0, so size the
-    # original box to put the stretched dealias band at ~1.5 N
-    n = cfg["n"]
-    lam_target = 1.0 / cfg["N"]
-    cutoff_target = 1.5 * cfg["N"]
-    dxi_stretched = cutoff_target / dealias_cutoff_index(Grid(2 * np.pi, n))
-    L0 = lam_target * 2.0 * np.pi / dxi_stretched
-    grid = Grid(L0, n)
-    disp = DispersionParams(cfg["mu"])
-    rng = np.random.default_rng(seed)
-    slope = cfg["spectral_slope"]
-    datum = SpectralField.random_real(
-        grid, rng, envelope=lambda a: (1.0 + a ** 2) ** (slope / 2.0),
-        support=dealias_cutoff_index(grid) - 2,
-    )
-    # normalize so the rescaling solver lands exactly at lam = 1/N and the
-    # stretched band sits where the box was sized for it
-    mult = IMultiplier(cfg["N"], cfg["s"])
-    probe = apply_I(rescale_datum(datum, lam_target), mult).l2_norm()
-    datum = datum * (cfg["eps0"] / probe)
     gc = GwpConfig(threshold=cfg["N"], eps0=cfg["eps0"], steps=cfg["steps"],
                    sobolev_s=cfg["s"], track_e4=cfg["track_e4"])
-    result = gwp_experiment(gc, datum, disp)
+    datum = bootstrap_datum(gc, cfg["n"], seed, cfg["spectral_slope"])
+    result = gwp_experiment(gc, datum, DispersionParams(cfg["mu"]))
     gates = {"bootstrap_bound": result.all_passed}
     return {"gwp.json": dataclasses.asdict(result)}, gates
 

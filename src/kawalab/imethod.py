@@ -30,10 +30,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import sobolev_norm, rescale_datum
+from .grid import _SQRT2PI, Grid, SpectralField, sobolev_norm, rescale_datum
 from .imultiplier import IMultiplier, apply_I
 from .multipliers import EnergyMultipliers
-from .solver import SolverConfig, guarded_dt, simulate
+from .solver import SolverConfig, dealias_cutoff_index, guarded_dt, simulate
 from .summation import ordered_sum
 
 __all__ = [
@@ -46,10 +46,9 @@ __all__ = [
     "lambda5_m5",
     "modified_energies",
     "energy_derivative_audit",
+    "bootstrap_datum",
     "gwp_experiment",
 ]
-
-_SQRT2PI = np.sqrt(2.0 * np.pi)
 
 _CHUNK = 1 << 16
 
@@ -271,9 +270,8 @@ def lambda5_m5(u, kernels):
 
 @dataclass
 class EnergyReport:
-    """Modified energies at one time; imaginary residues are diagnostics."""
+    """Modified energies of one field; imaginary residues are diagnostics."""
 
-    t: float
     e2: float
     corr3: float
     corr4: float
@@ -289,14 +287,13 @@ class EnergyReport:
         return self.e3 + self.corr4
 
 
-def modified_energies(u, mult, disp, band_cutoff=None, t=0.0):
+def modified_energies(u, mult, disp, band_cutoff=None):
     """E2 = ||Iu||^2 with the cubic and quartic correction terms."""
     kernels = EnergyMultipliers(mult, disp, band_cutoff=band_cutoff)
     e2 = apply_I(u, mult).l2_norm() ** 2
     corr3 = lambda3_kernel(u, kernels.sigma3)
     corr4 = lambda4_sigma4(u, kernels)
     return EnergyReport(
-        t=t,
         e2=float(e2),
         corr3=float(np.real(corr3)),
         corr4=float(np.real(corr4)),
@@ -319,21 +316,19 @@ def suggest_audit_stride(u, safety=0.02):
     return safety / theta_max
 
 
-def energy_derivative_audit(traj, mult, disp, include_quintic=None):
+def energy_derivative_audit(traj, mult, disp, include_quintic=False):
     """Centered-difference derivatives of E2 and E4 against the direct
     Lambda_3(M3) and Lambda_5(M5) sums, per interior sample.
 
-    The quintic check is evaluated only on small grids (n <= 128) unless
-    forced, since it costs a full quartic sum per sample. A warning flag
-    is raised when modes above ``_CUTOFF_ENERGY_TOL`` of the largest sit
-    near the dealias cutoff, where the computed Galerkin dynamics stop
-    tracking the continuum equation.
+    The quintic check (``de4_dt``, ``lambda5_m5`` and ``resid5`` in each
+    row) runs only with ``include_quintic``: it costs a full quartic sum
+    per sample. A warning flag is raised when modes above
+    ``_CUTOFF_ENERGY_TOL`` of the largest sit near the dealias cutoff, where
+    the computed Galerkin dynamics stop tracking the continuum equation.
     """
     if len(traj) < 3:
         raise ValueError("need at least three samples for centered differences")
     grid = traj.fields[0].grid
-    if include_quintic is None:
-        include_quintic = grid.size <= 128
     kernels = EnergyMultipliers(mult, disp, band_cutoff=traj.dealias_cutoff)
 
     cutoff_warning = False
@@ -347,8 +342,8 @@ def energy_derivative_audit(traj, mult, disp, include_quintic=None):
             cutoff_warning = True
 
     reports = [
-        modified_energies(u, mult, disp, band_cutoff=traj.dealias_cutoff, t=t)
-        for t, u in zip(traj.times, traj.fields)
+        modified_energies(u, mult, disp, band_cutoff=traj.dealias_cutoff)
+        for u in traj.fields
     ]
     rows = []
     for i in range(1, len(traj) - 1):
@@ -365,7 +360,6 @@ def energy_derivative_audit(traj, mult, disp, include_quintic=None):
             "de2_dt": d_e2,
             "lambda3_m3": lam3,
             "resid3": resid3,
-            "resid5": float("nan"),
         }
         if include_quintic:
             d_e4 = (reports[i + 1].e4 - reports[i - 1].e4) / dt_c
@@ -453,6 +447,26 @@ def _solve_lambda(datum, mult, eps0):
         if hi / lo < 1.0 + 1e-12:
             break
     return lo
+
+
+def bootstrap_datum(config, n, seed, spectral_slope):
+    """The rescale-and-iterate datum on ``n`` modes for ``config``: a random
+    real field drawn with ``default_rng(seed)``, envelope
+    ``<xi>^spectral_slope``, supported up to two modes below the dealias
+    cutoff, and normalised so that ``||I rescale(datum, 1/N)|| = eps0``.
+    ``gwp_experiment``'s scaling then lands at lam = 1/N (to its bisection
+    tolerance), and the box is sized so that the stretched dealias band
+    sits at 1.5 N there."""
+    lam_target = 1.0 / config.threshold
+    dxi_stretched = 1.5 * config.threshold / dealias_cutoff_index(Grid(2.0 * np.pi, n))
+    grid = Grid(lam_target * 2.0 * np.pi / dxi_stretched, n)
+    datum = SpectralField.random_real(
+        grid, np.random.default_rng(seed),
+        envelope=lambda a: (1.0 + a ** 2) ** (spectral_slope / 2.0),
+        support=dealias_cutoff_index(grid) - 2,
+    )
+    mult = IMultiplier(config.threshold, config.sobolev_s)
+    return datum * (config.eps0 / _rescaled_I_norm(datum, mult)(lam_target))
 
 
 def almost_conservation_sweep(u0, disp, thresholds, sobolev_s=-1.75):

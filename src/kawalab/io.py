@@ -5,6 +5,8 @@ import math
 import os
 import tempfile
 
+import numpy as np
+
 __all__ = ["atomic_write_text", "write_json", "write_csv", "write_manifest"]
 
 SCHEMA_VERSION = 1
@@ -27,8 +29,6 @@ def atomic_write_text(path, text):
 
 def _jsonify(obj):
     """Plain JSON values; a non-finite float becomes None (``null``)."""
-    import numpy as np
-
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -52,8 +52,6 @@ def write_json(path, payload):
 
 
 def _format_cell(v):
-    import numpy as np
-
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     if isinstance(v, (np.integer,)):

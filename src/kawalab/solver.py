@@ -15,7 +15,7 @@ import numpy as np
 from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
 
 from .dispersion import omega, phasor
-from .grid import SpectralField, _full_spectrum, sobolev_norm
+from .grid import _SQRT2PI, SpectralField, _full_spectrum, sobolev_norm
 
 __all__ = [
     "SolverConfig",
@@ -31,8 +31,6 @@ __all__ = [
     "petviashvili_wave",
     "trajectory_to_rows",
 ]
-
-_SQRT2PI = np.sqrt(2.0 * np.pi)
 
 # The real transforms call pocketfft's gufuncs, the kernels np.fft.irfft and
 # np.fft.rfft end in, without the wrapper's per-call dispatch and checks;

@@ -13,7 +13,7 @@ import numpy as np
 
 from .dispersion import omega, phasor
 from .dyadic import SUPPORT, eta0, eta_k, shell_count
-from .grid import _full_spectrum, require_hermitian
+from .grid import _SQRT2PI, _full_spectrum, require_hermitian
 from .solver import dealias_mask
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "duhamel_bilinear",
 ]
 
-_SQRT2PI = np.sqrt(2.0 * np.pi)
 _BLOCK = 64  # time samples per batched FFT
 
 

@@ -25,7 +25,9 @@ from kawalab import (
     power_sum_identity_check,
     simulate,
 )
-from kawalab.imethod import GwpConfig, almost_conservation_sweep, suggest_audit_stride
+from kawalab.imethod import (GwpConfig, almost_conservation_sweep, bootstrap_datum,
+                             suggest_audit_stride)
+from kawalab.solver import guarded_dt
 
 D1 = DispersionParams(1.0)
 
@@ -127,14 +129,13 @@ def test_a05_energy_derivative_identity():
     u0 = SpectralField.random_real(g, rng, envelope=lambda a: (1 + a) ** -1.0,
                                    support=80)
     u0 = u0 * (2.5 / u0.l2_norm())
-    wmax = float(np.max(np.abs(D1.mu * g.xi ** 3 - g.xi ** 5)))
-    pre = SolverConfig(g, D1, dt=min(2e-5, 0.5e6 / wmax), t_end=0.01,
+    pre = SolverConfig(g, D1, dt=min(2e-5, guarded_dt(g, D1, 0.5)), t_end=0.01,
                        monitor_stride=10 ** 9)
     u1 = simulate(u0, pre).fields[-1]
     stride = suggest_audit_stride(u1, safety=0.05)
     cfg = SolverConfig(g, D1, dt=stride, t_end=4 * stride, monitor_stride=1)
     traj = simulate(u1, cfg, t0=0.01)
-    audit = energy_derivative_audit(traj, mult, D1, include_quintic=False)
+    audit = energy_derivative_audit(traj, mult, D1)
     worst = max(r["resid3"] for r in audit["rows"])
     el = time.time() - t0
     ok = worst <= 1e-3 and el < 120.0
@@ -197,24 +198,10 @@ def test_a07_almost_conservation_trend():
 
 
 def test_a08_gwp_bootstrap():
-    from kawalab.grid import rescale_datum
-    from kawalab.solver import dealias_cutoff_index
-
     t0 = time.time()
-    n = 512
-    N = 64.0
     eps0 = 0.1
-    lam_target = 1.0 / N
-    dxi_stretched = 1.5 * N / dealias_cutoff_index(Grid(2 * np.pi, n))
-    grid = Grid(lam_target * 2.0 * np.pi / dxi_stretched, n)
-    rng = np.random.default_rng(108)
-    datum = SpectralField.random_real(
-        grid, rng, envelope=lambda a: (1.0 + a ** 2) ** 0.625,
-        support=dealias_cutoff_index(grid) - 2)
-    mult = IMultiplier(N)
-    probe = apply_I(rescale_datum(datum, lam_target), mult).l2_norm()
-    datum = datum * (eps0 / probe)
-    cfg = GwpConfig(threshold=N, eps0=eps0, steps=20)
+    cfg = GwpConfig(threshold=64.0, eps0=eps0, steps=20)
+    datum = bootstrap_datum(cfg, 512, 108, 1.25)
     result = gwp_experiment(cfg, datum, D1)
     el = time.time() - t0
     ok = result.all_passed and len(result.e2) == 21 and el < 1800.0

@@ -10,10 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from kawalab import Grid, SpectralField
+from kawalab import DispersionParams, Grid, SpectralField
 from kawalab import cli
 from kawalab.cli import COMMANDS, ConfigError, main, parse_config
 from kawalab.grid import save_field
+from kawalab.imethod import GwpConfig, bootstrap_datum, gwp_experiment
 from kawalab.io import write_json
 from test_acceptance import DETERMINISM_PRESETS
 
@@ -202,6 +203,18 @@ class TestRuns:
         assert all(dt == 1.0 / k for k, dt in zip(steps, dts))
         assert all(0.5 < p < 2.0 for p in peaks)
 
+    def test_gwp_runs_the_library_bootstrap(self, tmp_path):
+        out = tmp_path / "gwp"
+        assert main(["--seed", "5", "--out", str(out), "gwp", "--N", "24", "--n", "64",
+                     "--steps", "1"]) == 0
+        record = json.loads((out / "gwp.json").read_text())
+        defaults = COMMANDS["gwp"][0]
+        config = GwpConfig(threshold=24.0, eps0=defaults["eps0"], steps=1,
+                           sobolev_s=defaults["s"])
+        datum = bootstrap_datum(config, 64, 5, defaults["spectral_slope"])
+        result = gwp_experiment(config, datum, DispersionParams(defaults["mu"]))
+        assert (record["lam"], record["e2"]) == (result.lam, result.e2)
+
     def test_simulate_unusable_datum_named(self, tmp_path, capsys):
         complex_field = tmp_path / "complex.txt"
         complex_field.write_text("kawalab-field 1\nL 12.566370614359172\nn 64\nreal 0\n"
@@ -280,6 +293,7 @@ class TestRuns:
         ("resonance", ["--budget_factor", "0"]),
         ("knapp", ["--samples", "0"]),
         ("strichartz", ["--trials", "0"]),
+        ("gwp", ["--N", "0"]),
     ])
     def test_value_rejected_by_runner_named(self, tmp_path, capsys, command, args):
         # the library's own checks reject what the key parser lets through

@@ -20,6 +20,7 @@ from kawalab import (
 from kawalab import imethod, multipliers
 from kawalab.imethod import (
     GwpConfig,
+    bootstrap_datum,
     lambda3_kernel,
     lambda4_sigma4,
     lambda5_m5,
@@ -288,7 +289,7 @@ class TestDerivativeIdentities:
         stride = suggest_audit_stride(u0)
         cfg = SolverConfig(g, D, dt=stride, t_end=4 * stride, monitor_stride=1)
         traj = simulate(u0, cfg)
-        audit = energy_derivative_audit(traj, m, D, include_quintic=False)
+        audit = energy_derivative_audit(traj, m, D)
         assert max(r["resid3"] for r in audit["rows"]) <= 1e-3
 
     def test_quintic_identity_at_achievable_precision(self):
@@ -303,7 +304,7 @@ class TestDerivativeIdentities:
         stride = suggest_audit_stride(u0, safety=0.1)
         cfg = SolverConfig(g, D, dt=stride, t_end=4 * stride, monitor_stride=1)
         traj = simulate(u0, cfg)
-        audit = energy_derivative_audit(traj, m, D)
+        audit = energy_derivative_audit(traj, m, D, include_quintic=True)
         rows = audit["rows"]
         assert all(np.isfinite(r["resid5"]) for r in rows)
         assert max(r["resid5"] for r in rows) <= 0.05
@@ -312,7 +313,7 @@ class TestDerivativeIdentities:
         g = Grid(2 * np.pi, 32)
         cfg = SolverConfig(g, D, dt=1e-5, t_end=4e-5, monitor_stride=1)
         traj = simulate(SpectralField.zero(g), cfg)
-        audit = energy_derivative_audit(traj, IMultiplier(4.0), D)
+        audit = energy_derivative_audit(traj, IMultiplier(4.0), D, include_quintic=True)
         for r in audit["rows"]:
             assert r["e2"] == 0.0 and r["lambda3_m3"] == 0.0
 
@@ -326,7 +327,7 @@ class TestDerivativeIdentities:
         stride = suggest_audit_stride(u0)
         cfg = SolverConfig(g, D, dt=stride, t_end=4 * stride, monitor_stride=1)
         traj = simulate(u0, cfg)
-        audit = energy_derivative_audit(traj, m, D, include_quintic=False)
+        audit = energy_derivative_audit(traj, m, D)
         for r in audit["rows"]:
             # cubic functional of a size-eps field
             assert abs(r["lambda3_m3"]) <= 10 * eps ** 3
@@ -340,7 +341,8 @@ class TestDerivativeIdentities:
         traj = Trajectory(dealias_cutoff=dealias_cutoff_index(g) * g.dxi)
         for t in (0.0, 1e-4, 2e-4):
             traj.append(t, u)
-        rows = energy_derivative_audit(traj, IMultiplier(4.0), D)["rows"]
+        rows = energy_derivative_audit(traj, IMultiplier(4.0), D,
+                                       include_quintic=True)["rows"]
         assert len(rows) == 1
         assert np.isfinite(rows[0]["resid3"]) and np.isfinite(rows[0]["resid5"])
 
@@ -442,3 +444,35 @@ class TestGwpCounters:
         assert all(s * dt == pytest.approx(1.0) for s, dt in zip(result.steps, result.dt))
         assert all(0.5 < p < 2.0 for p in result.peak_growth)
         assert len(result.times) == len(result.e2) == 3
+
+
+def _reference_bootstrap_datum(N, n, seed, eps0=0.1, slope=1.25):
+    """The box sizing, draw and probe normalisation written out through
+    fields, as the gwp command did before ``bootstrap_datum``."""
+    lam_target = 1.0 / N
+    dxi_stretched = 1.5 * N / dealias_cutoff_index(Grid(2 * np.pi, n))
+    grid = Grid(lam_target * 2.0 * np.pi / dxi_stretched, n)
+    datum = SpectralField.random_real(
+        grid, np.random.default_rng(seed),
+        envelope=lambda a: (1.0 + a ** 2) ** (slope / 2.0),
+        support=dealias_cutoff_index(grid) - 2)
+    probe = apply_I(rescale_datum(datum, lam_target), IMultiplier(N)).l2_norm()
+    return datum * (eps0 / probe)
+
+
+class TestBootstrapDatum:
+    @pytest.mark.parametrize("N, n, seed", [(64.0, 512, 108), (24.0, 64, 1)])
+    def test_matches_reference_recipe_bitwise(self, N, n, seed):
+        datum = bootstrap_datum(GwpConfig(threshold=N), n, seed, 1.25)
+        ref = _reference_bootstrap_datum(N, n, seed)
+        assert datum.grid == ref.grid
+        assert np.array_equal(datum.coeffs, ref.coeffs)
+
+    def test_track_e4_records_the_rescaled_datum(self):
+        N = 24.0
+        config = GwpConfig(threshold=N, steps=1, track_e4=True)
+        datum = bootstrap_datum(config, 64, 1, 1.25)
+        result = imethod.gwp_experiment(config, datum, D)
+        assert len(result.e4) == 2
+        start = rescale_datum(datum, result.lam)
+        assert result.e4[0] == modified_energies(start, IMultiplier(N), D).e4
