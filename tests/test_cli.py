@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from kawalab import DispersionParams, Grid, SpectralField
-from kawalab import cli
+from kawalab import audits, cli, illposed, solver, spacetime
 from kawalab.cli import COMMANDS, ConfigError, main, parse_config
+from kawalab.dispersion import PHASE_EXACT_RANGE, phasor
 from kawalab.grid import save_field
 from kawalab.imethod import GwpConfig, bootstrap_datum, gwp_experiment
 from kawalab.io import write_json
@@ -388,6 +389,68 @@ class TestParallelMap:
         main(["--seed", "112", "--workers", "2", "--no-gate", "--out", str(tmp_path),
               command] + args)
         assert _RecordingPool.sizes == sizes
+
+
+class TestPhaseRange:
+    """Where each caller's ``|w t|`` falls against ``PHASE_EXACT_RANGE``,
+    below which ``dispersion.phasor`` reduces exactly (up to rounding)."""
+
+    @staticmethod
+    def _recording(record):
+        def wrapped(w, t):
+            wt = np.abs(np.asarray(w) * np.asarray(t))
+            record.append(float(np.max(wt, initial=0.0)))
+            return phasor(w, t)
+        return wrapped
+
+    def test_solver_guard_inside_exact_range(self):
+        # the stepper's half-step phases stay under PHASE_GUARD / 2
+        assert PHASE_EXACT_RANGE > solver.PHASE_GUARD
+
+    @pytest.mark.parametrize("command", ["duhamel", "xnorms"])
+    def test_spacetime_defaults_inside_exact_range(self, tmp_path, monkeypatch, command):
+        record = []
+        monkeypatch.setattr(spacetime, "phasor", self._recording(record))
+        assert main(["--out", str(tmp_path), command]) == 0
+        assert record and max(record) < PHASE_EXACT_RANGE
+
+    def test_linear_estimate_audit_inside_exact_range(self, monkeypatch):
+        # the widest phase sits on the top shell of the a10 configuration
+        record = []
+        monkeypatch.setattr(audits, "phasor", self._recording(record))
+        audits.linear_estimate_audit(DispersionParams(1.0), [9], trials=1, seed=110,
+                                     n_times=64)
+        assert record and max(record) < PHASE_EXACT_RANGE
+
+    def test_illposed_insensitive_above_exact_range(self, tmp_path, monkeypatch):
+        # illposed reaches |w t| ~ 2e18, where ulp(w t) alone exceeds 2 pi;
+        # rotating every phasor above the exact range by 1 rad leaves its
+        # rows in place, so the degraded reduction there is harmless
+        def run(out):
+            assert main(["--out", str(tmp_path / out), "illposed",
+                         "--quad_points", "16", "--out_points", "16"]) == 0
+            with open(tmp_path / out / "illposed_fit.json") as fh:
+                return json.load(fh)
+
+        far = []
+
+        def rotated(w, t):
+            z = phasor(w, t)
+            above = np.abs(np.asarray(w) * np.asarray(t)) >= PHASE_EXACT_RANGE
+            far.append(int(np.count_nonzero(above)))
+            return np.where(above, z * np.exp(1j), z)
+
+        base = run("base")
+        monkeypatch.setattr(illposed, "phasor", rotated)
+        moved = run("rotated")
+        assert sum(far) > 0
+        for key in ("slope", "gap"):
+            assert moved[key] == pytest.approx(base[key], rel=1e-9, abs=0.0)
+        assert len(moved["rows"]) == len(base["rows"])
+        for got, want in zip(moved["rows"], base["rows"]):
+            assert got.keys() == want.keys()
+            for key in want:
+                assert got[key] == pytest.approx(want[key], rel=1e-9, abs=0.0), key
 
 
 def _compare_dirs(a, b):

@@ -25,7 +25,7 @@ from kawalab import (
     shell_count,
     sobolev_norm,
 )
-from kawalab.dispersion import phasor
+from kawalab.dispersion import PHASE_EXACT_RANGE, phasor
 from kawalab.grid import _full_spectrum, require_hermitian
 
 
@@ -190,9 +190,9 @@ class TestDispersion:
 
 
 class TestPhasor:
-    """``phasor(w, t) = exp(i w t)`` with the argument reduced in extended
-    precision. The lattice reaches |omega| ~ 1e12, so ``|w t|`` reaches 1e6
-    at ``t = 1e-6``."""
+    """``phasor(w, t) = exp(i w t)`` with ``w t`` reduced in float64 by a
+    double-double product and a Cody-Waite split of 2 pi. The lattice
+    reaches |omega| ~ 1e12, so ``|w t|`` reaches 1e6 at ``t = 1e-6``."""
 
     G = Grid(2 * np.pi, 512)
     D = DispersionParams(0.6)
@@ -223,28 +223,43 @@ class TestPhasor:
         assert mirrored[..., off_nyquist].tobytes() == full[..., off_nyquist].tobytes()
         assert np.all(mirrored[..., g.nyquist_index] == 0.0)
 
-    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
-                        reason="no extended-precision long double on this platform")
-    def test_accuracy_against_decimal_reduction(self):
-        # reference: w t formed exactly and reduced mod 2 pi to 60 digits;
-        # the reduced phase then needs only double precision
-        pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
-        rng = np.random.default_rng(5)
-        w = rng.uniform(-1.0, 1.0, 400) * 10.0 ** rng.uniform(0.0, 13.0, 400)
-        t = 10.0 ** rng.uniform(-6.0, 0.0, 400)
-        w *= np.minimum(1.0, 1e7 / np.abs(w * t))
+    @staticmethod
+    def _decimal_reference(w, t):
+        # w t formed exactly and reduced mod 2 pi to 80 digits; the reduced
+        # phase then needs only double precision
+        pi = Decimal("3.1415926535897932384626433832795028841971"
+                     "693993751058209749445923078164062862089986")
         ref = np.empty(w.size, dtype=np.complex128)
         with localcontext() as ctx:
-            ctx.prec = 60
+            ctx.prec = 80
             for i, (a, b) in enumerate(zip(w, t)):
                 r = float((Decimal(float(a)) * Decimal(float(b))) % (2 * pi))
                 ref[i] = complex(math.cos(r), math.sin(r))
-        assert np.max(np.abs(w * t)) > 5e6
-        # extended precision: ~|w t| * 6e-20 from the product and the
-        # reduction, against |w t| * 4e-17 with a double pi and |w t| * 1e-16
-        # for a double-precision argument
-        err = np.abs(phasor(w, t) - ref)
-        assert np.all(err <= 1e-15 + 2e-19 * np.abs(w * t))
+        return ref
+
+    def test_accuracy_inside_exact_range(self):
+        # below PHASE_EXACT_RANGE the reduction is exact up to the final
+        # roundings: a flat bound, where a double-double product with a
+        # double pi would err by |w t| * 4e-17 (~3e-8 at the top)
+        rng = np.random.default_rng(5)
+        wt = PHASE_EXACT_RANGE * 10.0 ** rng.uniform(-9.0, 0.0, 400)
+        t = 10.0 ** rng.uniform(-6.0, 0.0, 400)
+        w = np.where(rng.random(400) < 0.5, -1.0, 1.0) * wt / t
+        assert 8e8 < np.max(np.abs(w * t)) < PHASE_EXACT_RANGE
+        err = np.abs(phasor(w, t) - self._decimal_reference(w, t))
+        assert np.all(err <= 1e-15)
+
+    def test_accuracy_above_exact_range(self):
+        # above it k * 2 pi rounds, and the phase errs like a plain double
+        # product w t; the ill-posedness quadrature reaches |w t| ~ 2.2e18
+        rng = np.random.default_rng(6)
+        wt = PHASE_EXACT_RANGE * 10.0 ** rng.uniform(0.0, math.log10(2.2e18 / PHASE_EXACT_RANGE), 400)
+        t = 10.0 ** rng.uniform(-6.0, 0.0, 400)
+        w = np.where(rng.random(400) < 0.5, -1.0, 1.0) * wt / t
+        assert np.min(np.abs(w * t)) >= PHASE_EXACT_RANGE
+        assert np.max(np.abs(w * t)) > 1e18
+        err = np.abs(phasor(w, t) - self._decimal_reference(w, t))
+        assert np.all(err <= 2.3e-16 * np.abs(w * t))
 
 
 class TestDispersiveOrder:
