@@ -51,8 +51,6 @@ _TIME_BLOCK = 128
 # linear_estimate_audit's (q, r) pairs: each satisfies 2/q = 1/2 - 1/r, and
 # each r is even, as sum_x v^r is taken from v^2 by products
 _QR_PAIRS = ((6.0, 6.0), (8.0, 4.0), (np.inf, 2.0))
-# the sigma3 bound audit's finite-difference step (1/128)
-_LATTICE_STEP = 2.0 * np.pi / (256.0 * np.pi)
 # the sigma4 and m5 bound audits leave out tuples with a pair sum below this
 # share of their largest magnitude
 _SINGULAR_GUARD = 1e-3
@@ -501,18 +499,7 @@ def sigma3_extension(kernels, x1, x2, x3):
     through the pair sum, which is what makes the first-slot derivative
     bounds hold. Both agree with sigma3 on the zero-sum hyperplane.
     """
-    m2 = kernels.mult.m2
-    lam = np.abs(x1)
-    eta = 0.5 * (np.abs(x2) + np.abs(x3))
-    comparable = lam >= 0.25 * eta
-    head = m2(x1) * x1 + m2(x2) * x2
-    num_cmp = head + m2(x3) * x3
-    s12 = x1 + x2
-    num_far = head - m2(s12) * s12
-    num = np.where(comparable, num_cmp, num_far)
-    squares = x1 * x1 + x2 * x2 + x3 * x3
-    den = 7.5 * x1 * x2 * x3 * (squares - 1.2 * kernels.disp.mu)
-    return num / den
+    return _sigma3_jet(kernels, x1, x2, x3)[0]
 
 
 _BETA_ORDERS = [
@@ -523,30 +510,45 @@ _BETA_ORDERS = [
 ]
 
 
-# the 19 distinct points of the order <= 2 central differences: the centre,
-# +-h on each axis, and +-h+-h on the axis pairs (0, 1), (0, 2), (1, 2)
-_STENCIL = np.array([
-    (0, 0, 0),
-    (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
-    (1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0),
-    (1, 0, 1), (1, 0, -1), (-1, 0, 1), (-1, 0, -1),
-    (0, 1, 1), (0, 1, -1), (0, -1, 1), (0, -1, -1),
-], dtype=np.float64)
-
-
-def _fd_derivatives(kernels, x1, x2, x3, h):
-    """Central differences of ``sigma3_extension`` for every multi-index in
-    ``_BETA_ORDERS``, from one evaluation on the stencil points."""
-    cols = np.stack([x1, x2, x3])
-    pts = cols[None, :, :] + (_STENCIL * h)[:, :, None]
-    f = sigma3_extension(kernels, pts[:, 0].ravel(), pts[:, 1].ravel(),
-                         pts[:, 2].ravel()).reshape(len(_STENCIL), -1)
-    f0, plus, minus = f[0], f[1:7:2], f[2:7:2]
-    first = [(plus[a] - minus[a]) / (2.0 * h) for a in range(3)]
-    second = [(plus[a] - 2.0 * f0 + minus[a]) / (h * h) for a in range(3)]
-    mixed = [(pp - pm - mp + mm) / (4.0 * h * h)
-             for pp, pm, mp, mm in f[7:].reshape(3, 4, -1)]
-    return [f0] + first + second + mixed
+def _sigma3_jet(kernels, x1, x2, x3):
+    """``sigma3_extension`` and its exact partial derivatives, one row per
+    multi-index of ``_BETA_ORDERS``: the quotient rule on num / den, with
+    the numerator of each sample's branch differentiated in closed form."""
+    x = (x1, x2, x3)
+    jet = kernels.mult.m2x_jet
+    g = [jet(v) for v in x]
+    s12 = x1 + x2
+    gs = jet(s12)
+    lam = np.abs(x1)
+    eta = 0.5 * (np.abs(x2) + np.abs(x3))
+    comparable = lam >= 0.25 * eta
+    head = g[0][0] + g[1][0]
+    num = np.where(comparable, head + g[2][0], head - gs[0])
+    # num = sum_i weight_i g(x_i) - far g(x1 + x2): the far branch trades
+    # g(x3) for the pair term, which moves with both x1 and x2
+    far = (~comparable).astype(np.float64)
+    weight = (1.0, 1.0, 1.0 - far)
+    pair = (far, far, 0.0)
+    # den = 7.5 p q with p = x1 x2 x3 and q = |x|^2 - 1.2 mu
+    squares = x1 * x1 + x2 * x2 + x3 * x3
+    q = squares - 1.2 * kernels.disp.mu
+    den = 7.5 * x1 * x2 * x3 * q
+    p = x1 * x2 * x3
+    dp = (x2 * x3, x1 * x3, x1 * x2)
+    dden = [7.5 * (dp[i] * q + 2.0 * x[i] * p) for i in range(3)]
+    f = num / den
+    f1 = [(weight[i] * g[i][1] - pair[i] * gs[1] - f * dden[i]) / den for i in range(3)]
+    rows = [f] + f1
+    for beta in _BETA_ORDERS[4:]:
+        i, j = np.repeat(np.arange(3), beta)
+        if i == j:
+            d2num = weight[i] * g[i][2] - pair[i] * gs[2]
+            d2den = 7.5 * (4.0 * x[i] * dp[i] + 2.0 * p)
+        else:
+            d2num = -pair[i] * pair[j] * gs[2]
+            d2den = 7.5 * (x[3 - i - j] * q + 2.0 * (x[j] * dp[i] + x[i] * dp[j]))
+        rows.append((d2num - f1[i] * dden[j] - f1[j] * dden[i] - f * d2den) / den)
+    return rows
 
 
 def _dyadic_cells(cap_exp):
@@ -561,43 +563,23 @@ def _sigma3_cell(kernels, lam, eta, per_cell, seed):
     """One dyadic cell ``(lam, eta)`` of the sigma3 audit: its table row and
     the argmax of its largest ratio (None for a cell that keeps no sample).
     The cell draws from its own seed substream with a cap-independent
-    budget; its extension is evaluated once, on the 19 stencil points of all
-    its samples."""
-    mult, disp = kernels.mult, kernels.disp
-    N = mult.threshold
-    h = _LATTICE_STEP
-    junction_offsets = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]) * h
+    budget; all ten derivative rows of its samples come from one
+    ``_sigma3_jet`` call."""
     rng = np.random.default_rng([seed, int(np.log2(lam)), int(np.log2(eta))])
     x1 = rng.uniform(lam, 2 * lam, per_cell) * rng.choice([-1.0, 1.0], per_cell)
     x2 = rng.uniform(eta, 2 * eta, per_cell) * rng.choice([-1.0, 1.0], per_cell)
-    # stratify onto the multiplier junctions (thin bands carrying the
-    # worst second differences; random coverage there is too sparse)
-    probe = 0
-    for junction in (N, 2.0 * N):
-        for col, lo in ((x1, lam), (x2, eta)):
-            if lo <= junction < 2 * lo:
-                take = junction_offsets + junction
-                take = take[(take >= lo) & (take < 2 * lo)]
-                span = min(per_cell // 4, take.size * 16)
-                if span == 0:
-                    continue
-                reps = np.resize(take, span)
-                col[probe:probe + span] = reps * np.sign(col[probe:probe + span])
-                probe += span
     x3 = -x1 - x2
     keep = (np.abs(x3) >= eta) & (np.abs(x3) < 2 * eta)
-    # keep clear of the low-frequency resonance sphere and tiny factors
+    # keep clear of the low-frequency resonance sphere
     squares = x1 ** 2 + x2 ** 2 + x3 ** 2
-    keep &= np.abs(squares - 1.2 * disp.mu) > 0.1 * eta ** 2
-    keep &= np.abs(x1) >= max(lam, 8.0 * h)
+    keep &= np.abs(squares - 1.2 * kernels.disp.mu) > 0.1 * eta ** 2
     if not np.any(keep):
         return {"lam": lam, "eta": eta, "samples": 0, "max_ratio": float("nan")}, None
     x1, x2, x3 = x1[keep], x2[keep], x3[keep]
     cell_best = -np.inf
     arg = None
-    m2lam = mult.m2(lam)
-    derivs = _fd_derivatives(kernels, x1, x2, x3, h)
-    for beta, d in zip(_BETA_ORDERS, derivs):
+    m2lam = kernels.mult.m2(lam)
+    for beta, d in zip(_BETA_ORDERS, _sigma3_jet(kernels, x1, x2, x3)):
         dv = np.abs(d)
         rhs = (
             m2lam * eta ** -4.0 * lam ** -float(beta[0])
@@ -766,8 +748,7 @@ def bound_report(name, mult, shells, cap_exp, seed):
             bound_name="sigma3_extension_derivatives", seed=seed,
             samples_evaluated=total, max_ratio=best, argmax=arg,
             cell_table=[row for row, _ in cells],
-            extras={"cap_exp": cap_exp, "fd_step": _LATTICE_STEP,
-                    "threshold": mult.threshold},
+            extras={"cap_exp": cap_exp, "threshold": mult.threshold},
         )
     parts = [shell[cap_exp] for shell in shells]
     total, best, arg = _fold(part[:3] for part in parts)
@@ -796,9 +777,9 @@ def sigma3_bound_audit(mult, disp, cap_exp, n_samples, seed):
 
     On each cell ``(lam, eta)`` the audited ratio is
     ``|D^beta sigma3| / (m^2(lam) eta^-4 lam^-beta1 eta^-(beta2+beta3))``
-    for all multi-indices with total order <= 2, derivatives realized by
-    central differences at the lattice scale; the extension is evaluated
-    once per cell, on the 19 stencil points of all its samples. Each cell
+    for all multi-indices with total order <= 2. The derivatives are exact:
+    the quotient rule on the extension's numerator and denominator, with
+    ``m^2 xi`` differentiated in closed form; there is no step. Each cell
     draws from its own seed substream with a cap-independent budget, so
     doubling the cap adds new cells without perturbing the shared ones: the
     drift between caps then isolates whether larger shells grow the

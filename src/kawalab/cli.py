@@ -117,10 +117,6 @@ def parse_config(command, defaults, file_path=None, flag_values=None, sections=N
         except (OSError, LookupError, ValueError) as err:
             raise ConfigError(f"datum {resolved['datum']!r}: {err}") from err
         resolved["L"], resolved["n"] = datum.grid.length, datum.grid.size
-    if "n" in resolved:
-        n = resolved["n"]
-        if n < 8 or (n & (n - 1)) != 0:
-            raise ConfigError("n must be a power of two")
     if "cap_lo" in resolved and not 0 <= resolved["cap_lo"] < resolved["cap_hi"]:
         raise ConfigError(f"caps need 0 <= cap_lo < cap_hi, got cap_lo = "
                           f"{resolved['cap_lo']}, cap_hi = {resolved['cap_hi']}")

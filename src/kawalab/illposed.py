@@ -197,9 +197,8 @@ def _a3_band_values(datum, disp, xi, t, quad_points, theta_cut):
     The quadrature runs on live rows only: in each band block, the
     (xi, xa) rows whose xb interval is non-empty are gathered, evaluated on
     (rows, nodes) arrays, and each row's node sum is scattered into its
-    output xi. The weight diagnostics sum the block's dense (xi, xa, xb)
-    weights, as if every row were evaluated, so they do not depend on
-    which rows are gathered.
+    output xi. The weight diagnostics sum the live rows' weights; a dead
+    row has none.
 
     Returns ``(resonant, tail, flow, diagnostics)``. The full iterate is
     ``resonant + tail - flow``, all carrying ``exp(i omega(xi) t)``.
@@ -247,11 +246,9 @@ def _a3_band_values(datum, disp, xi, t, quad_points, theta_cut):
                 mixed = (sa != sb) or (sa != s1)
                 if mixed:
                     theta_crit_max = max(theta_crit_max, float(np.max(np.abs(theta))))
-                    mass = np.zeros((xi.size, quad_points, quad_points))
-                    mass[i_xi, i_a] = np.abs(w_a * wb)
+                    mass = np.abs(w_a * wb)
                     crit_mass += float(np.sum(mass))
-                    mass[i_xi, i_a] *= small
-                    crit_small += float(np.sum(mass))
+                    crit_small += float(np.sum(mass * small))
     diag = {
         "theta_crit_max": theta_crit_max,
         "small_theta_fraction": crit_small / crit_mass if crit_mass else 0.0,

@@ -47,6 +47,26 @@ class IMultiplier:
         v = self.m(xi)
         return v * v
 
+    def m2x_jet(self, xi):
+        """``g = m^2(xi) xi`` and its first two derivatives, in closed form.
+
+        With ``l = d ln m^2 / d ln|xi|`` (``2s(4t - 3t^2)`` on (N, 2N), 0
+        below N, 2s above 2N): ``g' = m^2 (1 + l)`` and
+        ``g'' = (m^2 / xi) (l (1 + l) + dl/dln|xi|)``. ``g`` equals
+        ``m2(xi) * xi`` bit for bit.
+        """
+        xi = np.asarray(xi, dtype=np.float64)
+        m2 = self.m2(xi)
+        N, s = self.threshold, self.sobolev_s
+        a = np.abs(xi)
+        t = np.log2(np.clip(a / N, 1.0, 2.0))
+        ell = 2.0 * s * t * (4.0 - 3.0 * t)
+        mid = (a > N) & (a < 2.0 * N)
+        dell = np.where(mid, 2.0 * s * (4.0 - 6.0 * t) / np.log(2.0), 0.0)
+        curv = ell * (1.0 + ell) + dell
+        d2 = np.divide(m2 * curv, xi, out=np.zeros_like(m2), where=curv != 0.0)
+        return m2 * xi, m2 * (1.0 + ell), d2
+
 
 def apply_I(u, mult):
     """Multiply coefficients by ``m(xi)``; the identity below threshold."""

@@ -30,10 +30,16 @@ class TestParseConfig:
         assert resolved["dt"] == pytest.approx(1e-3)
         assert resolved["mu"] == pytest.approx(1.0)
 
-    def test_power_of_two_validation(self):
-        with pytest.raises(ConfigError, match="power of two"):
-            parse_config("simulate", COMMANDS["simulate"][0],
-                         flag_values={"n": "513"})
+    def test_power_of_two_validation(self, tmp_path, capsys):
+        # Grid rejects n before any runner does work; run turns it into exit 2
+        for command in ("simulate", "energy-track", "gwp", "strichartz", "xnorms",
+                        "duhamel"):
+            assert "n" in COMMANDS[command][0]
+            out = tmp_path / command
+            assert main(["--out", str(out), command, "--n", "513"]) == 2
+            err = capsys.readouterr().err
+            assert "n must be a power of two" in err and "Traceback" not in err
+            assert not out.exists()
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "bad.cfg"

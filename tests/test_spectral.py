@@ -358,6 +358,32 @@ class TestIMultiplier:
         rhs = 10.0 * np.abs(h) * m.m2(xi) / xi
         assert np.all(lhs <= rhs)
 
+    def test_m2x_jet_closed_form(self):
+        m = IMultiplier(8.0, -1.75)
+        s = m.sobolev_s
+        rng = np.random.default_rng(2)
+        xi = rng.uniform(0.5, 64.0, 4000) * rng.choice([-1.0, 1.0], 4000)
+        g, dg, d2g = m.m2x_jet(xi)
+        assert np.array_equal(g, m.m2(xi) * xi)
+        low, high = np.abs(xi) <= 8.0, np.abs(xi) >= 16.0
+        assert np.all(dg[low] == 1.0) and np.all(d2g[low] == 0.0)
+        m2 = m.m2(xi[high])
+        assert np.allclose(dg[high], (1.0 + 2.0 * s) * m2, rtol=1e-14, atol=0.0)
+        assert np.allclose(d2g[high], 2.0 * s * (1.0 + 2.0 * s) * m2 / xi[high],
+                           rtol=1e-14, atol=0.0)
+        # on (N, 2N), away from the junctions: central differences, O(h^2)
+        mid = (np.abs(xi) > 8.1) & (np.abs(xi) < 15.9)
+        h = 1e-4
+        f = lambda x: m.m2(x) * x
+        fd1 = (f(xi[mid] + h) - f(xi[mid] - h)) / (2.0 * h)
+        fd2 = (f(xi[mid] + h) - 2.0 * g[mid] + f(xi[mid] - h)) / (h * h)
+        assert np.max(np.abs(fd1 - dg[mid])) <= 1e-8
+        assert np.max(np.abs(fd2 - d2g[mid])) <= 1e-4 * np.max(np.abs(d2g[mid]))
+        # g and g'' are odd, g' is even
+        ng, ndg, nd2g = m.m2x_jet(-xi)
+        assert np.array_equal(ng, -g) and np.array_equal(ndg, dg)
+        assert np.array_equal(nd2g, -d2g)
+
     def test_identity_below_threshold(self):
         g = Grid(2 * np.pi, 128)
         m = IMultiplier(16.0)
