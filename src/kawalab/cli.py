@@ -223,6 +223,9 @@ def _cmd_energy_track(cfg, seed, workers):
     grid = Grid(cfg["L"], cfg["n"])
     disp = DispersionParams(cfg["mu"])
     mult = IMultiplier(cfg["N"], cfg["s"])
+    if cfg["pre_time"] < 0:
+        # 0 means no pre-run; a negative one would only relabel the audit times
+        raise ValueError(f"pre_time must be non-negative, got {cfg['pre_time']}")
     u0 = _random_datum(grid, seed, cfg["amplitude"], cfg["decay"], cfg["support"])
     if cfg["pre_time"] > 0:
         pre = SolverConfig(grid, disp, dt=min(2e-5, guarded_dt(grid, disp, 0.5)),

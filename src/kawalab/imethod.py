@@ -287,14 +287,20 @@ class EnergyReport:
         return self.e3 + self.corr4
 
 
+def _e2(u, mult):
+    """E2 = ||Iu||^2, the one evaluation ``modified_energies`` and the
+    derivative audit's end samples share."""
+    return float(apply_I(u, mult).l2_norm() ** 2)
+
+
 def modified_energies(u, mult, disp, band_cutoff=None):
     """E2 = ||Iu||^2 with the cubic and quartic correction terms."""
     kernels = EnergyMultipliers(mult, disp, band_cutoff=band_cutoff)
-    e2 = apply_I(u, mult).l2_norm() ** 2
+    e2 = _e2(u, mult)
     corr3 = lambda3_kernel(u, kernels.sigma3)
     corr4 = lambda4_sigma4(u, kernels)
     return EnergyReport(
-        e2=float(e2),
+        e2=e2,
         corr3=float(np.real(corr3)),
         corr4=float(np.real(corr4)),
         imag3=float(np.imag(corr3)),
@@ -307,11 +313,16 @@ def suggest_audit_stride(u, safety=0.02):
     accurate: the energy derivative carries components oscillating at the
     three-frequency phase speed ``|h3 - v3|``, up to about ``7.5 xi_max^5``
     over the field's support, and the O(stride^2) difference error is
-    ``(theta * stride)^2 / 6`` per component."""
+    ``(theta * stride)^2 / 6`` per component. An empty support gives 1e-3;
+    a support holding only the mean mode raises ValueError, since nothing
+    oscillates there to set a stride."""
     idx = u.support_indices()
     if idx.size == 0:
         return 1e-3
     ximax = float(np.max(np.abs(u.grid.xi[idx])))
+    if ximax == 0.0:
+        raise ValueError("the field's support holds only the mean mode, "
+                         "so no phase speed sets an audit stride")
     theta_max = 7.5 * ximax ** 5 + 3.0 * ximax ** 3
     return safety / theta_max
 
@@ -320,11 +331,15 @@ def energy_derivative_audit(traj, mult, disp, include_quintic=False):
     """Centered-difference derivatives of E2 and E4 against the direct
     Lambda_3(M3) and Lambda_5(M5) sums, per interior sample.
 
-    The quintic check (``de4_dt``, ``lambda5_m5`` and ``resid5`` in each
-    row) runs only with ``include_quintic``: it costs a full quartic sum
-    per sample. A warning flag is raised when modes above
-    ``_CUTOFF_ENERGY_TOL`` of the largest sit near the dealias cutoff, where
-    the computed Galerkin dynamics stop tracking the continuum equation.
+    The full modified energies (a cubic and a quartic sum) are computed
+    only where a row reports them, at the interior samples; the two end
+    samples cost E2 alone. The quintic check (``de4_dt``, ``lambda5_m5``
+    and ``resid5`` in each row) runs only with ``include_quintic``: it
+    differences E4, so every sample then takes the full energies, and it
+    adds a quartic sum per interior sample. A warning flag is raised when
+    modes above ``_CUTOFF_ENERGY_TOL`` of the largest sit near the dealias
+    cutoff, where the computed Galerkin dynamics stop tracking the
+    continuum equation.
     """
     if len(traj) < 3:
         raise ValueError("need at least three samples for centered differences")
@@ -341,14 +356,17 @@ def energy_derivative_audit(traj, mult, disp, include_quintic=False):
         if np.any(mags[near] > _CUTOFF_ENERGY_TOL * top):
             cutoff_warning = True
 
+    ends = (0, len(traj) - 1)
     reports = [
         modified_energies(u, mult, disp, band_cutoff=traj.dealias_cutoff)
-        for u in traj.fields
+        if include_quintic or i not in ends else None
+        for i, u in enumerate(traj.fields)
     ]
+    e2 = [_e2(u, mult) if r is None else r.e2 for u, r in zip(traj.fields, reports)]
     rows = []
     for i in range(1, len(traj) - 1):
         dt_c = traj.times[i + 1] - traj.times[i - 1]
-        d_e2 = (reports[i + 1].e2 - reports[i - 1].e2) / dt_c
+        d_e2 = (e2[i + 1] - e2[i - 1]) / dt_c
         lam3 = np.real(lambda3_kernel(traj.fields[i], kernels.m3))
         resid3 = abs(d_e2 - lam3) / max(abs(d_e2), abs(lam3), 1e-300)
         row = {

@@ -25,10 +25,15 @@ lattice sums of :mod:`kawalab.imethod` resolve the singular tuples of each
 block of triples in one ``sigma4`` call and one regular-kernel call, and
 a point's value does not depend on which block holds it.
 
-M5 evaluates ``m^2 x`` once per distinct argument: the five frequencies,
-the ten pair sums and the thirty triple sums ``x_c + s_ab`` that its
-groupings form. The regular sigma4 -> M4 -> sigma3 path takes these values
-as ``m2x``; the limit paths evaluate their own displaced points.
+sigma4 and M5 evaluate ``m^2 x`` once per distinct argument. sigma4 takes
+it at its four frequencies and its six pair sums, 10 evaluations per call
+of the regular kernel, so each Richardson limit pays 10 for its stack of
+four displaced copies. M5 takes it at the five frequencies, the ten pair
+sums and the thirty triple sums ``x_c + s_ab`` that its groupings form,
+and its regular sigma4 -> M4 -> sigma3 path takes these values as
+``m2x``; the limit paths evaluate their own displaced points. Since m is
+even, a pair term's third slot ``-(xa + xb)`` takes ``-(m^2(s) s)``, the
+same bits as ``m^2(-s) (-s)``.
 
 An optional band cutoff makes the kernels match a dealiased Galerkin
 evolution exactly: pair sums beyond the cutoff then carry weight zero in
@@ -220,15 +225,20 @@ class EnergyMultipliers:
     def m4(self, x1, x2, x3, x4, pairs=None, m2x=None):
         """Symmetrized quartic multiplier, as the six-pair sum. ``pairs``
         optionally gives the terms ``(t12, t13, t23)`` already computed, and
-        ``m2x`` the values ``m^2 x`` at the four frequencies, which the pair
-        terms with ``x4`` use."""
-        if pairs is None:
-            pairs = (self._t_pair(x1, x2), self._t_pair(x1, x3), self._t_pair(x2, x3))
+        ``m2x`` the values ``m^2 x`` at the four frequencies. ``m^2 x`` is
+        evaluated once at each frequency ``m2x`` does not give and once at
+        each pair sum a computed term needs, and every pair term takes its
+        three values from these: 10 evaluations when neither is given."""
+        xs = (x1, x2, x3, x4)
         if m2x is None:
-            t14, t24, t34 = (self._t_pair(x, x4) for x in (x1, x2, x3))
-        else:
-            t14, t24, t34 = (self._t_pair(x, x4, (mx, m2x[3], self._m2x(x + x4)))
-                             for x, mx in zip((x1, x2, x3), m2x))
+            m2x = [self._m2x(x) for x in xs]
+
+        def term(a, b):
+            return self._t_pair(xs[a], xs[b], (m2x[a], m2x[b], self._m2x(xs[a] + xs[b])))
+
+        if pairs is None:
+            pairs = (term(0, 1), term(0, 2), term(1, 2))
+        t14, t24, t34 = (term(a, 3) for a in range(3))
         t12, t13, t23 = pairs
         total = t12 + t13 + t14 + t23 + t24 + t34
         return 0.25j * total

@@ -310,6 +310,27 @@ class TestRuns:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, cause", [
+        (["--support", "0"], "only the mean mode"),
+        (["--pre_time", "-1"], "pre_time must be non-negative"),
+    ], ids=["mean-only", "negative-pre-time"])
+    def test_energy_track_value_named(self, tmp_path, capsys, args, cause):
+        # a mean-only datum used to end in a ZeroDivisionError traceback, and
+        # a negative pre_time skipped the pre-run and labelled rows from t < 0
+        out = tmp_path / "energy"
+        assert main(["--out", str(out), "energy-track"] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and cause in err
+        assert not out.exists()
+
+    def test_energy_track_zero_pre_time_runs(self, tmp_path):
+        out = tmp_path / "energy"
+        assert main(["--seed", "77", "--out", str(out), "energy-track", "--n", "64",
+                     "--L", "6.283185307179586", "--N", "8", "--support", "18",
+                     "--amplitude", "1.5", "--pre_time", "0"]) == 0
+        rows = (out / "energy.csv").read_text().splitlines()
+        assert rows[0].startswith("t,") and float(rows[1].split(",")[0]) > 0.0
+
     def test_resonance_nan_keeps_mu_sampled(self, tmp_path):
         out = tmp_path / "res"
         assert main(["--seed", "3", "--out", str(out), "resonance", "--samples", "2000",

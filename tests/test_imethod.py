@@ -333,6 +333,16 @@ class TestDerivativeIdentities:
             assert abs(r["lambda3_m3"]) <= 10 * eps ** 3
             assert abs(r["de2_dt"] - r["lambda3_m3"]) <= eps ** 2.5
 
+    def test_mean_only_field_has_no_stride(self):
+        # nothing oscillates, so no phase speed sets the stride; it used to
+        # divide by zero
+        g = Grid(2 * np.pi, 32)
+        c = np.zeros(32, dtype=np.complex128)
+        c[0] = 1.0
+        with pytest.raises(ValueError, match="only the mean mode"):
+            suggest_audit_stride(SpectralField(g, c))
+        assert suggest_audit_stride(SpectralField.zero(g)) == 1e-3
+
     def test_hand_built_trajectory_takes_a_cutoff(self):
         with pytest.raises(TypeError):
             Trajectory()
@@ -345,6 +355,60 @@ class TestDerivativeIdentities:
                                        include_quintic=True)["rows"]
         assert len(rows) == 1
         assert np.isfinite(rows[0]["resid3"]) and np.isfinite(rows[0]["resid5"])
+
+
+class TestAuditEndSamples:
+    """The audit takes the full modified energies only where a row reports
+    them; its end samples cost E2 alone unless E4 is differenced."""
+
+    @staticmethod
+    def trajectory():
+        g = Grid(2 * np.pi, 64)
+        u0 = random_field(g, 11, support=12, envelope=lambda a: (1 + a) ** -1,
+                          amplitude=0.8)
+        stride = suggest_audit_stride(u0)
+        return simulate(u0, SolverConfig(g, D, dt=stride, t_end=4 * stride,
+                                         monitor_stride=1))
+
+    @staticmethod
+    def full_reference_rows(traj, mult):
+        """The rows with ``modified_energies`` at every sample."""
+        reports = [modified_energies(u, mult, D, band_cutoff=traj.dealias_cutoff)
+                   for u in traj.fields]
+        kernels = EnergyMultipliers(mult, D, band_cutoff=traj.dealias_cutoff)
+        rows = []
+        for i in range(1, len(traj) - 1):
+            d_e2 = ((reports[i + 1].e2 - reports[i - 1].e2)
+                    / (traj.times[i + 1] - traj.times[i - 1]))
+            lam3 = np.real(lambda3_kernel(traj.fields[i], kernels.m3))
+            rows.append({
+                "t": traj.times[i], "e2": reports[i].e2, "corr3": reports[i].corr3,
+                "corr4": reports[i].corr4, "e4": reports[i].e4, "de2_dt": d_e2,
+                "lambda3_m3": lam3,
+                "resid3": abs(d_e2 - lam3) / max(abs(d_e2), abs(lam3), 1e-300),
+            })
+        return rows
+
+    @pytest.mark.parametrize("quintic", [False, True], ids=["cubic", "quintic"])
+    def test_modified_energies_calls(self, monkeypatch, quintic):
+        traj = self.trajectory()
+        calls = []
+        full = imethod.modified_energies
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return full(*args, **kwargs)
+
+        monkeypatch.setattr(imethod, "modified_energies", counted)
+        energy_derivative_audit(traj, IMultiplier(4.0), D, include_quintic=quintic)
+        assert len(traj) == 5
+        assert len(calls) == (len(traj) if quintic else len(traj) - 2)
+
+    def test_rows_equal_full_reference(self):
+        traj = self.trajectory()
+        mult = IMultiplier(4.0)
+        rows = energy_derivative_audit(traj, mult, D)["rows"]
+        assert repr(rows) == repr(self.full_reference_rows(traj, mult))
 
 
 class TestGwpConfig:

@@ -1,6 +1,8 @@
 """Tuple kernels: power sums, cancellation, symmetry, singular limits."""
 
+import functools
 import itertools
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -299,6 +301,56 @@ class TestQuinticKernel:
         a = scalar(KERN.m5(*x))
         b = scalar(KERN.m5(*(-x)))
         assert abs(b - np.conj(a)) <= 1e-12 * abs(a)
+
+
+class _PlainPairM4(EnergyMultipliers):
+    """m4 as the six pair terms with ``m2x=None``: each sigma3 call
+    evaluates ``m^2 x`` at its own three frequencies."""
+
+    def m4(self, x1, x2, x3, x4, pairs=None, m2x=None):
+        xs = (x1, x2, x3, x4)
+        terms = [self._t_pair(xs[a], xs[b]) for a, b in itertools.combinations(range(4), 2)]
+        return 0.25j * functools.reduce(operator.add, terms)
+
+
+class TestM4SharedM2:
+    """Without ``m2x``, m4 evaluates ``m^2 x`` once at the four frequencies
+    and once at the six pair sums, and equals the plain six-term sum bit
+    for bit (m is even: the pair terms take ``-(m^2(s) s)`` for
+    ``m^2(-s) (-s)``)."""
+
+    @staticmethod
+    def regular_batch():
+        x = zero_sum_tuples(np.random.default_rng(8), 3000, 4, span=60.0)
+        p = np.stack([x[:, 0] + x[:, 1], x[:, 0] + x[:, 2], x[:, 1] + x[:, 2]])
+        return x[np.all(np.abs(p) > 1e-9, axis=0)]
+
+    @staticmethod
+    def singular_batch():
+        rng = np.random.default_rng(9)
+        a = rng.integers(5, 60, 400).astype(np.float64)
+        b = a + rng.integers(1, 30, 400)
+        x = np.column_stack([a, -a, b, -b])
+        return rng.permuted(x * rng.choice([-1.0, 1.0], (400, 1)), axis=1)
+
+    @pytest.mark.parametrize("cutoff", [None, 30.0], ids=["plain", "band"])
+    @pytest.mark.parametrize("batch", ["regular", "singular"])
+    def test_ten_evaluations_bitwise_equal(self, monkeypatch, cutoff, batch):
+        x = getattr(self, f"{batch}_batch")()
+        expect = _PlainPairM4(M, D, band_cutoff=cutoff).sigma4(*x.T)
+        calls = []
+        m2 = IMultiplier.m2
+
+        def counted(self, xi):
+            calls.append(np.size(xi))
+            return m2(self, xi)
+
+        monkeypatch.setattr(IMultiplier, "m2", counted)
+        got = EnergyMultipliers(M, D, band_cutoff=cutoff).sigma4(*x.T)
+        # a singular-only batch is one displaced stack through the regular kernel
+        assert len(calls) == 10
+        assert np.array_equal(got, expect)
+        assert np.count_nonzero(got) > 0.5 * len(x)
 
 
 def reference_m5(kern, *x):
