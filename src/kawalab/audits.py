@@ -551,6 +551,14 @@ def _sigma3_jet(kernels, x1, x2, x3):
     return rows
 
 
+def _exceeds(ratio, best):
+    """Whether ``ratio`` replaces the running maximum ``best``: it is
+    larger, or it is the first NaN. A NaN ratio marks a bound that could
+    not be evaluated, so it must reach the report, not lose every
+    comparison."""
+    return ratio > best or (np.isnan(ratio) and not np.isnan(best))
+
+
 def _dyadic_cells(cap_exp):
     cells = []
     for a in range(0, cap_exp + 1):
@@ -586,8 +594,8 @@ def _sigma3_cell(kernels, lam, eta, per_cell, seed):
             * eta ** -float(beta[1] + beta[2])
         )
         ratio = dv / rhs
-        i = int(np.argmax(ratio))
-        if ratio[i] > cell_best:
+        i = int(np.argmax(ratio))  # the first NaN, if any
+        if _exceeds(ratio[i], cell_best):
             cell_best = float(ratio[i])
             arg = (float(x1[i]), float(x2[i]), float(x3[i]))
     return {"lam": lam, "eta": eta, "samples": int(x1.size), "max_ratio": cell_best}, arg
@@ -681,7 +689,8 @@ _TUPLE_BOUNDS = {
 
 def _tuple_summary(x, ratio, scale):
     """``(samples, max ratio, argmax, scale rows)`` of one shell at one cap;
-    a scale row is ``(scale_exp, samples, max ratio)``."""
+    a scale row is ``(scale_exp, samples, max ratio)``. A NaN ratio is the
+    maximum (the first one is the argmax), as in ``_exceeds``."""
     if ratio.size == 0:
         return 0, -np.inf, None, []
     i = int(np.argmax(ratio))
@@ -703,6 +712,8 @@ def bound_shell(name, mult, disp, shell, caps, n_samples, seed):
     ``(2^a, 2^shell)`` with ``a <= shell``, which no cap restricts. The
     summaries are small: no sample arrays.
     """
+    if n_samples < 1:
+        raise ValueError(f"the bound audits need samples >= 1, got {n_samples}")
     kernels = EnergyMultipliers(mult, disp)
     if name == "sigma3":
         per_cell = max(256, n_samples // 36)
@@ -724,12 +735,12 @@ def bound_shell(name, mult, disp, shell, caps, n_samples, seed):
 def _fold(pieces, arg=None):
     """Total samples, max ratio and argmax over ``(samples, max ratio,
     argmax)`` pieces in order. A later piece takes over only with a strictly
-    larger ratio, so a tie resolves to the first sample, as one argmax over
-    the concatenated samples would."""
+    larger ratio or the first NaN (``_exceeds``), so a tie resolves to the
+    first sample, as one argmax over the concatenated samples would."""
     total, best = 0, -np.inf
     for samples, ratio, where in pieces:
         total += samples
-        if where is not None and ratio > best:
+        if where is not None and _exceeds(ratio, best):
             best, arg = ratio, where
     return total, best, arg
 
@@ -756,7 +767,7 @@ def bound_report(name, mult, shells, cap_exp, seed):
     for *_, rows in parts:
         for sc, samples, top in rows:
             n, m = scales.get(sc, (0, -np.inf))
-            scales[sc] = (n + samples, max(m, top))
+            scales[sc] = (n + samples, top if _exceeds(top, m) else m)
     return BoundCheckReport(
         bound_name=_TUPLE_BOUNDS[name][1], seed=seed,
         samples_evaluated=total, max_ratio=best, argmax=arg,

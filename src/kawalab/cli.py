@@ -117,8 +117,9 @@ def parse_config(command, defaults, file_path=None, flag_values=None, sections=N
         except (OSError, LookupError, ValueError) as err:
             raise ConfigError(f"datum {resolved['datum']!r}: {err}") from err
         resolved["L"], resolved["n"] = datum.grid.length, datum.grid.size
-    if "cap_lo" in resolved and not 0 <= resolved["cap_lo"] < resolved["cap_hi"]:
-        raise ConfigError(f"caps need 0 <= cap_lo < cap_hi, got cap_lo = "
+    if "cap_lo" in resolved and not 0 <= resolved["cap_lo"] < resolved["cap_hi"] <= 1022:
+        # the top shell reaches 2^(cap_hi + 1), which must be a finite double
+        raise ConfigError(f"caps need 0 <= cap_lo < cap_hi <= 1022, got cap_lo = "
                           f"{resolved['cap_lo']}, cap_hi = {resolved['cap_hi']}")
     if "k_lo" in resolved and not resolved["k_lo"] < resolved["k_hi"]:
         raise ConfigError(f"shells need k_lo < k_hi, got k_lo = "

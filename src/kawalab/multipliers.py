@@ -25,6 +25,18 @@ lattice sums of :mod:`kawalab.imethod` resolve the singular tuples of each
 block of triples in one ``sigma4`` call and one regular-kernel call, and
 a point's value does not depend on which block holds it.
 
+M3, M4, M5 and ``h_k - v_k`` are imaginary, so sigma3 and sigma4 are
+real, and the chain runs on float64 arrays: the private kernels give
+sigma3, the pair terms, the six-pair sum ``T`` (M4 = i T/4), sigma4 and
+the grouping sum ``Q`` of M5 (M5 = -i Q/5) as real values, and the public
+``sigma3``, ``sigma4``, ``m4`` and ``m5`` apply the factor i once and
+return complex128. The values are those of complex arithmetic bit for bit
+(a zero part may differ in sign): numpy divides complex numbers by Smith's
+algorithm, which takes the quotient of two imaginary numbers as
+``a * (1 / b)`` and a complex number over 3 as ``x * (1/3)``, so every
+quotient here is written as that product. Each batch takes its
+below-threshold and singular masks once.
+
 sigma4 and M5 evaluate ``m^2 x`` once per distinct argument. sigma4 takes
 it at its four frequencies and its six pair sums, 10 evaluations per call
 of the regular kernel, so each Richardson limit pays 10 for its stack of
@@ -33,13 +45,17 @@ sums and the thirty triple sums ``x_c + s_ab`` that its groupings form,
 and its regular sigma4 -> M4 -> sigma3 path takes these values as
 ``m2x``; the limit paths evaluate their own displaced points. Since m is
 even, a pair term's third slot ``-(xa + xb)`` takes ``-(m^2(s) s)``, the
-same bits as ``m^2(-s) (-s)``.
+same bits as ``m^2(-s) (-s)``. A 5-tuple whose five frequencies and ten
+pair sums all lie at or below N is dead: every sigma4 grouping is below
+threshold, so M5 = 0 exactly, and ``m5`` runs the chain on the live
+tuples only; a dead one costs no ``m^2`` evaluation.
 
 An optional band cutoff makes the kernels match a dealiased Galerkin
 evolution exactly: pair sums beyond the cutoff then carry weight zero in
 M4 and M5, mirroring the projection inside the discrete nonlinearity.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -112,6 +128,18 @@ def power_sum_identity_check(freqs):
 # base displacement of the removable-singularity limit, in frequency units;
 # each point's step is this times max(1, its largest magnitude)
 _LIMIT_STEP = 1e-3
+# the ten pairs (a, b) of a 5-tuple, in the order M5 sums its groupings
+_GROUPINGS = tuple(itertools.combinations(range(5), 2))
+
+
+def _columns(*xs):
+    """The arguments as broadcast float64 arrays of at least one dimension."""
+    return np.broadcast_arrays(*[np.atleast_1d(np.asarray(x, dtype=np.float64)) for x in xs])
+
+
+def _top(*cols):
+    """Pointwise largest magnitude over ``cols``; NaN where any is NaN."""
+    return functools.reduce(np.maximum, [np.abs(c) for c in cols])
 
 
 def _richardson(f, cols, direction, step):
@@ -119,13 +147,34 @@ def _richardson(f, cols, direction, step):
 
     The four displaced argument sets go through one call of the
     elementwise ``f``, so each point's value does not depend on the batch.
+    The final division by 3 is a product with 1/3, as numpy's complex
+    division computes it.
     """
     eps = (step, -step, 0.5 * step, -0.5 * step)
     args = [np.concatenate([c + e * d for e in eps]) for c, d in zip(cols, direction)]
     fp, fm, hp, hm = np.split(f(*args), 4)
     g1 = 0.5 * (fp + fm)
     g2 = 0.5 * (hp + hm)
-    return (4.0 * g2 - g1) / 3.0
+    return (4.0 * g2 - g1) * (1.0 / 3.0)
+
+
+def _piecewise(regular, limit, cols, below, zero, *given):
+    """A real array: 0 where ``below`` (under threshold), ``limit`` at the
+    other points where ``zero`` (a vanishing denominator factor) and
+    ``regular`` at the rest. ``given`` are optional per-point inputs of
+    ``regular`` (None or a sequence of arrays), gathered with its points.
+    A singular-only batch makes no ``regular`` call of its own."""
+    skip = below | zero
+    out = np.zeros(cols[0].shape)
+    # indices, not the boolean mask: each of the many gathers is then cheaper
+    ok = np.nonzero(~skip)
+    if ok[0].size:
+        out[ok] = regular(*[c[ok] for c in cols],
+                          *[None if g is None else [v[ok] for v in g] for g in given])
+    singular = zero & ~below
+    if singular.any():
+        out[singular] = limit(*[c[singular] for c in cols])
+    return out
 
 
 @dataclass(frozen=True)
@@ -135,7 +184,8 @@ class EnergyMultipliers:
     ``band_cutoff`` (a positive finite frequency, or None) activates the
     Galerkin-exact variant described in the module docstring; any other
     value raises ValueError. The removable-singularity limit displaces by
-    ``_LIMIT_STEP``, in frequency units.
+    ``_LIMIT_STEP``, in frequency units. The private kernels take broadcast
+    float64 columns and return real arrays (see the module docstring).
     """
 
     mult: object
@@ -156,6 +206,10 @@ class EnergyMultipliers:
             return 1.0
         return (np.abs(s) <= self.band_cutoff).astype(np.float64)
 
+    def _banded(self, t, s):
+        """``t * _band(s)``, which is ``t`` itself without a cutoff."""
+        return t if self.band_cutoff is None else t * self._band(s)
+
     def _m2x(self, x):
         return self.mult.m2(x) * x
 
@@ -168,36 +222,33 @@ class EnergyMultipliers:
             m2x = (self._m2x(x1), self._m2x(x2), self._m2x(x3))
         return (1j / 3.0) * (m2x[0] + m2x[1] + m2x[2])
 
+    def _den3(self, x1, x2, x3):
+        """Real ``(5/2) x1 x2 x3 (sum xi^2 - 6 mu/5)``, so h3 - v3 = -i times it."""
+        squares = x1 * x1 + x2 * x2 + x3 * x3
+        return (2.5 * (x1 * x2 * x3)) * (squares - 1.2 * self.disp.mu)
+
     def hv3(self, x1, x2, x3):
         """Factored ``h3 - v3 = -(5i/2) x1 x2 x3 (sum xi^2 - 6 mu/5)``."""
-        squares = x1 * x1 + x2 * x2 + x3 * x3
-        return -2.5j * (x1 * x2 * x3) * (squares - 1.2 * self.disp.mu)
+        return -1j * self._den3(x1, x2, x3)
 
-    def sigma3(self, x1, x2, x3, m2x=None):
+    def sigma3(self, x1, x2, x3):
         """Cancellation multiplier ``-M3/(h3 - v3)``; zero below threshold,
-        removable zero-frequency points resolved by the limit policy.
-        ``m2x`` optionally gives ``m^2 x`` at every point of the three
-        frequencies; the regular points use it, the limit does not."""
-        x1 = np.atleast_1d(np.asarray(x1, dtype=np.float64))
-        x2 = np.atleast_1d(np.asarray(x2, dtype=np.float64))
-        x3 = np.atleast_1d(np.asarray(x3, dtype=np.float64))
-        x1, x2, x3 = np.broadcast_arrays(x1, x2, x3)
-        N = self.mult.threshold
-        below = (np.abs(x1) <= N) & (np.abs(x2) <= N) & (np.abs(x3) <= N)
-        prod = x1 * x2 * x3
-        singular = (prod == 0.0) & ~below
-        out = np.zeros(x1.shape, dtype=np.complex128)
-        ok = ~below & ~singular
-        if np.any(ok):
-            if m2x is not None:
-                m2x = [v[ok] for v in m2x]
-            out[ok] = self._sigma3_regular(x1[ok], x2[ok], x3[ok], m2x)
-        if np.any(singular):
-            out[singular] = self._sigma3_limit(x1[singular], x2[singular], x3[singular])
-        return out
+        removable zero-frequency points resolved by the limit policy."""
+        return self._sigma3(*_columns(x1, x2, x3)).astype(np.complex128)
+
+    def _sigma3(self, x1, x2, x3, m2x=None):
+        """Real sigma3. ``m2x`` optionally gives ``m^2 x`` at every point of
+        the three frequencies; the regular points use it, the limit does
+        not."""
+        below = _top(x1, x2, x3) <= self.mult.threshold
+        return _piecewise(self._sigma3_regular, self._sigma3_limit, (x1, x2, x3),
+                          below, x1 * x2 * x3 == 0.0, m2x)
 
     def _sigma3_regular(self, x1, x2, x3, m2x=None):
-        return -self.m3(x1, x2, x3, m2x) / self.hv3(x1, x2, x3)
+        """``(S/3) / ((5/2) x1 x2 x3 (sum xi^2 - 6 mu/5))``, S = sum m^2(xi) xi."""
+        if m2x is None:
+            m2x = (self._m2x(x1), self._m2x(x2), self._m2x(x3))
+        return ((m2x[0] + m2x[1] + m2x[2]) * (1.0 / 3.0)) * (1.0 / self._den3(x1, x2, x3))
 
     def _sigma3_limit(self, x1, x2, x3):
         cols = [x1, x2, x3]
@@ -214,21 +265,26 @@ class EnergyMultipliers:
     # -- quartic level ---------------------------------------------------
 
     def _t_pair(self, xa, xb, m2x=None):
-        """``sigma3(xa, xb, -(xa+xb)) * (xa+xb)``, band-masked. ``m2x``
+        """Real ``sigma3(xa, xb, -(xa+xb)) * (xa+xb)``, band-masked. ``m2x``
         optionally gives ``m^2 x`` at ``xa``, ``xb`` and ``xa + xb`` (m is
         even, so the third slot takes its negative)."""
         s = xa + xb
         if m2x is not None:
             m2x = (m2x[0], m2x[1], -m2x[2])
-        return self.sigma3(xa, xb, -s, m2x) * s * self._band(s)
+        return self._banded(self._sigma3(xa, xb, -s, m2x) * s, s)
 
-    def m4(self, x1, x2, x3, x4, pairs=None, m2x=None):
-        """Symmetrized quartic multiplier, as the six-pair sum. ``pairs``
-        optionally gives the terms ``(t12, t13, t23)`` already computed, and
-        ``m2x`` the values ``m^2 x`` at the four frequencies. ``m^2 x`` is
-        evaluated once at each frequency ``m2x`` does not give and once at
-        each pair sum a computed term needs, and every pair term takes its
-        three values from these: 10 evaluations when neither is given."""
+    def m4(self, x1, x2, x3, x4):
+        """Symmetrized quartic multiplier ``i T/4``, T the six-pair sum."""
+        return 1j * (0.25 * self._m4_sum(*_columns(x1, x2, x3, x4)))
+
+    def _m4_sum(self, x1, x2, x3, x4, pairs=None, m2x=None):
+        """The real six-pair sum ``T = t12 + t13 + t14 + t23 + t24 + t34``.
+        ``pairs`` optionally gives the terms ``(t12, t13, t23)`` already
+        computed, and ``m2x`` the values ``m^2 x`` at the four frequencies.
+        ``m^2 x`` is evaluated once at each frequency ``m2x`` does not give
+        and once at each pair sum a computed term needs, and every pair term
+        takes its three values from these: 10 evaluations when neither is
+        given."""
         xs = (x1, x2, x3, x4)
         if m2x is None:
             m2x = [self._m2x(x) for x in xs]
@@ -240,69 +296,51 @@ class EnergyMultipliers:
             pairs = (term(0, 1), term(0, 2), term(1, 2))
         t14, t24, t34 = (term(a, 3) for a in range(3))
         t12, t13, t23 = pairs
-        total = t12 + t13 + t14 + t23 + t24 + t34
-        return 0.25j * total
+        return t12 + t13 + t14 + t23 + t24 + t34
 
     def m4_grouped(self, x1, x2, x3, x4):
         """Alternate evaluator: the three complementary-pair differences."""
+        x1, x2, x3, x4 = _columns(x1, x2, x3, x4)
+
         def bracket(a, b, c, d):
             s = c + d
-            inner = self.sigma3(a, b, s) - self.sigma3(-c, -d, s)
-            return inner * s * self._band(s)
+            inner = self._sigma3(a, b, s) - self._sigma3(-c, -d, s)
+            return self._banded(inner * s, s)
 
         total = bracket(x1, x2, x3, x4) + bracket(x1, x3, x2, x4) + bracket(x1, x4, x2, x3)
-        return -0.25j * total
+        return 1j * (-0.25 * total)
+
+    def _den4(self, x1, x2, x3, x4):
+        """Real ``(x1+x2)(x1+x3)(x2+x3) ((5/2) sum xi^2 - 3 mu)``, so h4 - v4 = i
+        times it."""
+        squares = x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4
+        return ((x1 + x2) * (x1 + x3) * (x2 + x3)) * (2.5 * squares - 3.0 * self.disp.mu)
 
     def hv4(self, x1, x2, x3, x4):
         """Factored ``h4 - v4 = i (x1+x2)(x1+x3)(x2+x3) ((5/2) sum xi^2 - 3 mu)``."""
-        p12 = x1 + x2
-        p13 = x1 + x3
-        p23 = x2 + x3
-        squares = x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4
-        return 1j * p12 * p13 * p23 * (2.5 * squares - 3.0 * self.disp.mu)
+        return 1j * self._den4(x1, x2, x3, x4)
 
-    def sigma4(self, x1, x2, x3, x4, pairs=None, m2x=None):
-        """``-M4/(h4 - v4)`` with the singular-set limit policy. ``pairs``
-        optionally gives the pair terms ``(t12, t13, t23)`` of ``m4`` at
-        every point, and ``m2x`` the values ``m^2 x`` of the four
-        frequencies; the regular points use them, the limit does not."""
-        x1 = np.atleast_1d(np.asarray(x1, dtype=np.float64))
-        x2 = np.atleast_1d(np.asarray(x2, dtype=np.float64))
-        x3 = np.atleast_1d(np.asarray(x3, dtype=np.float64))
-        x4 = np.atleast_1d(np.asarray(x4, dtype=np.float64))
-        x1, x2, x3, x4 = np.broadcast_arrays(x1, x2, x3, x4)
-        N = self.mult.threshold
+    def sigma4(self, x1, x2, x3, x4):
+        """``-M4/(h4 - v4)`` with the singular-set limit policy."""
+        return self._sigma4(*_columns(x1, x2, x3, x4)).astype(np.complex128)
+
+    def _sigma4(self, x1, x2, x3, x4, pairs=None, m2x=None):
+        """Real sigma4. ``pairs`` optionally gives the pair terms ``(t12,
+        t13, t23)`` of ``_m4_sum`` at every point, and ``m2x`` the values
+        ``m^2 x`` of the four frequencies; the regular points use them, the
+        limit does not."""
         p12 = x1 + x2
         p13 = x1 + x3
         p23 = x2 + x3
-        below = (
-            (np.abs(x1) <= N)
-            & (np.abs(x2) <= N)
-            & (np.abs(x3) <= N)
-            & (np.abs(x4) <= N)
-            & (np.abs(p12) <= N)
-            & (np.abs(p13) <= N)
-            & (np.abs(p23) <= N)
-        )
-        z12 = p12 == 0.0
-        z13 = p13 == 0.0
-        z23 = p23 == 0.0
-        singular = (z12 | z13 | z23) & ~below
-        out = np.zeros(x1.shape, dtype=np.complex128)
-        ok = ~below & ~singular
-        if np.any(ok):
-            if pairs is not None:
-                pairs = [t[ok] for t in pairs]
-            if m2x is not None:
-                m2x = [v[ok] for v in m2x]
-            out[ok] = self._sigma4_regular(x1[ok], x2[ok], x3[ok], x4[ok], pairs, m2x)
-        if np.any(singular):
-            out[singular] = self._sigma4_limit(
-                x1[singular], x2[singular], x3[singular], x4[singular])
-        return out
+        below = _top(x1, x2, x3, x4, p12, p13, p23) <= self.mult.threshold
+        zero = (p12 == 0.0) | (p13 == 0.0) | (p23 == 0.0)
+        return _piecewise(self._sigma4_regular, self._sigma4_limit, (x1, x2, x3, x4),
+                          below, zero, pairs, m2x)
 
     def _sigma4_regular(self, x1, x2, x3, x4, pairs=None, m2x=None):
-        return -self.m4(x1, x2, x3, x4, pairs, m2x) / self.hv4(x1, x2, x3, x4)
+        """``-(T/4) / ((x1+x2)(x1+x3)(x2+x3) ((5/2) sum xi^2 - 3 mu))``."""
+        return (-(0.25 * self._m4_sum(x1, x2, x3, x4, pairs, m2x))
+                * (1.0 / self._den4(x1, x2, x3, x4)))
 
     # Direction table: move every vanishing pair factor, fix the others.
     _DIRECTIONS = {
@@ -339,30 +377,39 @@ class EnergyMultipliers:
     # -- quintic level ----------------------------------------------------
 
     def m5(self, x1, x2, x3, x4, x5):
-        """Symmetrized quintic multiplier: ten pair groupings of sigma4. A
-        grouping (a b | c d e) puts ``s = xa + xb`` in sigma4's last slot;
-        the pair terms among c, d, e are shared by the three groupings that
-        keep each pair, so the ten are computed once and passed to sigma4,
-        as is ``m^2 x`` of the five frequencies and the ten pair sums."""
-        cols = [
-            np.atleast_1d(np.asarray(c, dtype=np.float64)) for c in (x1, x2, x3, x4, x5)
-        ]
-        cols = list(np.broadcast_arrays(*cols))
-        groupings = list(itertools.combinations(range(5), 2))
-        sums = {(a, b): cols[a] + cols[b] for a, b in groupings}
+        """Symmetrized quintic multiplier ``-i Q/5``: Q sums, over the ten
+        pair groupings (a b | c d e), ``sigma4(xc, xd, xe, s) s`` with
+        ``s = xa + xb``, band-masked. The pair terms among c, d, e are
+        shared by the three groupings that keep each pair, so the ten are
+        computed once, as is ``m^2 x`` at the five frequencies and the ten
+        pair sums; with the thirty triple sums ``x_c + s`` that is 45
+        evaluations of ``m^2``. A tuple whose five frequencies and ten pair
+        sums all lie at or below N is dead: every grouping is below
+        threshold, so M5 = 0 exactly. The chain runs on the live tuples
+        only, so a dead one costs no evaluation (a NaN tuple stays live)."""
+        cols = _columns(x1, x2, x3, x4, x5)
+        sums = {(a, b): cols[a] + cols[b] for a, b in _GROUPINGS}
+        live = ~(_top(*cols, *sums.values()) <= self.mult.threshold)
+        out = np.zeros(cols[0].shape, dtype=np.complex128)
+        if live.any():
+            at = np.nonzero(live)
+            out.imag[at] = -0.2 * self._m5_sum([c[at] for c in cols],
+                                               {ab: s[at] for ab, s in sums.items()})
+        return out
+
+    def _m5_sum(self, cols, sums):
+        """The real grouping sum Q of ``m5`` at columns ``cols``, given
+        their pair sums ``sums[a, b]``."""
         m2x = [self._m2x(c) for c in cols]
         m2x_sum = {ab: self._m2x(s) for ab, s in sums.items()}
         pair = {(a, b): self._t_pair(cols[a], cols[b], (m2x[a], m2x[b], m2x_sum[a, b]))
-                for a, b in groupings}
-        total = np.zeros(cols[0].shape, dtype=np.complex128)
-        for a, b in groupings:
+                for a, b in _GROUPINGS}
+        total = 0.0
+        for a, b in _GROUPINGS:
             c, d, e = (i for i in range(5) if i not in (a, b))
             s = sums[a, b]
-            total = total + (
-                self.sigma4(cols[c], cols[d], cols[e], s,
-                            pairs=(pair[c, d], pair[c, e], pair[d, e]),
-                            m2x=(m2x[c], m2x[d], m2x[e], m2x_sum[a, b]))
-                * s
-                * self._band(s)
-            )
-        return -0.2j * total
+            s4 = self._sigma4(cols[c], cols[d], cols[e], s,
+                              pairs=(pair[c, d], pair[c, e], pair[d, e]),
+                              m2x=(m2x[c], m2x[d], m2x[e], m2x_sum[a, b]))
+            total = total + self._banded(s4 * s, s)
+        return total

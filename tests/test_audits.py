@@ -558,6 +558,48 @@ class TestBoundAudits:
         ref = reference_tuple_bound_audit(name, self.M, self.D, cap, 8000, 23)
         assert new.as_dict() == ref.as_dict()
 
+    @staticmethod
+    def poison(monkeypatch, name):
+        """Patch the kernel of bound ``name`` to give one NaN per call."""
+        def with_nan(rows):
+            rows = np.array(rows, copy=True)
+            rows[..., rows.shape[-1] // 2] = np.nan
+            return rows
+
+        if name == "sigma3":
+            inner = audits._sigma3_jet
+            monkeypatch.setattr(audits, "_sigma3_jet", lambda *a: [with_nan(inner(*a)[0])]
+                                + list(inner(*a)[1:]))
+        else:
+            inner = getattr(EnergyMultipliers, name)
+            monkeypatch.setattr(EnergyMultipliers, name,
+                                lambda self, *x: with_nan(inner(self, *x)))
+
+    @pytest.mark.parametrize("name", ["sigma3", "sigma4", "m5"])
+    def test_nan_ratio_reaches_report(self, monkeypatch, name):
+        # a NaN ratio lost every comparison: max_ratio -inf, argmax None,
+        # and as_dict raised TypeError
+        self.poison(monkeypatch, name)
+        rep = audits._bound_audit(name, self.M, self.D, 3, 4000, 5)
+        assert np.isnan(rep.max_ratio) and rep.argmax is not None
+        rows = [row for row in rep.as_dict()["cell_table"] if row["samples"]]
+        assert any(np.isnan(row["max_ratio"]) for row in rows)
+        if name != "sigma3":
+            # the first NaN over the shells, in shell order
+            x = audits._shell_tuples(5, 0, 3, 500, 4 if name == "sigma4" else 5)
+            assert rep.argmax == tuple(x[len(x) // 2])
+
+    def test_nan_ratio_fails_cli_gate_with_artifacts(self, tmp_path, monkeypatch):
+        self.poison(monkeypatch, "m5")
+        out = tmp_path / "bounds"
+        assert main(["--seed", "5", "--out", str(out), "verify-bounds",
+                     "--samples", "2000", "--cap_lo", "2", "--cap_hi", "3"]) == 1
+        payload = json.loads((out / "bounds.json").read_text())
+        assert payload["reports"]["m5_cap3"]["max_ratio"] is None
+        assert payload["gates"]["m5_cap_stability"] is False
+        failed = json.loads((out / "failures.json").read_text())["failed_gates"]
+        assert "m5_cap_stability" in failed
+
     def test_lower_cap_restricts_its_shells(self):
         # shells 0..3 hold tuples above 2^4 when drawn at cap 5: the cap-3
         # report must restrict them, not take them whole

@@ -122,6 +122,33 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="cap_lo"):
             parse_config("verify-bounds", COMMANDS["verify-bounds"][0], str(path))
 
+    @pytest.mark.parametrize("args, key", [
+        (["--cap_hi", "1024"], "cap_hi"),
+        (["--samples", "0"], "samples"),
+        (["--samples", "-5"], "samples"),
+    ], ids=["cap-overflow", "zero-samples", "negative-samples"])
+    def test_verify_bounds_sizes_validated(self, tmp_path, capsys, args, key):
+        # 2^(cap_hi + 1) overflowed to an OverflowError traceback, and a
+        # nonpositive sample count ran silently at the 256-per-shell floor
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "verify-bounds"] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_verify_bounds_overflowing_rhs_fails_gates(self, tmp_path):
+        # at N = 1e300 the sigma4 right-hand side overflows to 0 and its
+        # ratios are 0/0: the NaN reaches the report as null and fails the
+        # gate, where the run used to die in as_dict with a TypeError
+        out = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            assert main(["--out", str(out), "verify-bounds", "--N", "1e300",
+                         "--cap_lo", "0", "--cap_hi", "1", "--samples", "256"]) == 1
+        payload = json.loads((out / "bounds.json").read_text())
+        assert payload["reports"]["sigma4_cap1"]["max_ratio"] is None
+        assert payload["gates"]["sigma4_cap_stability"] is False
+        assert (out / "failures.json").exists()
+
     @pytest.mark.parametrize("shells", [("5", "4"), ("4", "4")])
     def test_strichartz_shells_validated(self, tmp_path, capsys, shells):
         # swapped shells ran no unit (StopIteration); equal shells fitted a

@@ -304,13 +304,14 @@ class TestQuinticKernel:
 
 
 class _PlainPairM4(EnergyMultipliers):
-    """m4 as the six pair terms with ``m2x=None``: each sigma3 call
-    evaluates ``m^2 x`` at its own three frequencies."""
+    """The six-pair sum of sigma4's regular kernel as the pair terms with
+    ``m2x=None``: each sigma3 call evaluates ``m^2 x`` at its own three
+    frequencies."""
 
-    def m4(self, x1, x2, x3, x4, pairs=None, m2x=None):
+    def _m4_sum(self, x1, x2, x3, x4, pairs=None, m2x=None):
         xs = (x1, x2, x3, x4)
         terms = [self._t_pair(xs[a], xs[b]) for a, b in itertools.combinations(range(4), 2)]
-        return 0.25j * functools.reduce(operator.add, terms)
+        return functools.reduce(operator.add, terms)
 
 
 class TestM4SharedM2:
@@ -415,6 +416,200 @@ class TestM5SharedPairs:
         got = kern.m5(*x.T)
         assert np.array_equal(got, reference_m5(kern, *x.T))
         assert np.all(np.isfinite(got)) and np.count_nonzero(got) > 2000
+
+
+def _richardson_complex(f, cols, direction, step):
+    eps = (step, -step, 0.5 * step, -0.5 * step)
+    args = [np.concatenate([c + e * d for e in eps]) for c, d in zip(cols, direction)]
+    fp, fm, hp, hm = np.split(f(*args), 4)
+    g1 = 0.5 * (fp + fm)
+    g2 = 0.5 * (hp + hm)
+    return (4.0 * g2 - g1) / 3.0
+
+
+class _ComplexChain(EnergyMultipliers):
+    """The complex128 chain the float64 kernels replaced: each level
+    divides complex values (numpy's Smith division), and m5 runs every
+    tuple through every grouping."""
+
+    def sigma3(self, x1, x2, x3, m2x=None):
+        x1, x2, x3 = np.broadcast_arrays(*[np.atleast_1d(np.asarray(c, dtype=np.float64))
+                                           for c in (x1, x2, x3)])
+        N = self.mult.threshold
+        below = (np.abs(x1) <= N) & (np.abs(x2) <= N) & (np.abs(x3) <= N)
+        singular = (x1 * x2 * x3 == 0.0) & ~below
+        out = np.zeros(x1.shape, dtype=np.complex128)
+        ok = ~below & ~singular
+        if np.any(ok):
+            if m2x is not None:
+                m2x = [v[ok] for v in m2x]
+            out[ok] = self._sigma3_regular(x1[ok], x2[ok], x3[ok], m2x)
+        if np.any(singular):
+            out[singular] = self._sigma3_limit(x1[singular], x2[singular], x3[singular])
+        return out
+
+    def _sigma3_regular(self, x1, x2, x3, m2x=None):
+        return -self.m3(x1, x2, x3, m2x) / self.hv3(x1, x2, x3)
+
+    def _sigma3_limit(self, x1, x2, x3):
+        mags = np.stack([np.abs(x1), np.abs(x2), np.abs(x3)])
+        zero_slot, big_slot = np.argmin(mags, axis=0), np.argmax(mags, axis=0)
+        direction = [(zero_slot == i).astype(np.float64) - (big_slot == i).astype(np.float64)
+                     for i in range(3)]
+        step = 1e-3 * np.maximum(1.0, mags.max(axis=0))
+        return _richardson_complex(self._sigma3_regular, [x1, x2, x3], direction, step)
+
+    def _t_pair(self, xa, xb, m2x=None):
+        s = xa + xb
+        if m2x is not None:
+            m2x = (m2x[0], m2x[1], -m2x[2])
+        return self.sigma3(xa, xb, -s, m2x) * s * self._band(s)
+
+    def m4(self, x1, x2, x3, x4, pairs=None, m2x=None):
+        xs = (x1, x2, x3, x4)
+        if m2x is None:
+            m2x = [self._m2x(x) for x in xs]
+
+        def term(a, b):
+            return self._t_pair(xs[a], xs[b], (m2x[a], m2x[b], self._m2x(xs[a] + xs[b])))
+
+        if pairs is None:
+            pairs = (term(0, 1), term(0, 2), term(1, 2))
+        t14, t24, t34 = (term(a, 3) for a in range(3))
+        t12, t13, t23 = pairs
+        return 0.25j * (t12 + t13 + t14 + t23 + t24 + t34)
+
+    def sigma4(self, x1, x2, x3, x4, pairs=None, m2x=None):
+        x1, x2, x3, x4 = np.broadcast_arrays(*[np.atleast_1d(np.asarray(c, dtype=np.float64))
+                                               for c in (x1, x2, x3, x4)])
+        N = self.mult.threshold
+        p12, p13, p23 = x1 + x2, x1 + x3, x2 + x3
+        below = np.all(np.abs(np.stack([x1, x2, x3, x4, p12, p13, p23])) <= N, axis=0)
+        singular = ((p12 == 0.0) | (p13 == 0.0) | (p23 == 0.0)) & ~below
+        out = np.zeros(x1.shape, dtype=np.complex128)
+        ok = ~below & ~singular
+        if np.any(ok):
+            if pairs is not None:
+                pairs = [t[ok] for t in pairs]
+            if m2x is not None:
+                m2x = [v[ok] for v in m2x]
+            out[ok] = self._sigma4_regular(x1[ok], x2[ok], x3[ok], x4[ok], pairs, m2x)
+        if np.any(singular):
+            out[singular] = self._sigma4_limit(
+                x1[singular], x2[singular], x3[singular], x4[singular])
+        return out
+
+    def _sigma4_regular(self, x1, x2, x3, x4, pairs=None, m2x=None):
+        return -self.m4(x1, x2, x3, x4, pairs, m2x) / self.hv4(x1, x2, x3, x4)
+
+    def _sigma4_limit(self, x1, x2, x3, x4):
+        cols = np.sort(np.stack([x1, x2, x3, x4]), axis=0)
+        z12 = (cols[0] + cols[1] == 0.0) | (cols[2] + cols[3] == 0.0)
+        z13 = (cols[0] + cols[2] == 0.0) | (cols[1] + cols[3] == 0.0)
+        z23 = (cols[1] + cols[2] == 0.0) | (cols[0] + cols[3] == 0.0)
+        d = self._DIRECTION_ROWS[4 * z12 + 2 * z13 + z23]
+        step = 1e-3 * np.maximum(1.0, np.max(np.abs(cols), axis=0))
+        return _richardson_complex(self._sigma4_regular, list(cols), list(d.T), step)
+
+    def m5(self, x1, x2, x3, x4, x5):
+        cols = list(np.broadcast_arrays(*[np.atleast_1d(np.asarray(c, dtype=np.float64))
+                                          for c in (x1, x2, x3, x4, x5)]))
+        groupings = list(itertools.combinations(range(5), 2))
+        sums = {(a, b): cols[a] + cols[b] for a, b in groupings}
+        m2x = [self._m2x(c) for c in cols]
+        m2x_sum = {ab: self._m2x(s) for ab, s in sums.items()}
+        pair = {(a, b): self._t_pair(cols[a], cols[b], (m2x[a], m2x[b], m2x_sum[a, b]))
+                for a, b in groupings}
+        total = np.zeros(cols[0].shape, dtype=np.complex128)
+        for a, b in groupings:
+            c, d, e = (i for i in range(5) if i not in (a, b))
+            s = sums[a, b]
+            total = total + (
+                self.sigma4(cols[c], cols[d], cols[e], s,
+                            pairs=(pair[c, d], pair[c, e], pair[d, e]),
+                            m2x=(m2x[c], m2x[d], m2x[e], m2x_sum[a, b]))
+                * s * self._band(s))
+        return -0.2j * total
+
+
+class TestRealChain:
+    """sigma3, the pair terms, M4 and sigma4 run as float64 arrays, and the
+    public kernels apply i once: they equal the complex128 chain bit for
+    bit in both parts (zeros compare equal whatever their sign)."""
+
+    @staticmethod
+    def quintuples(case):
+        if case == "shells":
+            from kawalab.audits import _shell_tuples
+            return np.concatenate([_shell_tuples(112, e, 7, 400, 5) for e in range(8)])
+        if case == "lattice":
+            return lattice_quintuples(np.random.default_rng(6), 3000)
+        x4 = TestM4SharedM2.singular_batch()
+        return np.column_stack([x4, np.zeros(len(x4))])
+
+    @pytest.mark.parametrize("cutoff", [None, 30.0], ids=["plain", "band"])
+    @pytest.mark.parametrize("case", ["shells", "lattice", "singular"])
+    def test_bitwise_equal_complex_chain(self, cutoff, case):
+        x5 = self.quintuples(case)
+        x4 = np.column_stack([x5[:, :3], x5[:, 3] + x5[:, 4]])
+        x3 = np.column_stack([x4[:, :2], x4[:, 2] + x4[:, 3]])
+        mult = IMultiplier(16.0) if case == "shells" else M
+        got = EnergyMultipliers(mult, D, band_cutoff=cutoff)
+        want = _ComplexChain(mult, D, band_cutoff=cutoff)
+        for name, x in (("sigma3", x3), ("sigma4", x4), ("m4", x4), ("m5", x5)):
+            a, b = getattr(got, name)(*x.T), getattr(want, name)(*x.T)
+            assert a.dtype == np.complex128
+            assert np.array_equal(a.real, b.real), name
+            assert np.array_equal(a.imag, b.imag), name
+            assert np.count_nonzero(a) > 0, name
+
+
+class TestM5DeadTuples:
+    """A 5-tuple whose frequencies and pair sums all lie at or below N has
+    M5 = 0 exactly; m5 evaluates no m^2 there."""
+
+    KERN16 = EnergyMultipliers(IMultiplier(16.0), D)
+
+    @staticmethod
+    def tops(x):
+        sums = [x[:, a] + x[:, b] for a, b in itertools.combinations(range(5), 2)]
+        return np.max(np.abs(np.column_stack([x] + sums)), axis=1)
+
+    def counted_m5(self, monkeypatch, x):
+        calls = []
+        m2 = IMultiplier.m2
+
+        def counted(self, xi):
+            calls.append(np.size(xi))
+            return m2(self, xi)
+
+        monkeypatch.setattr(IMultiplier, "m2", counted)
+        return self.KERN16.m5(*x.T), calls
+
+    def test_dead_batch_evaluates_no_m2(self, monkeypatch):
+        from kawalab.audits import _shell_tuples
+        x = _shell_tuples(112, 0, 7, 2500, 5)
+        assert np.all(self.tops(x) <= 16.0)
+        got, calls = self.counted_m5(monkeypatch, x)
+        assert calls == [] and np.all(got == 0.0) and got.dtype == np.complex128
+
+    def test_mixed_batch_evaluates_live_rows(self, monkeypatch):
+        from kawalab.audits import _shell_tuples
+        x = _shell_tuples(112, 2, 7, 2500, 5)
+        live = self.tops(x) > 16.0
+        assert 0 < np.count_nonzero(live) < 0.5 * len(x)
+        got, calls = self.counted_m5(monkeypatch, x)
+        # frequencies and pair sums at every live row; each grouping's
+        # triple sums at those of its live rows above threshold
+        n_live = np.count_nonzero(live)
+        assert len(calls) == 45 and calls[:15] == [n_live] * 15 and max(calls) == n_live
+        assert np.all(got[~live] == 0.0) and np.all(got[live] != 0.0)
+        assert np.array_equal(got, _ComplexChain(IMultiplier(16.0), D).m5(*x.T))
+
+    def test_nan_tuple_stays_live(self):
+        x = np.array([[1.0, 2.0, -1.0, -2.0, 0.0], [1.0, np.nan, -1.0, -2.0, 2.0]])
+        got = self.KERN16.m5(*x.T)
+        assert got[0] == 0.0 and np.isnan(got[1].imag)
 
 
 @pytest.mark.parametrize("cutoff", [np.nan, -5.0, 0.0, np.inf],
