@@ -280,6 +280,16 @@ def _cmd_verify_bounds(cfg, seed, workers):
     caps = (cfg["cap_lo"], cfg["cap_hi"])
     mult = IMultiplier(cfg["N"], cfg["s"])
     disp = DispersionParams(cfg["mu"])
+    # the audits' smallest right-hand side, at the top shell's edge T: below
+    # float64's normal range the ratios are no longer finite however the
+    # bound is factored
+    T = 2.0 ** (cfg["cap_hi"] + 1)
+    with np.errstate(over="ignore", under="ignore"):
+        rhs = mult.m2(T) / np.float64(cfg["N"] + T) ** 8
+    if not np.finfo(float).tiny <= rhs < np.inf:
+        raise ValueError(f"N = {cfg['N']!r} and cap_hi = {cfg['cap_hi']} put the bound "
+                         f"audits' right-hand side m^2(T) / (N + T)^8 at T = 2^(cap_hi + 1) "
+                         f"at {float(rhs):.3g}, outside float64's normal range")
     # one unit per (bound, dyadic shell), evaluated once for every cap that
     # holds the shell; heaviest first: an m5 shell costs several times a
     # sigma3 or sigma4 shell, and higher shells keep more tuples above N

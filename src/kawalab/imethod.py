@@ -200,13 +200,13 @@ def _quartic_sum(u, kernels, weigh, fourth=None):
         cl = np.where(live, c4[plc], 0.0)
         xi, xj, xk = xs[i], xs[j], xs[k]
         xl = ml * dxi
-        m4 = 0.25j * (
-            T[i * size + j] + T[i * size + k] + T[j * size + k]
-            + t4_flat[i * cols4 + plc] + t4_flat[j * cols4 + plc] + t4_flat[k * cols4 + plc]
-        )
-        hv4 = kernels.hv4(xi, xj, xk, xl)
+        # M4 = i t/4 and h4 - v4 = i _den4: sigma4 is real, the quotient
+        # written as numpy's complex division computes it
+        t = (T[i * size + j] + T[i * size + k] + T[j * size + k]
+             + t4_flat[i * cols4 + plc] + t4_flat[j * cols4 + plc] + t4_flat[k * cols4 + plc])
         with np.errstate(divide="ignore", invalid="ignore"):
-            s4 = np.where(singular | ~live, 0.0, -m4 / np.where(hv4 == 0, 1.0, hv4))
+            s4 = np.where(singular | ~live, 0.0,
+                          (-(0.25 * t)) * (1.0 / kernels._den4(xi, xj, xk, xl)))
         sing = singular & live
         if sing.any():
             s4[sing] = kernels.sigma4(xi[sing], xj[sing], xk[sing], xl[sing])
@@ -288,8 +288,8 @@ class EnergyReport:
 
 
 def _e2(u, mult):
-    """E2 = ||Iu||^2, the one evaluation ``modified_energies`` and the
-    derivative audit's end samples share."""
+    """E2 = ||Iu||^2, the one evaluation ``modified_energies``, the
+    derivative audit's end samples and ``gwp_experiment``'s records share."""
     return float(apply_I(u, mult).l2_norm() ** 2)
 
 
@@ -556,9 +556,9 @@ def gwp_experiment(config, datum, disp):
     bound = 4.0 * config.eps0 ** 2
 
     def record(step_index, field):
-        e2 = apply_I(field, mult).l2_norm() ** 2
+        e2 = _e2(field, mult)
         result.times.append(float(step_index))
-        result.e2.append(float(e2))
+        result.e2.append(e2)
         result.growth_norm.append(float(scale_back * sobolev_norm(field, config.sobolev_s)))
         healthy = e2 < bound
         result.passed.append(bool(healthy))

@@ -26,15 +26,15 @@ block of triples in one ``sigma4`` call and one regular-kernel call, and
 a point's value does not depend on which block holds it.
 
 M3, M4, M5 and ``h_k - v_k`` are imaginary, so sigma3 and sigma4 are
-real, and the chain runs on float64 arrays: the private kernels give
-sigma3, the pair terms, the six-pair sum ``T`` (M4 = i T/4), sigma4 and
-the grouping sum ``Q`` of M5 (M5 = -i Q/5) as real values, and the public
-``sigma3``, ``sigma4``, ``m4`` and ``m5`` apply the factor i once and
-return complex128. The values are those of complex arithmetic bit for bit
-(a zero part may differ in sign): numpy divides complex numbers by Smith's
-algorithm, which takes the quotient of two imaginary numbers as
-``a * (1 / b)`` and a complex number over 3 as ``x * (1/3)``, so every
-quotient here is written as that product. Each batch takes its
+real, and the chain runs on float64 arrays: ``sigma3``, the pair terms,
+the six-pair sum ``T`` (M4 = i T/4), ``sigma4`` and the grouping sum
+``Q`` of M5 (M5 = -i Q/5) are real values. The factor i is the only
+complex value left: ``m3``, ``m4``, ``m5``, ``hv3`` and ``hv4`` apply it
+once and return complex128. The values are those of complex arithmetic
+bit for bit (a zero part may differ in sign): numpy divides complex
+numbers by Smith's algorithm, which takes the quotient of two imaginary
+numbers as ``a * (1 / b)`` and a complex number over 3 as ``x * (1/3)``,
+so every quotient here is written as that product. Each batch takes its
 below-threshold and singular masks once.
 
 sigma4 and M5 evaluate ``m^2 x`` once per distinct argument. sigma4 takes
@@ -83,13 +83,6 @@ def h_v_eval(freqs, disp):
     return h, v
 
 
-def _pair_products(x):
-    p12 = x[..., 0] + x[..., 1]
-    p13 = x[..., 0] + x[..., 2]
-    p23 = x[..., 1] + x[..., 2]
-    return p12, p13, p23
-
-
 def power_sum_identity_check(freqs):
     """Max relative gap between power sums and their factored forms.
 
@@ -112,8 +105,7 @@ def power_sum_identity_check(freqs):
         fc = 3.0 * prod
         fq = 2.5 * prod * squares
     elif k == 4:
-        p12, p13, p23 = _pair_products(x)
-        prod = p12 * p13 * p23
+        prod = (x[..., 0] + x[..., 1]) * (x[..., 0] + x[..., 2]) * (x[..., 1] + x[..., 2])
         fc = -3.0 * prod
         fq = -2.5 * prod * squares
     else:
@@ -184,8 +176,9 @@ class EnergyMultipliers:
     ``band_cutoff`` (a positive finite frequency, or None) activates the
     Galerkin-exact variant described in the module docstring; any other
     value raises ValueError. The removable-singularity limit displaces by
-    ``_LIMIT_STEP``, in frequency units. The private kernels take broadcast
-    float64 columns and return real arrays (see the module docstring).
+    ``_LIMIT_STEP``, in frequency units. ``sigma3`` and ``sigma4`` return
+    float64 arrays; the private kernels take broadcast float64 columns and
+    return real arrays too (see the module docstring).
     """
 
     mult: object
@@ -231,15 +224,12 @@ class EnergyMultipliers:
         """Factored ``h3 - v3 = -(5i/2) x1 x2 x3 (sum xi^2 - 6 mu/5)``."""
         return -1j * self._den3(x1, x2, x3)
 
-    def sigma3(self, x1, x2, x3):
-        """Cancellation multiplier ``-M3/(h3 - v3)``; zero below threshold,
-        removable zero-frequency points resolved by the limit policy."""
-        return self._sigma3(*_columns(x1, x2, x3)).astype(np.complex128)
-
-    def _sigma3(self, x1, x2, x3, m2x=None):
-        """Real sigma3. ``m2x`` optionally gives ``m^2 x`` at every point of
-        the three frequencies; the regular points use it, the limit does
-        not."""
+    def sigma3(self, x1, x2, x3, m2x=None):
+        """Real cancellation multiplier ``-M3/(h3 - v3)``; zero below
+        threshold, removable zero-frequency points resolved by the limit
+        policy. ``m2x`` optionally gives ``m^2 x`` at every point of the
+        three frequencies; the regular points use it, the limit does not."""
+        x1, x2, x3 = _columns(x1, x2, x3)
         below = _top(x1, x2, x3) <= self.mult.threshold
         return _piecewise(self._sigma3_regular, self._sigma3_limit, (x1, x2, x3),
                           below, x1 * x2 * x3 == 0.0, m2x)
@@ -271,7 +261,7 @@ class EnergyMultipliers:
         s = xa + xb
         if m2x is not None:
             m2x = (m2x[0], m2x[1], -m2x[2])
-        return self._banded(self._sigma3(xa, xb, -s, m2x) * s, s)
+        return self._banded(self.sigma3(xa, xb, -s, m2x) * s, s)
 
     def m4(self, x1, x2, x3, x4):
         """Symmetrized quartic multiplier ``i T/4``, T the six-pair sum."""
@@ -298,18 +288,6 @@ class EnergyMultipliers:
         t12, t13, t23 = pairs
         return t12 + t13 + t14 + t23 + t24 + t34
 
-    def m4_grouped(self, x1, x2, x3, x4):
-        """Alternate evaluator: the three complementary-pair differences."""
-        x1, x2, x3, x4 = _columns(x1, x2, x3, x4)
-
-        def bracket(a, b, c, d):
-            s = c + d
-            inner = self._sigma3(a, b, s) - self._sigma3(-c, -d, s)
-            return self._banded(inner * s, s)
-
-        total = bracket(x1, x2, x3, x4) + bracket(x1, x3, x2, x4) + bracket(x1, x4, x2, x3)
-        return 1j * (-0.25 * total)
-
     def _den4(self, x1, x2, x3, x4):
         """Real ``(x1+x2)(x1+x3)(x2+x3) ((5/2) sum xi^2 - 3 mu)``, so h4 - v4 = i
         times it."""
@@ -320,15 +298,13 @@ class EnergyMultipliers:
         """Factored ``h4 - v4 = i (x1+x2)(x1+x3)(x2+x3) ((5/2) sum xi^2 - 3 mu)``."""
         return 1j * self._den4(x1, x2, x3, x4)
 
-    def sigma4(self, x1, x2, x3, x4):
-        """``-M4/(h4 - v4)`` with the singular-set limit policy."""
-        return self._sigma4(*_columns(x1, x2, x3, x4)).astype(np.complex128)
-
-    def _sigma4(self, x1, x2, x3, x4, pairs=None, m2x=None):
-        """Real sigma4. ``pairs`` optionally gives the pair terms ``(t12,
-        t13, t23)`` of ``_m4_sum`` at every point, and ``m2x`` the values
-        ``m^2 x`` of the four frequencies; the regular points use them, the
-        limit does not."""
+    def sigma4(self, x1, x2, x3, x4, pairs=None, m2x=None):
+        """Real ``-M4/(h4 - v4)`` with the singular-set limit policy.
+        ``pairs`` optionally gives the pair terms ``(t12, t13, t23)`` of
+        ``_m4_sum`` at every point, and ``m2x`` the values ``m^2 x`` of the
+        four frequencies; the regular points use them, the limit does
+        not."""
+        x1, x2, x3, x4 = _columns(x1, x2, x3, x4)
         p12 = x1 + x2
         p13 = x1 + x3
         p23 = x2 + x3
@@ -408,8 +384,8 @@ class EnergyMultipliers:
         for a, b in _GROUPINGS:
             c, d, e = (i for i in range(5) if i not in (a, b))
             s = sums[a, b]
-            s4 = self._sigma4(cols[c], cols[d], cols[e], s,
-                              pairs=(pair[c, d], pair[c, e], pair[d, e]),
-                              m2x=(m2x[c], m2x[d], m2x[e], m2x_sum[a, b]))
+            s4 = self.sigma4(cols[c], cols[d], cols[e], s,
+                             pairs=(pair[c, d], pair[c, e], pair[d, e]),
+                             m2x=(m2x[c], m2x[d], m2x[e], m2x_sum[a, b]))
             total = total + self._banded(s4 * s, s)
         return total

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from kawalab import DispersionParams, Grid, SpectralField
+from kawalab import DispersionParams, EnergyMultipliers, Grid, SpectralField
 from kawalab import audits, cli, illposed, solver, spacetime
 from kawalab.cli import COMMANDS, ConfigError, main, parse_config
 from kawalab.dispersion import PHASE_EXACT_RANGE, phasor
@@ -126,23 +126,38 @@ class TestParseConfig:
         (["--cap_hi", "1024"], "cap_hi"),
         (["--samples", "0"], "samples"),
         (["--samples", "-5"], "samples"),
-    ], ids=["cap-overflow", "zero-samples", "negative-samples"])
+        (["--cap_lo", "120", "--cap_hi", "130", "--samples", "512"], "cap_hi = 130"),
+        (["--N", "1e300", "--cap_lo", "0", "--cap_hi", "1", "--samples", "256"],
+         "N = 1e+300"),
+    ], ids=["cap-overflow", "zero-samples", "negative-samples", "rhs-underflow",
+            "huge-threshold"])
     def test_verify_bounds_sizes_validated(self, tmp_path, capsys, args, key):
         # 2^(cap_hi + 1) overflowed to an OverflowError traceback, and a
-        # nonpositive sample count ran silently at the 256-per-shell floor
+        # nonpositive sample count ran silently at the 256-per-shell floor.
+        # A right-hand side below float64's normal range (high caps, a huge
+        # N) left every report null and the run exiting 1
         out = tmp_path / "run"
         assert main(["--out", str(out), "verify-bounds"] + args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_verify_bounds_overflowing_rhs_fails_gates(self, tmp_path):
-        # at N = 1e300 the sigma4 right-hand side overflows to 0 and its
-        # ratios are 0/0: the NaN reaches the report as null and fails the
-        # gate, where the run used to die in as_dict with a TypeError
+    def test_verify_bounds_overflowing_rhs_fails_gates(self, tmp_path, monkeypatch):
+        # an overflowing right-hand side made the sigma4 ratios 0/0; such a
+        # size is now rejected up front, so a kernel patched to give one NaN
+        # per call stands in: the NaN reaches the report as null and fails
+        # the gate, where the run used to die in as_dict with a TypeError
+        inner = EnergyMultipliers.sigma4
+
+        def with_nan(self, *x, **kw):
+            out = np.array(inner(self, *x, **kw), copy=True)
+            out[out.shape[-1] // 2] = np.nan
+            return out
+
+        monkeypatch.setattr(EnergyMultipliers, "sigma4", with_nan)
         out = tmp_path / "run"
         with np.errstate(all="ignore"):
-            assert main(["--out", str(out), "verify-bounds", "--N", "1e300",
+            assert main(["--out", str(out), "verify-bounds",
                          "--cap_lo", "0", "--cap_hi", "1", "--samples", "256"]) == 1
         payload = json.loads((out / "bounds.json").read_text())
         assert payload["reports"]["sigma4_cap1"]["max_ratio"] is None

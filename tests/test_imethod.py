@@ -256,6 +256,80 @@ class TestSingularLimitBatch:
         assert np.array_equal(np.concatenate([out for _, out in calls]), limits)
 
 
+def _complex_quartic_sum(u, kernels, weigh, fourth=None):
+    """The quartic engine with the complex block arithmetic the real one
+    replaced: M4 = (i/4) t and sigma4 = -M4 / (h4 - v4), numpy's complex
+    division, with the singular limits stored into a complex array."""
+    ms, cs = imethod._support(u)
+    if ms.size == 0:
+        return None
+    n, dxi = u.grid.size, u.grid.dxi
+    size = ms.size
+    xs = ms * dxi
+    T = kernels._t_pair(*np.meshgrid(xs, xs, indexing="ij"))
+    if fourth is None:
+        modes4, c4, t4 = ms, cs, T
+    else:
+        modes4, c4 = fourth
+        t4 = kernels._t_pair(*np.meshgrid(xs, modes4 * dxi, indexing="ij"))
+    T = T.ravel()
+    t4_flat = t4.ravel()
+    cols4 = t4.shape[1]
+    pos4 = np.full(3 * n + 1, -1, dtype=np.int64)
+    pos4[modes4 + 3 * n // 2] = np.arange(modes4.size)
+    J, K = np.triu_indices(size)
+    partials = []
+    for i, pair in imethod._triple_blocks(size):
+        j, k = J[pair], K[pair]
+        mi, mj, mk = ms[i], ms[j], ms[k]
+        ml = -mi - mj - mk
+        pl = pos4[ml + 3 * n // 2]
+        live = pl >= 0
+        singular = (mi + mj == 0) | (mi + mk == 0) | (mj + mk == 0)
+        plc = np.where(live, pl, 0)
+        cl = np.where(live, c4[plc], 0.0)
+        xi, xj, xk = xs[i], xs[j], xs[k]
+        xl = ml * dxi
+        m4 = 0.25j * (
+            T[i * size + j] + T[i * size + k] + T[j * size + k]
+            + t4_flat[i * cols4 + plc] + t4_flat[j * cols4 + plc] + t4_flat[k * cols4 + plc]
+        )
+        hv4 = kernels.hv4(xi, xj, xk, xl)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s4 = np.where(singular | ~live, 0.0, -m4 / np.where(hv4 == 0, 1.0, hv4))
+        sing = singular & live
+        if sing.any():
+            s4[sing] = kernels.sigma4(xi[sing], xj[sing], xk[sing], xl[sing])
+        weight = imethod._ORDERINGS[(i == j).astype(np.intp) + (j == k)]
+        vals = weigh(s4, xl) * (cs[i] * (cs[j] * cs[k]) * cl) * weight
+        partials.append(vals.sum())
+    return imethod.ordered_sum(partials)
+
+
+class TestRealQuarticBlock:
+    """The quartic engine forms sigma4 as the real product
+    ``-(t/4) * (1/_den4)``; Lambda_4 and Lambda_5 equal the complex block
+    arithmetic bit for bit on fields with singular tuples."""
+
+    @pytest.mark.parametrize("chunk", [None, 31], ids=["default", "chunk31"])
+    @pytest.mark.parametrize("cutoff", [None, 12.0], ids=["plain", "band"])
+    @pytest.mark.parametrize("functional", [lambda4_sigma4, lambda5_m5],
+                             ids=["lambda4", "lambda5"])
+    @pytest.mark.parametrize("seed, support", [(9, 9), (4, 11)])
+    def test_repr_equal_complex_blocks(self, monkeypatch, functional, cutoff, chunk,
+                                       seed, support):
+        g = Grid(2 * np.pi, 64)
+        kern = EnergyMultipliers(IMultiplier(3.0), DispersionParams(0.6), band_cutoff=cutoff)
+        u = random_field(g, seed, support=support, envelope=lambda a: (1 + a) ** -0.5)
+        if chunk is not None:
+            monkeypatch.setattr(imethod, "_CHUNK", chunk)
+        got = functional(u, kern)
+        monkeypatch.setattr(imethod, "_quartic_sum", _complex_quartic_sum)
+        want = functional(u, kern)
+        assert repr(got) == repr(want)
+        assert got.real != 0.0
+
+
 class TestModifiedEnergies:
     def test_zero_field(self):
         g = Grid(2 * np.pi, 64)

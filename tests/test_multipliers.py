@@ -156,6 +156,16 @@ class TestCubicKernel:
         assert policy != 0.0
 
 
+def grouped_m4(kern, x1, x2, x3, x4):
+    """Alternate M4 evaluator: the three complementary-pair differences."""
+    def bracket(a, b, c, d):
+        s = c + d
+        return (kern.sigma3(a, b, s) - kern.sigma3(-c, -d, s)) * s * kern._band(s)
+
+    total = bracket(x1, x2, x3, x4) + bracket(x1, x3, x2, x4) + bracket(x1, x4, x2, x3)
+    return 1j * (-0.25 * total)
+
+
 class TestQuarticKernel:
     def test_m4_two_evaluators_agree(self):
         rng = np.random.default_rng(2)
@@ -163,7 +173,7 @@ class TestQuarticKernel:
         p = np.stack([x[:, 0] + x[:, 1], x[:, 0] + x[:, 2], x[:, 1] + x[:, 2]])
         x = x[np.all(np.abs(p) > 1e-9, axis=0)]
         a = KERN.m4(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
-        b = KERN.m4_grouped(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
+        b = grouped_m4(KERN, x[:, 0], x[:, 1], x[:, 2], x[:, 3])
         rel = np.abs(a - b) / np.maximum(np.abs(a) + np.abs(b), 1e-300)
         nz = (np.abs(a) + np.abs(b)) > 0
         assert np.max(rel[nz]) <= 1e-12
@@ -533,9 +543,10 @@ class _ComplexChain(EnergyMultipliers):
 
 
 class TestRealChain:
-    """sigma3, the pair terms, M4 and sigma4 run as float64 arrays, and the
-    public kernels apply i once: they equal the complex128 chain bit for
-    bit in both parts (zeros compare equal whatever their sign)."""
+    """sigma3, the pair terms, M4 and sigma4 run as float64 arrays: sigma3
+    and sigma4 equal the complex128 chain's real part bit for bit, whose
+    imaginary part is exactly zero, and m4 and m5 apply i once and equal
+    it in both parts (zeros compare equal whatever their sign)."""
 
     @staticmethod
     def quintuples(case):
@@ -558,9 +569,14 @@ class TestRealChain:
         want = _ComplexChain(mult, D, band_cutoff=cutoff)
         for name, x in (("sigma3", x3), ("sigma4", x4), ("m4", x4), ("m5", x5)):
             a, b = getattr(got, name)(*x.T), getattr(want, name)(*x.T)
-            assert a.dtype == np.complex128
-            assert np.array_equal(a.real, b.real), name
-            assert np.array_equal(a.imag, b.imag), name
+            if name.startswith("sigma"):
+                assert a.dtype == np.float64, name
+                assert np.array_equal(a, b.real), name
+                assert np.all(b.imag == 0.0), name
+            else:
+                assert a.dtype == np.complex128, name
+                assert np.array_equal(a.real, b.real), name
+                assert np.array_equal(a.imag, b.imag), name
             assert np.count_nonzero(a) > 0, name
 
 
