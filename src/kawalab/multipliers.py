@@ -35,7 +35,10 @@ bit for bit (a zero part may differ in sign): numpy divides complex
 numbers by Smith's algorithm, which takes the quotient of two imaginary
 numbers as ``a * (1 / b)`` and a complex number over 3 as ``x * (1/3)``,
 so every quotient here is written as that product. Each batch takes its
-below-threshold and singular masks once.
+below-threshold and singular masks once. A batch that is mostly live runs
+the regular kernel on every point in place and zeroes the skipped ones; a
+mostly skipped one gathers its regular points first. The kernels are
+elementwise, so both give the same bits, up to the sign of a NaN.
 
 sigma4 and M5 evaluate ``m^2 x`` once per distinct argument. sigma4 takes
 it at its four frequencies and its six pair sums, 10 evaluations per call
@@ -154,15 +157,29 @@ def _piecewise(regular, limit, cols, below, zero, *given):
     """A real array: 0 where ``below`` (under threshold), ``limit`` at the
     other points where ``zero`` (a vanishing denominator factor) and
     ``regular`` at the rest. ``given`` are optional per-point inputs of
-    ``regular`` (None or a sequence of arrays), gathered with its points.
-    A singular-only batch makes no ``regular`` call of its own."""
+    ``regular`` (None or a sequence of arrays).
+
+    Where at most half of a nonempty batch is skipped (below or zero),
+    ``regular`` runs on the whole batch in place and the skipped points
+    are set to 0; otherwise its points, and ``given`` with them, are
+    gathered by index and the values scattered back. The regular kernels
+    are elementwise, so a point's value is the same bits either way (only
+    a NaN's sign bit may follow numpy's loop), and the choice reads only
+    the batch's own masks. The singular points go
+    to ``limit`` on their own subset; a batch with no regular point makes
+    no ``regular`` call of its own."""
     skip = below | zero
-    out = np.zeros(cols[0].shape)
-    # indices, not the boolean mask: each of the many gathers is then cheaper
-    ok = np.nonzero(~skip)
-    if ok[0].size:
-        out[ok] = regular(*[c[ok] for c in cols],
-                          *[None if g is None else [v[ok] for v in g] for g in given])
+    if skip.size and 2 * np.count_nonzero(skip) <= skip.size:
+        # a skipped point may divide by zero; its value is discarded
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(skip, 0.0, regular(*cols, *given))
+    else:
+        out = np.zeros(cols[0].shape)
+        # indices, not the boolean mask: each of the many gathers is then cheaper
+        ok = np.nonzero(~skip)
+        if ok[0].size:
+            out[ok] = regular(*[c[ok] for c in cols],
+                              *[None if g is None else [v[ok] for v in g] for g in given])
     singular = zero & ~below
     if singular.any():
         out[singular] = limit(*[c[singular] for c in cols])

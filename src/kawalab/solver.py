@@ -12,7 +12,6 @@ monitor samples.
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
 
 from .dispersion import omega, phasor
 from .grid import _SQRT2PI, SpectralField, _full_spectrum, sobolev_norm
@@ -40,7 +39,27 @@ __all__ = [
 # np.fft does, the forward rfft and the stepper's unscaled inverse (the
 # wrapper's norm="forward") run at fct = 1.0 and _square's default-normalised
 # inverse at 1/n. rfft_n_even is valid for every Grid: n is a power of two
-# >= 8.
+# >= 8. A numpy without that private module gets the public wrappers below,
+# which take the same arguments and give the same bits.
+
+
+def _public_irfft(c, fct, out):
+    """``_irfft`` through ``np.fft.irfft``. The solver passes fct 1.0, its
+    ``norm="forward"``, or 1/n, its default norm."""
+    return np.fft.irfft(c, out.shape[-1], norm="forward" if fct == 1.0 else "backward",
+                        out=out)
+
+
+def _public_rfft(v, fct, out):
+    """``_rfft`` through ``np.fft.rfft``. The solver passes fct 1.0, its
+    default norm."""
+    return np.fft.rfft(v, out=out)
+
+
+try:
+    from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
+except ImportError:
+    _irfft, _rfft = _public_irfft, _public_rfft
 
 DIVERGENCE_THRESHOLD = 1e15
 PHASE_GUARD = 1e6

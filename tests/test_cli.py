@@ -447,12 +447,13 @@ class TestParallelMap:
         ("illposed", ["--quad_points", "16", "--out_points", "16"], []),
         ("strichartz", ["--k_lo", "4", "--k_hi", "5", "--trials", "2", "--n", "2048",
                         "--n_times", "256"], []),
-        ("verify-bounds", ["--samples", "20000"], [1]),
+        ("verify-bounds", ["--samples", "20000"], []),
+        ("verify-bounds", ["--samples", "40000"], [1]),
     ])
     def test_commands_fork_only_above_the_work_gate(self, tmp_path, monkeypatch,
                                                     command, args, sizes):
-        # the first two at the benchmark's lab sizes take tens of
-        # milliseconds, which a fork costs more than it saves
+        # the first three, at the benchmark's lab sizes, take under 100 ms
+        # in one process, which a fork costs more than it saves
         monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         main(["--seed", "112", "--workers", "2", "--no-gate", "--out", str(tmp_path),

@@ -10,7 +10,7 @@ import pytest
 
 from kawalab import (DispersionParams, EnergyMultipliers, Grid, IMultiplier, SpectralField,
                      h_v_eval, modified_energies)
-from kawalab.multipliers import power_sum_identity_check
+from kawalab.multipliers import _columns, _piecewise, _top, power_sum_identity_check
 
 D = DispersionParams(1.0)
 M = IMultiplier(4.0, -1.75)
@@ -296,21 +296,26 @@ class TestSymmetricLimit:
         assert (batch[0] == 0.0) == (max(map(abs, point)) == 0.0)
 
 
+# the first tuple sums to 0.25, off the hyperplane; the second is on it
+QUINTIC_TUPLES = [(6.0, -13.0, 4.5, 2.5, 0.25), (6.0, -13.0, 4.5, 2.25, 0.25)]
+
+
 class TestQuinticKernel:
     def test_m5_permutation_invariance(self):
-        x = (6.0, -13.0, 4.5, 2.5, 0.25)
-        base = scalar(KERN.m5(*x))
-        rng = np.random.default_rng(4)
-        for _ in range(8):
-            p = rng.permutation(5)
-            val = scalar(KERN.m5(*[x[i] for i in p]))
-            assert abs(val - base) <= 1e-12 * abs(base)
+        for x in QUINTIC_TUPLES:
+            base = scalar(KERN.m5(*x))
+            assert base != 0.0
+            rng = np.random.default_rng(4)
+            for _ in range(8):
+                p = rng.permutation(5)
+                val = scalar(KERN.m5(*[x[i] for i in p]))
+                assert abs(val - base) <= 1e-12 * abs(base)
 
     def test_m5_conjugation_symmetry(self):
-        x = np.array([6.0, -13.0, 4.5, 2.5, 0.25])
-        a = scalar(KERN.m5(*x))
-        b = scalar(KERN.m5(*(-x)))
-        assert abs(b - np.conj(a)) <= 1e-12 * abs(a)
+        for x in map(np.array, QUINTIC_TUPLES):
+            a = scalar(KERN.m5(*x))
+            b = scalar(KERN.m5(*(-x)))
+            assert abs(b - np.conj(a)) <= 1e-12 * abs(a)
 
 
 class _PlainPairM4(EnergyMultipliers):
@@ -626,6 +631,66 @@ class TestM5DeadTuples:
         x = np.array([[1.0, 2.0, -1.0, -2.0, 0.0], [1.0, np.nan, -1.0, -2.0, 2.0]])
         got = self.KERN16.m5(*x.T)
         assert got[0] == 0.0 and np.isnan(got[1].imag)
+
+
+class TestPiecewiseBranches:
+    """``_piecewise`` evaluates a mostly live batch in place and gathers the
+    points of a mostly skipped one; both give the same bits and the same
+    ``limit`` call. The kernels are sigma4's, with ``m^2 x`` given at the
+    four frequencies."""
+
+    @staticmethod
+    def in_place(regular, cols, skip, given):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(skip, 0.0, regular(*cols, None, given))
+
+    @staticmethod
+    def gathered(regular, cols, skip, given):
+        out = np.zeros(cols[0].shape)
+        ok = ~skip
+        out[ok] = regular(*[c[ok] for c in cols], None, [g[ok] for g in given])
+        return out
+
+    @pytest.mark.parametrize("mostly", ["live", "skipped"])
+    def test_branches_agree_bitwise(self, mostly):
+        def bits(a):
+            # every NaN as one NaN: numpy's loops may differ in its sign bit
+            return np.where(np.isnan(a), np.nan, a).tobytes()
+
+        rng = np.random.default_rng(32)
+        x = np.vstack([
+            zero_sum_tuples(rng, 24, 4, span=60.0),
+            [[5.0, -5.0, 9.0, -9.0], [5.0, 5.0, -5.0, -5.0], [100.0, -100.0, 37.0, -37.0],
+             [1.0, -1.0, 2.0, -2.0], [np.nan, 3.0, -9.0, np.nan]],
+        ])
+        cols = _columns(*x.T)
+        given = tuple(KERN._m2x(c) for c in cols)
+        below = _top(*cols, cols[0] + cols[1], cols[0] + cols[2],
+                     cols[1] + cols[2]) <= M.threshold
+        zero = ((cols[0] + cols[1] == 0.0) | (cols[0] + cols[2] == 0.0)
+                | (cols[1] + cols[2] == 0.0))
+        if mostly == "skipped":
+            below = below | (np.arange(len(x)) % 4 != 0)
+            below[-5:-1] = False  # the four rows with a vanishing pair sum
+        skip = below | zero
+        assert (2 * np.count_nonzero(skip) <= skip.size) == (mostly == "live")
+        singular = zero & ~below
+        assert 0 < np.count_nonzero(singular) and np.isnan(x[-1]).any() and not skip[-1]
+
+        calls = []
+
+        def limit(*c):
+            calls.append(c)
+            return KERN._sigma4_limit(*c)
+
+        got = _piecewise(KERN._sigma4_regular, limit, cols, below, zero, None, given)
+        assert len(calls) == 1
+        assert all(a.tobytes() == c[singular].tobytes() for a, c in zip(calls[0], cols))
+        for branch in (self.in_place, self.gathered):
+            want = branch(KERN._sigma4_regular, cols, skip, given)
+            want[singular] = KERN._sigma4_limit(*[c[singular] for c in cols])
+            assert bits(got) == bits(want), branch.__name__
+        assert np.isnan(got[-1]) and np.all(got[skip & ~zero] == 0.0)
 
 
 @pytest.mark.parametrize("cutoff", [np.nan, -5.0, 0.0, np.inf],

@@ -405,6 +405,39 @@ class TestBandStepper:
         assert traj.peak_growth != 1.0
 
 
+class TestPublicTransforms:
+    """The ``np.fft`` wrappers the solver binds when numpy lacks its private
+    pocketfft gufuncs give the gufuncs' bits."""
+
+    @pytest.mark.parametrize("n", [64, 512, 4096])
+    def test_same_bits_as_gufuncs(self, n):
+        rng = np.random.default_rng(n)
+        for m in (n // 2 + 1, n // 3):  # the full half spectrum and a short band
+            c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            c[0] = c[0].real
+            for fct in (1.0, 1.0 / n):
+                got = solver_module._public_irfft(c, fct, out=np.empty(n))
+                assert np.array_equal(got, solver_module._irfft(c, fct, out=np.empty(n)))
+        v = rng.standard_normal(n)
+        spec = np.empty(n // 2 + 1, dtype=np.complex128)
+        got = solver_module._public_rfft(v, 1.0, out=spec)
+        assert got is spec
+        assert np.array_equal(got, solver_module._rfft(v, 1.0, out=np.empty_like(spec)))
+
+    def test_simulate_same_bits(self, monkeypatch):
+        g = Grid(8 * np.pi, 256)
+        u0 = smooth_datum(g, seed=5, amplitude=2.0)
+        cfg = SolverConfig(g, D1, dt=1e-3, t_end=0.02, monitor_stride=5)
+        private, private_rhs = simulate(u0, cfg), nonlinear_rhs(u0)
+        monkeypatch.setattr(solver_module, "_irfft", solver_module._public_irfft)
+        monkeypatch.setattr(solver_module, "_rfft", solver_module._public_rfft)
+        public = simulate(u0, cfg)
+        assert len(public.fields) == len(private.fields) == 5
+        for a, b in zip(public.fields, private.fields):
+            assert np.array_equal(a.coeffs, b.coeffs)
+        assert np.array_equal(nonlinear_rhs(u0).coeffs, private_rhs.coeffs)
+
+
 class TestSimulate:
     def test_zero_end_time_takes_no_step(self):
         g = Grid(8 * np.pi, 256)
