@@ -62,7 +62,7 @@ class BoundCheckReport:
     seed: int
     samples_evaluated: int
     max_ratio: float
-    argmax: tuple
+    argmax: tuple  # None for a report without samples
     min_ratio: float = float("nan")
     cell_table: list = dc_field(default_factory=list)
     extras: dict = dc_field(default_factory=dict)
@@ -74,7 +74,7 @@ class BoundCheckReport:
             "samples_evaluated": self.samples_evaluated,
             "max_ratio": self.max_ratio,
             "min_ratio": self.min_ratio,
-            "argmax": list(self.argmax),
+            "argmax": None if self.argmax is None else list(self.argmax),
             "cell_table": self.cell_table,
             "extras": self.extras,
         }
@@ -687,98 +687,81 @@ _TUPLE_BOUNDS = {
 }
 
 
-def _tuple_summary(x, ratio, scale):
-    """``(samples, max ratio, argmax, scale rows)`` of one shell at one cap;
-    a scale row is ``(scale_exp, samples, max ratio)``. A NaN ratio is the
-    maximum (the first one is the argmax), as in ``_exceeds``."""
-    if ratio.size == 0:
-        return 0, -np.inf, None, []
-    i = int(np.argmax(ratio))
-    rows = [(int(sc), int(np.count_nonzero(scale == sc)), float(np.max(ratio[scale == sc])))
-            for sc in np.unique(scale)]
-    return x.shape[0], float(ratio[i]), tuple(float(v) for v in x[i]), rows
-
-
-def bound_shell(name, mult, disp, shell, caps, n_samples, seed):
-    """Evaluate dyadic shell ``shell`` of bound ``name`` (``"sigma3"``,
-    ``"sigma4"`` or ``"m5"``) once, and summarise it for every cap exponent
-    in ``caps`` (each at least ``shell``); :func:`bound_report` reduces the
-    summaries of shells 0..cap into the cap's report.
+def bound_shell(name, mult, disp, shell, cap_exp, n_samples, seed):
+    """The samples of dyadic shell ``shell`` of bound ``name``
+    (``"sigma3"``, ``"sigma4"`` or ``"m5"``), drawn at cap exponent
+    ``cap_exp`` (at least ``shell``) and evaluated once; :func:`bound_report`
+    reduces shells 0..cap into the report at any cap up to ``cap_exp``.
 
     For sigma4 and m5 the shell holds the tuples whose pinned coordinate
-    lies in [2^shell, 2^(shell+1)); they are drawn and evaluated once, at
-    the largest cap, and each cap's summary covers those with every
-    magnitude at most 2^(cap+1). For sigma3 the shell holds the cells
-    ``(2^a, 2^shell)`` with ``a <= shell``, which no cap restricts. The
-    summaries are small: no sample arrays.
+    lies in [2^shell, 2^(shell+1)) and whose magnitudes are at most
+    2^(cap_exp+1): it returns ``(x, ratio, top)``, the tuples, their ratios
+    and each tuple's largest magnitude. For sigma3 it holds the cells
+    ``(2^a, 2^shell)`` with ``a <= shell``, which no cap restricts: it
+    returns each cell's table row and argmax (:func:`_sigma3_cell`).
     """
     if n_samples < 1:
         raise ValueError(f"the bound audits need samples >= 1, got {n_samples}")
     kernels = EnergyMultipliers(mult, disp)
     if name == "sigma3":
         per_cell = max(256, n_samples // 36)
-        cells = [_sigma3_cell(kernels, 2.0 ** a, 2.0 ** shell, per_cell, seed)
-                 for a in range(shell + 1)]
-        return {cap: cells for cap in caps}
+        return [_sigma3_cell(kernels, 2.0 ** a, 2.0 ** shell, per_cell, seed)
+                for a in range(shell + 1)]
     width, _, ratio_fn = _TUPLE_BOUNDS[name]
-    x = _shell_tuples(seed, shell, max(caps), max(256, n_samples // 8), width)
-    ratio = ratio_fn(kernels, x)
-    top = np.max(np.abs(x), axis=1)
-    scale = np.floor(np.log2(top)).astype(int)
-    summaries = {}
-    for cap in caps:
-        sel = top <= 2.0 ** (cap + 1)
-        summaries[cap] = _tuple_summary(x[sel], ratio[sel], scale[sel])
-    return summaries
-
-
-def _fold(pieces, arg=None):
-    """Total samples, max ratio and argmax over ``(samples, max ratio,
-    argmax)`` pieces in order. A later piece takes over only with a strictly
-    larger ratio or the first NaN (``_exceeds``), so a tie resolves to the
-    first sample, as one argmax over the concatenated samples would."""
-    total, best = 0, -np.inf
-    for samples, ratio, where in pieces:
-        total += samples
-        if where is not None and _exceeds(ratio, best):
-            best, arg = ratio, where
-    return total, best, arg
+    x = _shell_tuples(seed, shell, cap_exp, max(256, n_samples // 8), width)
+    return x, ratio_fn(kernels, x), np.max(np.abs(x), axis=1)
 
 
 def bound_report(name, mult, shells, cap_exp, seed):
     """The ``BoundCheckReport`` of bound ``name`` at cap ``2^cap_exp``, from
-    the :func:`bound_shell` summaries ``shells`` of shells 0..cap_exp (in
-    shell order). Cells and shells are folded in the order one pass over the
-    whole sample set takes, so argmax ties resolve the same way."""
+    the :func:`bound_shell` samples ``shells`` of shells 0..cap_exp (in
+    shell order, drawn at any cap from ``cap_exp`` up). For sigma4 and m5 it
+    keeps the tuples with every magnitude at most 2^(cap_exp+1). One pass
+    over the samples in shell and cell order reduces them: the argmax is the
+    first largest ratio, or the first NaN (``_exceeds``). A report without
+    samples has ``max_ratio`` -inf and ``argmax`` None."""
+    extras = {"cap_exp": cap_exp, "threshold": mult.threshold}
     if name == "sigma3":
-        cells = [shells[int(np.log2(eta))][cap_exp][int(np.log2(lam))]
+        cells = [shells[int(np.log2(eta))][int(np.log2(lam))]
                  for lam, eta in _dyadic_cells(cap_exp)]
-        total, best, arg = _fold(((row["samples"], row["max_ratio"], where)
-                                  for row, where in cells), arg=(0.0, 0.0, 0.0))
+        total, best, arg = 0, -np.inf, None
+        for row, where in cells:
+            total += row["samples"]
+            if where is not None and _exceeds(row["max_ratio"], best):
+                best, arg = row["max_ratio"], where
         return BoundCheckReport(
             bound_name="sigma3_extension_derivatives", seed=seed,
             samples_evaluated=total, max_ratio=best, argmax=arg,
-            cell_table=[row for row, _ in cells],
-            extras={"cap_exp": cap_exp, "threshold": mult.threshold},
+            cell_table=[row for row, _ in cells], extras=extras,
         )
-    parts = [shell[cap_exp] for shell in shells]
-    total, best, arg = _fold(part[:3] for part in parts)
-    scales = {}
-    for *_, rows in parts:
-        for sc, samples, top in rows:
-            n, m = scales.get(sc, (0, -np.inf))
-            scales[sc] = (n + samples, top if _exceeds(top, m) else m)
+    xs, ratio, top = zip(*shells)
+    ratio, top = np.concatenate(ratio), np.concatenate(top)
+    kept = np.flatnonzero(top <= 2.0 ** (cap_exp + 1))
+    best, arg, table = -np.inf, None, []
+    if kept.size:
+        ratio = ratio[kept]
+        i = int(np.argmax(ratio))  # the first NaN, if any
+        # the argmax's row, read from its shell: the tuples are not copied
+        j, k = int(kept[i]), 0
+        while j >= len(xs[k]):
+            j, k = j - len(xs[k]), k + 1
+        best, arg = float(ratio[i]), tuple(float(v) for v in xs[k][j])
+        scale = np.floor(np.log2(top[kept])).astype(int)
+        counts = np.bincount(scale)
+        peaks = np.full(counts.size, -np.inf)
+        with np.errstate(invalid="ignore"):  # a NaN ratio is its scale's maximum
+            np.maximum.at(peaks, scale, ratio)
+        table = [{"scale_exp": int(sc), "samples": int(counts[sc]),
+                  "max_ratio": float(peaks[sc])} for sc in np.flatnonzero(counts)]
     return BoundCheckReport(
         bound_name=_TUPLE_BOUNDS[name][1], seed=seed,
-        samples_evaluated=total, max_ratio=best, argmax=arg,
-        cell_table=[{"scale_exp": sc, "samples": n, "max_ratio": m}
-                    for sc, (n, m) in sorted(scales.items())],
-        extras={"cap_exp": cap_exp, "threshold": mult.threshold},
+        samples_evaluated=int(kept.size), max_ratio=best, argmax=arg,
+        cell_table=table, extras=extras,
     )
 
 
 def _bound_audit(name, mult, disp, cap_exp, n_samples, seed):
-    shells = [bound_shell(name, mult, disp, e, (cap_exp,), n_samples, seed)
+    shells = [bound_shell(name, mult, disp, e, cap_exp, n_samples, seed)
               for e in range(cap_exp + 1)]
     return bound_report(name, mult, shells, cap_exp, seed)
 

@@ -290,13 +290,13 @@ def _cmd_verify_bounds(cfg, seed, workers):
         raise ValueError(f"N = {cfg['N']!r} and cap_hi = {cfg['cap_hi']} put the bound "
                          f"audits' right-hand side m^2(T) / (N + T)^8 at T = 2^(cap_hi + 1) "
                          f"at {float(rhs):.3g}, outside float64's normal range")
-    # one unit per (bound, dyadic shell), evaluated once for every cap that
-    # holds the shell; heaviest first: an m5 shell costs several times a
-    # sigma3 or sigma4 shell, and higher shells keep more tuples above N
+    # one unit per (bound, dyadic shell), drawn at cap_hi and evaluated once;
+    # it returns the shell's samples, which bound_report restricts to each
+    # cap. Heaviest first: an m5 shell costs several times a sigma3 or
+    # sigma4 shell, and higher shells keep more tuples above N
     units = sorted(
-        ((name, mult, disp, shell, tuple(c for c in caps if c >= shell),
-          cfg["samples"], seed)
-         for shell in range(max(caps) + 1) for name in BOUNDS),
+        ((name, mult, disp, shell, cfg["cap_hi"], cfg["samples"], seed)
+         for shell in range(cfg["cap_hi"] + 1) for name in BOUNDS),
         key=lambda u: (u[0] != "m5", -u[3]))
     work = cfg["samples"] * (cfg["cap_hi"] + 1) * _MS_PER_BOUND_SAMPLE
     parts = _parallel_map(_bounds_unit, units, workers, work)

@@ -106,11 +106,6 @@ class FrequencyBoxDatum:
     amplitude: float
     hs_norm: float
 
-    def profile(self, xi):
-        xi = np.asarray(xi, dtype=np.float64)
-        inside = np.abs(np.abs(xi) - self.N) < self.r
-        return np.where(inside, self.amplitude, 0.0)
-
 
 @lru_cache(maxsize=32)
 def _legendre(n):

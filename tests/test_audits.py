@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from kawalab.audits import (
     sigma3_extension,
     sigma4_bound_audit,
 )
+from kawalab import cli
 from kawalab.cli import main
 from kawalab.dispersion import omega, phasor
 from kawalab.io import _jsonify
@@ -159,7 +161,7 @@ def reference_sigma3_bound_audit(mult, disp, cap_exp, n_samples, seed):
     cells = _dyadic_cells(cap_exp)
     per_cell = max(256, n_samples // 36)
     best = -np.inf
-    arg = (0.0, 0.0, 0.0)
+    arg = None
     table = []
     total = 0
     for lam, eta in cells:
@@ -459,7 +461,7 @@ class TestBoundAudits:
         rel = np.abs(ext - direct) / np.maximum(np.abs(direct), 1e-300)
         assert np.max(rel[np.abs(direct) > 0]) <= 1e-10
 
-    @pytest.mark.parametrize("cap", [3, 6])
+    @pytest.mark.parametrize("cap", [0, 3, 6])
     def test_sigma3_audit_matches_reference_loop(self, cap):
         new = sigma3_bound_audit(self.M, self.D, cap, 4000, 17)
         ref = reference_sigma3_bound_audit(self.M, self.D, cap, 4000, 17)
@@ -608,12 +610,41 @@ class TestBoundAudits:
                     for e in range(4)]
             assert max(tops) > 2.0 ** 4
 
+    def test_empty_reports_name_no_point(self, tmp_path):
+        # cell (1, 1) keeps no sample: |x1 + x2| cannot lie in [1, 2)
+        out = tmp_path / "bounds"
+        assert main(["--seed", "1", "--out", str(out), "verify-bounds",
+                     "--cap_lo", "0", "--cap_hi", "1", "--samples", "256"]) == 1
+        empty = json.loads((out / "bounds.json").read_text())["reports"]["sigma3_cap0"]
+        assert empty["samples_evaluated"] == 0
+        assert empty["max_ratio"] is None and empty["argmax"] is None
+        # a tuple report whose shells keep no rows
+        x, ratio, top = audits.bound_shell("m5", self.M, self.D, 0, 0, 256, 1)
+        rep = audits.bound_report("m5", self.M, [(x[:0], ratio[:0], top[:0])], 0, 1)
+        assert rep.samples_evaluated == 0 and rep.cell_table == []
+        assert _jsonify(rep.as_dict())["max_ratio"] is None
+        assert rep.as_dict()["argmax"] is None
+
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_sharded_cli_equals_standalone_audits(self, tmp_path, workers):
+    def test_sharded_cli_equals_standalone_audits(self, tmp_path, monkeypatch, workers):
+        if workers == "2":
+            # open the work gate, which this size is below, so a pool forks
+            monkeypatch.setattr(cli, "_FORK_MIN_WORK", 0.0)
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        inner = cli.bound_shell
+
+        def recorded(*unit):
+            (pids / str(os.getpid())).touch()
+            return inner(*unit)
+
+        monkeypatch.setattr(cli, "bound_shell", recorded)
         out = tmp_path / "bounds"
         assert main(["--seed", "9", "--workers", workers, "--no-gate", "--out", str(out),
                      "verify-bounds", "--samples", "4000",
                      "--cap_lo", "3", "--cap_hi", "5"]) == 0
+        forked = {int(p.name) for p in pids.iterdir()} - {os.getpid()}
+        assert len(forked) == int(workers) - 1
         reports = json.loads((out / "bounds.json").read_text())["reports"]
         assert set(reports) == {f"{name}_cap{cap}" for name in ("sigma3", "sigma4", "m5")
                                 for cap in (3, 5)}

@@ -76,13 +76,6 @@ class TestDatum:
         # s = 0: the <xi> correction is O(N^-2)
         assert datum.hs_norm == pytest.approx(1.0, rel=1e-4)
 
-    def test_profile_support(self):
-        datum = build_datum(self.CFG, 128.0)
-        xi = np.array([128.0, 128.0 + 2 * datum.r, -128.0, 5.0])
-        vals = datum.profile(xi)
-        assert vals[0] == datum.amplitude and vals[2] == datum.amplitude
-        assert vals[1] == 0.0 and vals[3] == 0.0
-
 
 class TestIterates:
     CFG = IllposedConfig(n_list=(128, 256))
