@@ -28,7 +28,7 @@ __all__ = [
     "sigma3_bound_audit",
     "sigma4_bound_audit",
     "m5_bound_audit",
-    "bound_shell",
+    "bound_shells",
     "bound_report",
 ]
 
@@ -54,6 +54,9 @@ _QR_PAIRS = ((6.0, 6.0), (8.0, 4.0), (np.inf, 2.0))
 # the sigma4 and m5 bound audits leave out tuples with a pair sum below this
 # share of their largest magnitude
 _SINGULAR_GUARD = 1e-3
+# the bound audits evaluate their samples in blocks of at most this many
+# points, which bounds the kernels' temporaries at any sample budget
+_BOUND_BLOCK = 1 << 14
 
 
 @dataclass
@@ -567,12 +570,10 @@ def _dyadic_cells(cap_exp):
     return cells
 
 
-def _sigma3_cell(kernels, lam, eta, per_cell, seed):
-    """One dyadic cell ``(lam, eta)`` of the sigma3 audit: its table row and
-    the argmax of its largest ratio (None for a cell that keeps no sample).
-    The cell draws from its own seed substream with a cap-independent
-    budget; all ten derivative rows of its samples come from one
-    ``_sigma3_jet`` call."""
+def _sigma3_draw(kernels, lam, eta, per_cell, seed):
+    """The kept samples ``(x1, x2, x3)`` of dyadic cell ``(lam, eta)`` of the
+    sigma3 audit, drawn from the cell's own seed substream with a
+    cap-independent budget (a cell may keep none)."""
     rng = np.random.default_rng([seed, int(np.log2(lam)), int(np.log2(eta))])
     x1 = rng.uniform(lam, 2 * lam, per_cell) * rng.choice([-1.0, 1.0], per_cell)
     x2 = rng.uniform(eta, 2 * eta, per_cell) * rng.choice([-1.0, 1.0], per_cell)
@@ -581,24 +582,30 @@ def _sigma3_cell(kernels, lam, eta, per_cell, seed):
     # keep clear of the low-frequency resonance sphere
     squares = x1 ** 2 + x2 ** 2 + x3 ** 2
     keep &= np.abs(squares - 1.2 * kernels.disp.mu) > 0.1 * eta ** 2
-    if not np.any(keep):
+    return x1[keep], x2[keep], x3[keep]
+
+
+def _sigma3_cell(kernels, lam, eta, x, ratio):
+    """One dyadic cell ``(lam, eta)`` of the sigma3 audit: its table row and
+    the argmax of its largest ratio (None for a cell that keeps no sample),
+    from its samples ``x`` and the magnitudes ``ratio`` of their ten
+    ``_sigma3_jet`` rows, which it divides in place by each row's
+    right-hand side."""
+    if not x[0].size:
         return {"lam": lam, "eta": eta, "samples": 0, "max_ratio": float("nan")}, None
-    x1, x2, x3 = x1[keep], x2[keep], x3[keep]
-    cell_best = -np.inf
-    arg = None
     m2lam = kernels.mult.m2(lam)
-    for beta, d in zip(_BETA_ORDERS, _sigma3_jet(kernels, x1, x2, x3)):
-        dv = np.abs(d)
-        rhs = (
+    for beta, row in zip(_BETA_ORDERS, ratio):
+        row /= (
             m2lam * eta ** -4.0 * lam ** -float(beta[0])
             * eta ** -float(beta[1] + beta[2])
         )
-        ratio = dv / rhs
-        i = int(np.argmax(ratio))  # the first NaN, if any
-        if _exceeds(ratio[i], cell_best):
-            cell_best = float(ratio[i])
-            arg = (float(x1[i]), float(x2[i]), float(x3[i]))
-    return {"lam": lam, "eta": eta, "samples": int(x1.size), "max_ratio": cell_best}, arg
+    cell_best = -np.inf
+    arg = None
+    for row, i in zip(ratio, np.argmax(ratio, axis=1)):  # the first NaN, if any
+        if _exceeds(row[i], cell_best):
+            cell_best = float(row[i])
+            arg = tuple(float(v[i]) for v in x)
+    return {"lam": lam, "eta": eta, "samples": int(x[0].size), "max_ratio": cell_best}, arg
 
 
 def _shell_tuples(seed, top_exp, cap_exp, per_shell, width):
@@ -687,35 +694,62 @@ _TUPLE_BOUNDS = {
 }
 
 
-def bound_shell(name, mult, disp, shell, cap_exp, n_samples, seed):
-    """The samples of dyadic shell ``shell`` of bound ``name``
-    (``"sigma3"``, ``"sigma4"`` or ``"m5"``), drawn at cap exponent
-    ``cap_exp`` (at least ``shell``) and evaluated once; :func:`bound_report`
-    reduces shells 0..cap into the report at any cap up to ``cap_exp``.
+def bound_shells(name, mult, disp, shells, cap_exp, n_samples, seed):
+    """The samples of the dyadic shells ``shells`` (a nonempty sequence) of
+    bound ``name`` (``"sigma3"``, ``"sigma4"`` or ``"m5"``), drawn at cap
+    exponent ``cap_exp`` (at least every listed shell), one entry per shell
+    in the listed order; :func:`bound_report` reduces shells 0..cap into the
+    report at any cap up to ``cap_exp``.
 
-    For sigma4 and m5 the shell holds the tuples whose pinned coordinate
-    lies in [2^shell, 2^(shell+1)) and whose magnitudes are at most
-    2^(cap_exp+1): it returns ``(x, ratio, top)``, the tuples, their ratios
-    and each tuple's largest magnitude. For sigma3 it holds the cells
-    ``(2^a, 2^shell)`` with ``a <= shell``, which no cap restricts: it
-    returns each cell's table row and argmax (:func:`_sigma3_cell`).
+    For sigma4 and m5 a shell holds the tuples whose pinned coordinate lies
+    in [2^shell, 2^(shell+1)) and whose magnitudes are at most
+    2^(cap_exp+1): its entry is ``(x, ratio, top)``, the tuples, their
+    ratios and each tuple's largest magnitude. For sigma3 it holds the cells
+    ``(2^a, 2^shell)`` with ``a <= shell``, which no cap restricts: its entry
+    lists each cell's table row and argmax (:func:`_sigma3_cell`).
+
+    Every shell and cell draws from its own seed substream. The draws of all
+    listed shells are concatenated and evaluated in blocks of at most
+    ``_BOUND_BLOCK`` points: one ``ratio_fn`` (sigma4, m5) or
+    ``_sigma3_jet`` (sigma3) call per block. The kernels are elementwise, so
+    every sample's ratio has the same bits for any grouping of the shells.
     """
     if n_samples < 1:
         raise ValueError(f"the bound audits need samples >= 1, got {n_samples}")
     kernels = EnergyMultipliers(mult, disp)
     if name == "sigma3":
         per_cell = max(256, n_samples // 36)
-        return [_sigma3_cell(kernels, 2.0 ** a, 2.0 ** shell, per_cell, seed)
-                for a in range(shell + 1)]
+        cells = [(2.0 ** a, 2.0 ** e) for e in shells for a in range(e + 1)]
+        draws = [_sigma3_draw(kernels, lam, eta, per_cell, seed) for lam, eta in cells]
+        x = [np.concatenate(v) for v in zip(*draws)]
+        ratio = np.empty((len(_BETA_ORDERS), x[0].size))
+        for lo in range(0, x[0].size, _BOUND_BLOCK):
+            block = slice(lo, lo + _BOUND_BLOCK)
+            for row, d in zip(ratio, _sigma3_jet(kernels, *(v[block] for v in x))):
+                np.abs(d, out=row[block])
+        cuts = np.cumsum([d[0].size for d in draws])[:-1]
+        rows = iter([_sigma3_cell(kernels, lam, eta, xc, rc) for (lam, eta), xc, rc in
+                     zip(cells, zip(*(np.split(v, cuts) for v in x)),
+                         np.split(ratio, cuts, axis=1))])
+        return [[next(rows) for _ in range(e + 1)] for e in shells]
     width, _, ratio_fn = _TUPLE_BOUNDS[name]
-    x = _shell_tuples(seed, shell, cap_exp, max(256, n_samples // 8), width)
-    return x, ratio_fn(kernels, x), np.max(np.abs(x), axis=1)
+    per_shell = max(256, n_samples // 8)
+    xs = [_shell_tuples(seed, e, cap_exp, per_shell, width) for e in shells]
+    cuts = np.cumsum([len(v) for v in xs])[:-1]
+    x = np.concatenate(xs)
+    ratio = np.empty(len(x))
+    for lo in range(0, len(x), _BOUND_BLOCK):
+        block = slice(lo, lo + _BOUND_BLOCK)
+        ratio[block] = ratio_fn(kernels, x[block])
+    top = np.max(np.abs(x), axis=1)
+    return list(zip(np.split(x, cuts), np.split(ratio, cuts), np.split(top, cuts)))
 
 
 def bound_report(name, mult, shells, cap_exp, seed):
     """The ``BoundCheckReport`` of bound ``name`` at cap ``2^cap_exp``, from
-    the :func:`bound_shell` samples ``shells`` of shells 0..cap_exp (in
-    shell order, drawn at any cap from ``cap_exp`` up). For sigma4 and m5 it
+    the :func:`bound_shells` entries ``shells`` of shells 0..cap_exp (in
+    shell order, drawn at any cap from ``cap_exp`` up, by one call or by
+    several over any grouping of the shells). For sigma4 and m5 it
     keeps the tuples with every magnitude at most 2^(cap_exp+1). One pass
     over the samples in shell and cell order reduces them: the argmax is the
     first largest ratio, or the first NaN (``_exceeds``). A report without
@@ -761,8 +795,7 @@ def bound_report(name, mult, shells, cap_exp, seed):
 
 
 def _bound_audit(name, mult, disp, cap_exp, n_samples, seed):
-    shells = [bound_shell(name, mult, disp, e, cap_exp, n_samples, seed)
-              for e in range(cap_exp + 1)]
+    shells = bound_shells(name, mult, disp, range(cap_exp + 1), cap_exp, n_samples, seed)
     return bound_report(name, mult, shells, cap_exp, seed)
 
 

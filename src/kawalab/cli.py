@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import io as kio
-from .audits import (KnappConfig, _log2_slopes, bound_report, bound_shell,
+from .audits import (KnappConfig, _log2_slopes, bound_report, bound_shells,
                      knapp_sharpness, linear_estimate_audit, resonance_size_audit)
 from .dispersion import DispersionParams, resonance
 from .dyadic import eta0, eta_k
@@ -138,15 +138,24 @@ _MS_PER_STRICHARTZ_POINT = 1.15e-5  # strichartz: trials x n x n_times x shells
 _FORK_MIN_WORK = 100.0
 
 
+def _processes(workers, n_units, work):
+    """How many processes ``_parallel_map`` runs ``n_units`` units on, given
+    at most ``workers`` and the map's estimated single-process time ``work``
+    in milliseconds: 1 below ``_FORK_MIN_WORK``, else min(workers, n_units),
+    and never less than 1."""
+    return max(1, min(workers, n_units)) if work >= _FORK_MIN_WORK else 1
+
+
 def _parallel_map(fn, units, workers, work):
     """``[fn(u) for u in units]`` on at most ``workers`` processes. ``work``
     is the map's estimated single-process time in milliseconds: below
     ``_FORK_MIN_WORK`` the parent runs every unit itself and builds no pool.
-    Otherwise K = min(workers, len(units)) processes share the units: the
-    parent runs ``units[::K]`` itself while a pool of K - 1 forked workers
-    runs the rest. Either way the results come back in unit order."""
-    k = min(workers, len(units)) if work >= _FORK_MIN_WORK else 1
-    if k <= 1:
+    Otherwise K = ``_processes(workers, len(units), work)`` processes share
+    the units: the parent runs ``units[::K]`` itself while a pool of K - 1
+    forked workers runs the rest. Either way the results come back in unit
+    order."""
+    k = _processes(workers, len(units), work)
+    if k == 1:
         return [fn(u) for u in units]
     with ProcessPoolExecutor(max_workers=k - 1) as pool:
         # map submits every unit before the parent starts on its own share
@@ -272,8 +281,14 @@ BOUNDS_DEFAULTS = {
 BOUNDS = ("sigma3", "sigma4", "m5")
 
 
+def _text_ratio(value):
+    """A report's ``max_ratio`` as ``bounds.txt`` writes it: ``null`` where
+    ``bounds.json`` writes a non-finite value as ``null``."""
+    return f"{value:.6g}" if np.isfinite(value) else "null"
+
+
 def _bounds_unit(unit):
-    return bound_shell(*unit)
+    return bound_shells(*unit)
 
 
 def _cmd_verify_bounds(cfg, seed, workers):
@@ -290,17 +305,20 @@ def _cmd_verify_bounds(cfg, seed, workers):
         raise ValueError(f"N = {cfg['N']!r} and cap_hi = {cfg['cap_hi']} put the bound "
                          f"audits' right-hand side m^2(T) / (N + T)^8 at T = 2^(cap_hi + 1) "
                          f"at {float(rhs):.3g}, outside float64's normal range")
-    # one unit per (bound, dyadic shell), drawn at cap_hi and evaluated once;
-    # it returns the shell's samples, which bound_report restricts to each
-    # cap. Heaviest first: an m5 shell costs several times a sigma3 or
-    # sigma4 shell, and higher shells keep more tuples above N
-    units = sorted(
-        ((name, mult, disp, shell, cfg["cap_hi"], cfg["samples"], seed)
-         for shell in range(cfg["cap_hi"] + 1) for name in BOUNDS),
-        key=lambda u: (u[0] != "m5", -u[3]))
-    work = cfg["samples"] * (cfg["cap_hi"] + 1) * _MS_PER_BOUND_SAMPLE
+    # one unit per (bound, group of dyadic shells), drawn at cap_hi and
+    # evaluated once; it returns its shells' samples, which bound_report
+    # restricts to each cap. Each bound's shells 0..cap_hi are dealt to as
+    # many groups as the map runs processes, shells e = j (mod k) to group
+    # j, so the parent, which runs units[::k], takes group 0 of every
+    # bound. m5 first: its shells cost several times a sigma3 or sigma4 one
+    shells_hi = cfg["cap_hi"] + 1
+    work = cfg["samples"] * shells_hi * _MS_PER_BOUND_SAMPLE
+    k = _processes(workers, shells_hi, work)
+    units = [(name, mult, disp, range(j, shells_hi, k), cfg["cap_hi"], cfg["samples"], seed)
+             for name in ("m5", "sigma3", "sigma4") for j in range(k)]
     parts = _parallel_map(_bounds_unit, units, workers, work)
-    shells = {(u[0], u[3]): part for u, part in zip(units, parts)}
+    shells = {(u[0], e): shell for u, part in zip(units, parts)
+              for e, shell in zip(u[3], part)}
     reports = {
         (name, cap): bound_report(name, mult, [shells[name, e] for e in range(cap + 1)],
                                   cap, seed).as_dict()
@@ -317,7 +335,7 @@ def _cmd_verify_bounds(cfg, seed, workers):
     lines = [
         f"{r['bound_name']:34s} cap=2^{cap} "
         f"samples={r['samples_evaluated']:8d} "
-        f"max_ratio={r['max_ratio']:.6g} seed={r['seed']}"
+        f"max_ratio={_text_ratio(r['max_ratio'])} seed={r['seed']}"
         for (_, cap), r in reports.items()
     ]
     return {

@@ -516,7 +516,8 @@ class TestBoundAudits:
                   for seed in (1, 3, 11, 77, 112) for cap in (6, 7)]
         assert max(ratios) < 1.1 * min(ratios)
 
-    def test_sigma3_audit_one_extension_call_per_cell(self, monkeypatch):
+    @pytest.mark.parametrize("block", [None, 500])
+    def test_sigma3_audit_one_extension_call_per_block(self, monkeypatch, block):
         calls = []
         inner = audits._sigma3_jet
 
@@ -525,11 +526,13 @@ class TestBoundAudits:
             return inner(kernels, x1, x2, x3)
 
         monkeypatch.setattr(audits, "_sigma3_jet", counted)
+        if block is not None:
+            monkeypatch.setattr(audits, "_BOUND_BLOCK", block)
         rep = sigma3_bound_audit(self.M, self.D, 4, 4000, 3)
-        # the cells are evaluated shell by shell: (lam, eta) in eta-major order
-        by_shell = sorted(rep.cell_table, key=lambda row: (row["eta"], row["lam"]))
-        kept = [row["samples"] for row in by_shell if row["samples"] > 0]
-        assert calls == kept
+        # every cell's samples, in one run of blocks of at most _BOUND_BLOCK
+        total = sum(row["samples"] for row in rep.cell_table)
+        full, rest = divmod(total, audits._BOUND_BLOCK)
+        assert calls == [audits._BOUND_BLOCK] * full + [rest] * (rest > 0)
 
     def test_low_shells_give_zero_ratio(self):
         # every frequency and pair sum below threshold: lhs identically 0
@@ -587,8 +590,9 @@ class TestBoundAudits:
         rows = [row for row in rep.as_dict()["cell_table"] if row["samples"]]
         assert any(np.isnan(row["max_ratio"]) for row in rows)
         if name != "sigma3":
-            # the first NaN over the shells, in shell order
-            x = audits._shell_tuples(5, 0, 3, 500, 4 if name == "sigma4" else 5)
+            # the one NaN of the one kernel call over shells 0..3, in shell order
+            x = np.concatenate([audits._shell_tuples(5, e, 3, 500, 4 if name == "sigma4" else 5)
+                                for e in range(4)])
             assert rep.argmax == tuple(x[len(x) // 2])
 
     def test_nan_ratio_fails_cli_gate_with_artifacts(self, tmp_path, monkeypatch):
@@ -619,11 +623,71 @@ class TestBoundAudits:
         assert empty["samples_evaluated"] == 0
         assert empty["max_ratio"] is None and empty["argmax"] is None
         # a tuple report whose shells keep no rows
-        x, ratio, top = audits.bound_shell("m5", self.M, self.D, 0, 0, 256, 1)
+        [(x, ratio, top)] = audits.bound_shells("m5", self.M, self.D, [0], 0, 256, 1)
         rep = audits.bound_report("m5", self.M, [(x[:0], ratio[:0], top[:0])], 0, 1)
         assert rep.samples_evaluated == 0 and rep.cell_table == []
         assert _jsonify(rep.as_dict())["max_ratio"] is None
         assert rep.as_dict()["argmax"] is None
+
+    @staticmethod
+    def same_bits(a, b):
+        """``a`` and ``b`` hold the same float64 bits, any NaN matching any NaN."""
+        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        nan = np.isnan(a)
+        return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+                and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+    @pytest.mark.parametrize("poisoned", [False, True], ids=["plain", "poisoned"])
+    @pytest.mark.parametrize("name", ["sigma3", "sigma4", "m5"])
+    def test_bound_shells_equal_one_shell_at_a_time(self, monkeypatch, name, poisoned):
+        # one kernel call per shell, against blocks of 300 points across
+        # shells 0, 2 and 3; sigma3's shell 0 is its diagonal cell (1, 1)
+        shells, cap, n, seed, block = [0, 2, 3], 3, 4000, 7, 300
+        alone = [audits.bound_shells(name, self.M, self.D, [e], cap, n, seed)[0]
+                 for e in shells]
+        monkeypatch.setattr(audits, "_BOUND_BLOCK", block)
+        if poisoned:
+            self.poison(monkeypatch, name)
+        batched = audits.bound_shells(name, self.M, self.D, shells, cap, n, seed)
+        assert len(batched) == len(shells)
+        if name == "sigma3":
+            sizes = [row["samples"] for shell in alone for row, _ in shell]
+            assert sizes.count(0) == 3  # the diagonal cells (1, 1), (4, 4), (8, 8)
+        else:
+            sizes = [len(x) for x, _, _ in alone]
+        edges = np.cumsum([0] + sizes)
+        total = int(edges[-1])
+        # a block edge falls strictly inside a shell's samples
+        assert any(np.any((edges[:-1] < lo) & (lo < edges[1:])) for lo in range(block, total, block))
+        # the poison sets each block's middle point to NaN
+        nans = [lo + (min(lo + block, total) - lo) // 2 for lo in range(0, total, block)]
+        if name != "sigma3":
+            ratio = np.concatenate([r for _, r, _ in alone])
+            if poisoned:
+                ratio[nans] = np.nan
+            ratios = np.split(ratio, edges[1:-1])
+            for (x, r, top), (xw, _, topw), rw in zip(batched, alone, ratios):
+                assert self.same_bits(x, xw) and self.same_bits(top, topw)
+                assert self.same_bits(r, rw)
+            return
+        want = [(row, arg) for shell in alone for row, arg in shell]
+        cells = [(row["lam"], row["eta"]) for row, _ in want]
+        if poisoned:
+            kernels = EnergyMultipliers(self.M, self.D)
+            for i in nans[::-1]:  # the first NaN of a cell is its argmax
+                c = int(np.searchsorted(edges, i, side="right")) - 1
+                x = audits._sigma3_draw(kernels, *cells[c], 256, seed)
+                want[c] = ({**want[c][0], "max_ratio": np.nan},
+                           tuple(float(v[i - edges[c]]) for v in x))
+        got = [(row, arg) for shell in batched for row, arg in shell]
+        assert [len(shell) for shell in batched] == [e + 1 for e in shells]
+        assert len(got) == len(want)
+        for (row, arg), (row_w, arg_w) in zip(got, want):
+            assert {k: v for k, v in row.items() if k != "max_ratio"} == \
+                {k: v for k, v in row_w.items() if k != "max_ratio"}
+            assert self.same_bits(row["max_ratio"], row_w["max_ratio"])
+            assert (arg is None) == (arg_w is None)
+            assert arg is None or self.same_bits(arg, arg_w)
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_sharded_cli_equals_standalone_audits(self, tmp_path, monkeypatch, workers):
@@ -632,13 +696,13 @@ class TestBoundAudits:
             monkeypatch.setattr(cli, "_FORK_MIN_WORK", 0.0)
         pids = tmp_path / "pids"
         pids.mkdir()
-        inner = cli.bound_shell
+        inner = cli.bound_shells
 
         def recorded(*unit):
             (pids / str(os.getpid())).touch()
             return inner(*unit)
 
-        monkeypatch.setattr(cli, "bound_shell", recorded)
+        monkeypatch.setattr(cli, "bound_shells", recorded)
         out = tmp_path / "bounds"
         assert main(["--seed", "9", "--workers", workers, "--no-gate", "--out", str(out),
                      "verify-bounds", "--samples", "4000",

@@ -460,6 +460,29 @@ class TestParallelMap:
               command] + args)
         assert _RecordingPool.sizes == sizes
 
+    @pytest.mark.parametrize("workers, samples, k", [
+        (1, 40000, 1), (2, 20000, 1), (2, 40000, 2), (3, 40000, 3),
+    ])
+    def test_verify_bounds_deals_shells_to_processes(self, tmp_path, monkeypatch,
+                                                     workers, samples, k):
+        # one unit per (bound, group of shells): shells e = j (mod K) make up
+        # group j, K the processes the map runs (1 below the work gate)
+        seen = []
+        inner = cli._parallel_map
+
+        def recorded(fn, units, workers, work):
+            seen.append([(u[0], list(u[3])) for u in units])
+            return inner(fn, units, workers, work)
+
+        monkeypatch.setattr(cli, "_parallel_map", recorded)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        main(["--seed", "112", "--workers", str(workers), "--no-gate", "--out",
+              str(tmp_path), "verify-bounds", "--samples", str(samples)])
+        assert seen == [[(name, list(range(j, 8, k)))
+                         for name in ("m5", "sigma3", "sigma4") for j in range(k)]]
+        assert _RecordingPool.sizes == ([k - 1] if k > 1 else [])
+
 
 class TestPhaseRange:
     """Where each caller's ``|w t|`` falls against ``PHASE_EXACT_RANGE``,
