@@ -615,7 +615,8 @@ def _shell_tuples(seed, top_exp, cap_exp, per_shell, width):
     tuples stay clear of the vanishing pair-sum band (that set belongs to
     the lattice limit policy, not to the region bound). The draws do not
     depend on the cap, so a lower cap keeps a subset of a higher cap's
-    tuples, in the same order."""
+    tuples, in the same order. Returns the kept tuples and each one's
+    largest magnitude."""
     free = width - 1
     rng = np.random.default_rng([seed, top_exp])
     e = rng.uniform(0.0, top_exp + 1.0, (per_shell, free))
@@ -635,7 +636,7 @@ def _shell_tuples(seed, top_exp, cap_exp, per_shell, width):
     for a in range(width):
         for b in range(a + 1, width):
             keep &= np.abs(x[:, a] + x[:, b]) > _SINGULAR_GUARD * top
-    return x[keep]
+    return x[keep], top[keep]
 
 
 # compare-exchange steps of the optimal sorting networks on 3 and 4 items
@@ -734,15 +735,14 @@ def bound_shells(name, mult, disp, shells, cap_exp, n_samples, seed):
         return [[next(rows) for _ in range(e + 1)] for e in shells]
     width, _, ratio_fn = _TUPLE_BOUNDS[name]
     per_shell = max(256, n_samples // 8)
-    xs = [_shell_tuples(seed, e, cap_exp, per_shell, width) for e in shells]
+    xs, tops = zip(*[_shell_tuples(seed, e, cap_exp, per_shell, width) for e in shells])
     cuts = np.cumsum([len(v) for v in xs])[:-1]
     x = np.concatenate(xs)
     ratio = np.empty(len(x))
     for lo in range(0, len(x), _BOUND_BLOCK):
         block = slice(lo, lo + _BOUND_BLOCK)
         ratio[block] = ratio_fn(kernels, x[block])
-    top = np.max(np.abs(x), axis=1)
-    return list(zip(np.split(x, cuts), np.split(ratio, cuts), np.split(top, cuts)))
+    return list(zip(xs, np.split(ratio, cuts), tops))
 
 
 def bound_report(name, mult, shells, cap_exp, seed):

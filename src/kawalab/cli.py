@@ -131,7 +131,7 @@ def parse_config(command, defaults, file_path=None, flag_values=None, sections=N
 # size proxy (1 BLAS thread, 2-core Xeon, numpy 2.4.6; CHANGES.md has the
 # break-even table they come from).
 _MS_PER_BOUND_SAMPLE = 0.45e-3  # verify-bounds: samples x (cap_hi + 1)
-_MS_PER_ILLPOSED_NODE = 1.7e-3  # illposed: N values x out_points x quad_points^2
+_MS_PER_ILLPOSED_NODE = 1.05e-3  # illposed: N values x out_points x quad_points^2
 _MS_PER_STRICHARTZ_POINT = 1.15e-5  # strichartz: trials x n x n_times x shells
 # A pool's fork, pickling and hand-offs cost more than a second process
 # saves on maps estimated below this many milliseconds.

@@ -1,5 +1,6 @@
 """Dispersion relation ``omega(xi) = mu*xi^3 - xi^5`` and the free flow."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,32 +65,48 @@ def _split(a):
     return hi, a - hi
 
 
-def phasor(w, t):
-    """``exp(i w t)``, ``t`` a scalar or a column, in float64 only.
+def _exact_scale(t):
+    """Whether ``t`` is a 0-d ``+-2**j`` with -2 <= j <= 995: then ``w t``
+    and every partial product of Dekker's two-product are exact (in the
+    subnormal range too), so the product's error term is exactly +0."""
+    if t.ndim:
+        return False
+    mant, exp = math.frexp(float(t))
+    return abs(mant) == 0.5 and -1 <= exp <= 996
+
+
+def _reduced_phase(w, t):
+    """``w t`` reduced modulo 2 pi in float64, broadcast over ``w`` and ``t``.
 
     ``p = w t`` and its rounding error ``e`` come from Dekker's exact two-
     product; ``k = rint(p / 2 pi)`` is removed against a three-part
-    Cody-Waite split of 2 pi, and ``cos`` and ``sin`` of the reduced phase
-    fill one complex array. For ``|w t| < PHASE_EXACT_RANGE`` (8.43e8) the
-    reduced phase errs by a few ulp of pi (the phasor by under 1e-15);
-    above it ``k * _P1`` rounds, and the error grows like that of a plain
-    double product, ``~1.1e-16 |w t|``. Every step is odd, so
-    ``phasor(-w, t)`` and ``phasor(w, -t)`` are bit for bit the conjugate
-    of ``phasor(w, t)``."""
+    Cody-Waite split of 2 pi, giving ``((p - k _P1) - k _P2) + (e - k _P3)``.
+    For ``|w t| < PHASE_EXACT_RANGE`` (8.43e8) that errs by a few ulp of
+    pi; above it ``k * _P1`` rounds, and the error grows like that of a
+    plain double product, ``~1.1e-16 |w t|``. Every step is odd in ``w``
+    and in ``t``.
+
+    A 0-d ``t`` that passes :func:`_exact_scale` (illposed's ``t/2 = 0.25``)
+    skips the two-product and takes ``e = +0``: the result has the same
+    bits, signed zeros included, wherever Dekker's split of ``w`` does not
+    overflow (``|w| < 1.3e300``; beyond it the general path reads NaN)."""
     w = np.asarray(w, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    wh, wl = _split(w)
-    th, tl = _split(t)
     p = np.multiply(w, t)
-    e = np.multiply(wh, th)
-    e -= p
     tmp = np.empty_like(p)
-    np.multiply(wh, tl, out=tmp)
-    e += tmp
-    np.multiply(wl, th, out=tmp)
-    e += tmp
-    np.multiply(wl, tl, out=tmp)
-    e += tmp
+    if _exact_scale(t):
+        e = np.zeros_like(p)
+    else:
+        wh, wl = _split(w)
+        th, tl = _split(t)
+        e = np.multiply(wh, th)
+        e -= p
+        np.multiply(wh, tl, out=tmp)
+        e += tmp
+        np.multiply(wl, th, out=tmp)
+        e += tmp
+        np.multiply(wl, tl, out=tmp)
+        e += tmp
     k = p / (2 * np.pi)
     np.rint(k, out=k)
     np.multiply(k, _P1, out=tmp)
@@ -99,7 +116,18 @@ def phasor(w, t):
     np.multiply(k, _P3, out=tmp)
     e -= tmp
     p += e
-    del e, k, tmp
+    return p
+
+
+def phasor(w, t):
+    """``exp(i w t)``, ``t`` a scalar or a column, in float64 only.
+
+    ``cos`` and ``sin`` of :func:`_reduced_phase` fill one complex array.
+    For ``|w t| < PHASE_EXACT_RANGE`` (8.43e8) the phasor errs by under
+    1e-15; above it by ``~1.1e-16 |w t|``. Every step is odd, so
+    ``phasor(-w, t)`` and ``phasor(w, -t)`` are bit for bit the conjugate
+    of ``phasor(w, t)``."""
+    p = _reduced_phase(w, t)
     out = np.empty(p.shape, dtype=np.complex128)
     np.cos(p, out=out.real)
     np.sin(p, out=out.imag)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dispersion import DispersionParams, omega, phasor, resonance
+from .dispersion import DispersionParams, _reduced_phase, omega, phasor, resonance
 
 __all__ = [
     "IllposedConfig",
@@ -141,17 +141,26 @@ def build_datum(config, N):
 
 
 def _phase_quotient(theta, t):
-    """``E(theta, t) = (exp(i theta t) - 1)/(i theta)`` in cancellation-free
-    sinc form ``t e sin(theta t/2)/(theta t/2)`` with ``e = exp(i theta t/2)``,
-    whose imaginary part is the sine; entire in theta."""
+    """``E(theta, t) = (exp(i theta t) - 1)/(i theta)``, entire in theta,
+    from one tangent: with ``h = theta t/2`` and ``tau = tan h``,
+    ``exp(i h) sin h = tau (1 + i tau)/(1 + tau^2)``, so
+    ``E = t q (1 + i tau)/(1 + tau^2)`` with ``q = tau/h`` (``1 + h^2/3`` for
+    ``|h| < 1e-6``). The identity is pi-periodic in h, so ``tau`` is taken of
+    ``dispersion._reduced_phase(theta, t/2)``, the reduction ``phasor`` uses;
+    no cancellation, and no cos or sin."""
     theta = np.asarray(theta, dtype=np.float64)
     half_raw = 0.5 * theta * t
-    e = phasor(theta, 0.5 * t)
+    tau = np.tan(_reduced_phase(theta, 0.5 * t))
     small = np.abs(half_raw) < 1e-6
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(small, 1.0 - half_raw * half_raw / 6.0,
-                         e.imag / np.where(small, 1.0, half_raw))
-    return t * e * ratio
+        q = np.where(small, 1.0 + half_raw * half_raw / 3.0,
+                     tau / np.where(small, 1.0, half_raw))
+    q *= t
+    q /= 1.0 + tau * tau
+    out = np.empty(q.shape, dtype=np.complex128)
+    out.real = q
+    np.multiply(q, tau, out=out.imag)
+    return out
 
 
 def _a2_band_values(datum, disp, xi, t, quad_points):
@@ -193,7 +202,10 @@ def _a3_band_values(datum, disp, xi, t, quad_points, theta_cut):
     (xi, xa) rows whose xb interval is non-empty are gathered, evaluated on
     (rows, nodes) arrays, and each row's node sum is scattered into its
     output xi. The weight diagnostics sum the live rows' weights; a dead
-    row has none.
+    row has none. Each node carries one real weight ``pref / om_ab``, which
+    scales both phase quotients; the exact factor ``1/i`` of
+    ``E / (i om_ab)`` is applied once, after every row sum, and the
+    resonant part is split from the tail by ``np.where`` on ``|theta|``.
 
     Returns ``(resonant, tail, flow, diagnostics)``. The full iterate is
     ``resonant + tail - flow``, all carrying ``exp(i omega(xi) t)``.
@@ -230,14 +242,13 @@ def _a3_band_values(datum, disp, xi, t, quad_points, theta_cut):
                 # form keeps it exact where the raw omega sums (~N^5) cancel
                 theta = theta_eval(x1, x_a, xb, disp)
                 om_1p = theta - om_ab
-                pref = -x_out * (x_a + xb) / (2.0 * np.pi) * (a ** 3) * w_a * wb
-                e_theta = _phase_quotient(theta, t) / (1j * om_ab)
-                e_flow = _phase_quotient(om_1p, t) / (1j * om_ab)
+                wgt = -x_out * (x_a + xb) / (2.0 * np.pi) * (a ** 3) * w_a * wb / om_ab
+                e_theta = wgt * _phase_quotient(theta, t)
                 small = np.abs(theta) <= theta_cut
                 # each live row's node sum into its output xi
-                np.add.at(g1, i_xi, np.sum(pref * e_theta * small, axis=1))
-                np.add.at(tail, i_xi, np.sum(pref * e_theta * ~small, axis=1))
-                np.add.at(g2, i_xi, np.sum(pref * e_flow, axis=1))
+                np.add.at(g1, i_xi, np.sum(np.where(small, e_theta, 0.0), axis=1))
+                np.add.at(tail, i_xi, np.sum(np.where(small, 0.0, e_theta), axis=1))
+                np.add.at(g2, i_xi, np.sum(wgt * _phase_quotient(om_1p, t), axis=1))
                 mixed = (sa != sb) or (sa != s1)
                 if mixed:
                     theta_crit_max = max(theta_crit_max, float(np.max(np.abs(theta))))
@@ -248,7 +259,7 @@ def _a3_band_values(datum, disp, xi, t, quad_points, theta_cut):
         "theta_crit_max": theta_crit_max,
         "small_theta_fraction": crit_small / crit_mass if crit_mass else 0.0,
     }
-    return g1, tail, g2, diag
+    return -1j * g1, -1j * tail, -1j * g2, diag
 
 
 def _band_hs_norm(bands, s, values_fn, out_points):

@@ -591,8 +591,8 @@ class TestBoundAudits:
         assert any(np.isnan(row["max_ratio"]) for row in rows)
         if name != "sigma3":
             # the one NaN of the one kernel call over shells 0..3, in shell order
-            x = np.concatenate([audits._shell_tuples(5, e, 3, 500, 4 if name == "sigma4" else 5)
-                                for e in range(4)])
+            width = 4 if name == "sigma4" else 5
+            x = np.concatenate([audits._shell_tuples(5, e, 3, 500, width)[0] for e in range(4)])
             assert rep.argmax == tuple(x[len(x) // 2])
 
     def test_nan_ratio_fails_cli_gate_with_artifacts(self, tmp_path, monkeypatch):
@@ -610,8 +610,7 @@ class TestBoundAudits:
         # shells 0..3 hold tuples above 2^4 when drawn at cap 5: the cap-3
         # report must restrict them, not take them whole
         for width in (4, 5):
-            tops = [np.max(np.abs(audits._shell_tuples(9, e, 5, 500, width)))
-                    for e in range(4)]
+            tops = [np.max(audits._shell_tuples(9, e, 5, 500, width)[1]) for e in range(4)]
             assert max(tops) > 2.0 ** 4
 
     def test_empty_reports_name_no_point(self, tmp_path):

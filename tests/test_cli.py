@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from kawalab import DispersionParams, EnergyMultipliers, Grid, SpectralField
-from kawalab import audits, cli, illposed, solver, spacetime
+from kawalab import audits, cli, dispersion, illposed, solver, spacetime
 from kawalab.cli import COMMANDS, ConfigError, main, parse_config
 from kawalab.dispersion import PHASE_EXACT_RANGE, phasor
 from kawalab.grid import save_field
@@ -449,11 +449,15 @@ class TestParallelMap:
                         "--n_times", "256"], []),
         ("verify-bounds", ["--samples", "20000"], []),
         ("verify-bounds", ["--samples", "40000"], [1]),
+        ("illposed", DETERMINISM_PRESETS["illposed"], []),
+        ("illposed", ["--n_exp_lo", "7", "--n_exp_hi", "10", "--quad_points", "32",
+                      "--out_points", "32"], [1]),
     ])
     def test_commands_fork_only_above_the_work_gate(self, tmp_path, monkeypatch,
                                                     command, args, sizes):
-        # the first three, at the benchmark's lab sizes, take under 100 ms
-        # in one process, which a fork costs more than it saves
+        # the lab sizes of illposed, strichartz and verify-bounds and the
+        # a14 illposed preset take under 100 ms in one process, which a
+        # fork costs more than it saves
         monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         main(["--seed", "112", "--workers", "2", "--no-gate", "--out", str(tmp_path),
@@ -517,8 +521,9 @@ class TestPhaseRange:
 
     def test_illposed_insensitive_above_exact_range(self, tmp_path, monkeypatch):
         # illposed reaches |w t| ~ 2e18, where ulp(w t) alone exceeds 2 pi;
-        # rotating every phasor above the exact range by 1 rad leaves its
-        # rows in place, so the degraded reduction there is harmless
+        # turning every reduced phase above the exact range by 1 rad, in
+        # phasor and in the tangent phase quotients alike, leaves its rows
+        # in place, so the degraded reduction there is harmless
         def run(out):
             assert main(["--out", str(tmp_path / out), "illposed",
                          "--quad_points", "16", "--out_points", "16"]) == 0
@@ -526,17 +531,21 @@ class TestPhaseRange:
                 return json.load(fh)
 
         far = []
+        reduce = dispersion._reduced_phase
 
         def rotated(w, t):
-            z = phasor(w, t)
+            p = reduce(w, t)
             above = np.abs(np.asarray(w) * np.asarray(t)) >= PHASE_EXACT_RANGE
             far.append(int(np.count_nonzero(above)))
-            return np.where(above, z * np.exp(1j), z)
+            return np.where(above, p + 1.0, p)
 
         base = run("base")
-        monkeypatch.setattr(illposed, "phasor", rotated)
+        monkeypatch.setattr(dispersion, "_reduced_phase", rotated)
+        monkeypatch.setattr(illposed, "_reduced_phase", rotated)
         moved = run("rotated")
-        assert sum(far) > 0
+        # the phasor of the second iterate's exp(i omega t) and the phase
+        # quotients of both iterates: every element above the range
+        assert sum(far) == 164080
         for key in ("slope", "gap"):
             assert moved[key] == pytest.approx(base[key], rel=1e-9, abs=0.0)
         assert len(moved["rows"]) == len(base["rows"])

@@ -1,5 +1,7 @@
 """Band datum and iterates of the smoothness-breaking construction."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,73 @@ class TestIterates:
         rows = illposed_sweep(IllposedConfig(n_list=(128, 256, 512, 1024)))
         shares = [r["g2_over_g1"] for r in rows]
         assert all(a > b for a, b in zip(shares, shares[1:]))
+
+
+_PI = Decimal("3.1415926535897932384626433832795028841971"
+              "693993751058209749445923078164062862089986")
+
+
+def decimal_phase_quotient(theta, t):
+    """``(exp(i theta t) - 1)/(i theta) = t exp(i h) sin(h)/h``, ``h = theta
+    t/2``, in 60-digit decimal: h formed exactly, reduced mod 2 pi, and
+    sin and cos summed as Taylor series."""
+    out = np.empty(len(theta), dtype=np.complex128)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for i, th in enumerate(theta):
+            tt = Decimal(float(t))
+            h = Decimal(float(th)) * tt / 2
+            if h == 0:
+                out[i] = float(tt)
+                continue
+            r = h % (2 * _PI)
+            term, sin, cos, n = r, Decimal(0), Decimal(1), 1
+            while abs(term) > Decimal("1e-62"):
+                sin += term
+                term *= -r * r / ((n + 1) * (n + 2))
+                n += 2
+            term = -r * r / 2
+            n = 2
+            while abs(term) > Decimal("1e-62"):
+                cos += term
+                term *= -r * r / ((n + 1) * (n + 2))
+                n += 2
+            scale = tt * sin / h
+            out[i] = complex(float(scale * cos), float(scale * sin))
+    return out
+
+
+class TestPhaseQuotientAccuracy:
+    """The tangent form of E against a decimal reference: within
+    ``1e-15 min(t, 2/|theta|)``, |E|'s own bound, on both branches."""
+
+    @staticmethod
+    def thetas(t):
+        rng = np.random.default_rng(11)
+        theta = 10.0 ** rng.uniform(-12.0, 9.0, 600)
+        # h next to k pi/2, where tan h is 0 or near its poles
+        k = np.concatenate([np.arange(1, 40), 10 ** rng.uniform(2.0, 8.0, 100).round()])
+        gap = 10.0 ** rng.uniform(-15.0, -6.0, k.size) * rng.choice([-1.0, 1.0], k.size)
+        near = 2.0 * (0.5 * np.pi * k + gap) / t
+        # both sides of the series branch's edge |h| = 1e-6
+        edge = 2.0e-6 / t * np.array([0.5, 0.999999, 1.0, 1.000001, 2.0])
+        theta = np.concatenate([theta, near, edge])
+        return theta * rng.choice([-1.0, 1.0], theta.size)
+
+    @pytest.mark.parametrize("t", [0.5, 0.37, 1.0])
+    def test_within_bound(self, t):
+        theta = self.thetas(t)
+        assert np.max(np.abs(theta)) > 1e8 and np.min(np.abs(theta)) < 1e-11
+        h = np.abs(0.5 * theta * t)
+        assert np.any(h < 1e-6) and np.any((h >= 1e-6) & (h < 2e-6))
+        got = _phase_quotient(theta, t)
+        err = np.abs(got - decimal_phase_quotient(theta, t))
+        assert np.all(err <= 1e-15 * np.minimum(t, 2.0 / np.abs(theta)))
+
+    def test_conjugate_symmetric(self):
+        theta = self.thetas(0.5)
+        assert np.array_equal(_phase_quotient(-theta, 0.5),
+                              np.conj(_phase_quotient(theta, 0.5)))
 
 
 def reference_a3_band_values(datum, disp, xi, t, quad_points, theta_cut):

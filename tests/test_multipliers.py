@@ -402,7 +402,7 @@ class TestM5SharedPairs:
     def test_audit_tuples(self, cutoff):
         from kawalab.audits import _shell_tuples
         kern = EnergyMultipliers(IMultiplier(16.0), D, band_cutoff=cutoff)
-        x = np.concatenate([_shell_tuples(112, e, 7, 400, 5) for e in range(8)])
+        x = np.concatenate([_shell_tuples(112, e, 7, 400, 5)[0] for e in range(8)])
         got = kern.m5(*x.T)
         assert np.array_equal(got, reference_m5(kern, *x.T))
         assert np.all(np.isfinite(got))
@@ -420,7 +420,7 @@ class TestM5SharedPairs:
 
         monkeypatch.setattr(IMultiplier, "m2", counted)
         kern = EnergyMultipliers(IMultiplier(16.0), D)
-        x = _shell_tuples(112, 6, 7, 2500, 5)
+        x, _ = _shell_tuples(112, 6, 7, 2500, 5)
         kern.m5(*x.T)
         assert len(calls) == 45
 
@@ -557,7 +557,7 @@ class TestRealChain:
     def quintuples(case):
         if case == "shells":
             from kawalab.audits import _shell_tuples
-            return np.concatenate([_shell_tuples(112, e, 7, 400, 5) for e in range(8)])
+            return np.concatenate([_shell_tuples(112, e, 7, 400, 5)[0] for e in range(8)])
         if case == "lattice":
             return lattice_quintuples(np.random.default_rng(6), 3000)
         x4 = TestM4SharedM2.singular_batch()
@@ -609,14 +609,14 @@ class TestM5DeadTuples:
 
     def test_dead_batch_evaluates_no_m2(self, monkeypatch):
         from kawalab.audits import _shell_tuples
-        x = _shell_tuples(112, 0, 7, 2500, 5)
+        x, _ = _shell_tuples(112, 0, 7, 2500, 5)
         assert np.all(self.tops(x) <= 16.0)
         got, calls = self.counted_m5(monkeypatch, x)
         assert calls == [] and np.all(got == 0.0) and got.dtype == np.complex128
 
     def test_mixed_batch_evaluates_live_rows(self, monkeypatch):
         from kawalab.audits import _shell_tuples
-        x = _shell_tuples(112, 2, 7, 2500, 5)
+        x, _ = _shell_tuples(112, 2, 7, 2500, 5)
         live = self.tops(x) > 16.0
         assert 0 < np.count_nonzero(live) < 0.5 * len(x)
         got, calls = self.counted_m5(monkeypatch, x)

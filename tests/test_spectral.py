@@ -25,7 +25,8 @@ from kawalab import (
     shell_count,
     sobolev_norm,
 )
-from kawalab.dispersion import PHASE_EXACT_RANGE, phasor
+from kawalab import dispersion
+from kawalab.dispersion import PHASE_EXACT_RANGE, _exact_scale, _reduced_phase, phasor
 from kawalab.grid import _full_spectrum, require_hermitian
 
 
@@ -260,6 +261,49 @@ class TestPhasor:
         assert np.max(np.abs(w * t)) > 1e18
         err = np.abs(phasor(w, t) - self._decimal_reference(w, t))
         assert np.all(err <= 2.3e-16 * np.abs(w * t))
+
+
+class TestExactScale:
+    """A 0-d power-of-two ``t`` skips Dekker's two-product: ``w t`` is then
+    exact, and the reduction must give the general path's bits."""
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(7)
+        tiny = np.finfo(np.float64).smallest_subnormal
+        sub = rng.integers(1, 2 ** 52, 4000).astype(np.uint64).view(np.float64)
+        normal = 10.0 ** rng.uniform(-320.0, 18.0, 20000)
+        w = np.concatenate([sub, normal, [0.0, tiny, 2.0 ** -1022, 1e18, 1e300, np.inf]])
+        return np.concatenate([w, -w, [np.nan]])
+
+    @staticmethod
+    def same_bits(a, b):
+        return bool(np.all((a.view(np.uint64) == b.view(np.uint64))
+                           | (np.isnan(a) & np.isnan(b))))
+
+    def test_scales_taken(self):
+        taken = [0.25, -0.25, 0.5, 1.0, 2.0 ** 40, 2.0 ** 995]
+        assert all(_exact_scale(np.asarray(t)) for t in taken)
+        refused = [0.125, 2.0 ** 996, 3.0, 0.3, 0.0, np.inf, np.nan]
+        assert not any(_exact_scale(np.asarray(t)) for t in refused)
+        assert not _exact_scale(np.asarray([0.25]))
+
+    @pytest.mark.parametrize("t", [0.25, -0.25, 0.5, 1.0, 2.0 ** 40])
+    def test_bitwise_equal_general_path(self, monkeypatch, t):
+        w = self.inputs()
+        with np.errstate(invalid="ignore", over="ignore"):
+            general = _reduced_phase(w, np.array([t]))
+            splits = []
+            split = dispersion._split
+            monkeypatch.setattr(dispersion, "_split", lambda a: splits.append(a) or split(a))
+            fast = _reduced_phase(w, t)
+            assert not splits
+            assert self.same_bits(fast, general)
+            z = phasor(w, t)
+            monkeypatch.setattr(dispersion, "_split", split)
+            ref = phasor(w, np.array([t]))
+        assert self.same_bits(z.real, ref.real) and self.same_bits(z.imag, ref.imag)
+        assert np.isnan(fast[-1]) and np.isnan(fast[np.isinf(w)]).all()
 
 
 class TestDispersiveOrder:
